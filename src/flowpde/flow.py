@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ValidationFault
 from .kernels import chi, chi_prime, convolve, fluctuation_kernel
 from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec
-from .model import ModelSpec, RenormScheme, coefficient_value, relevant_filtered
+from .model import ModelSpec, RenormScheme, coefficient_value, compile_force, relevant_filtered
 from .noise import NoiseModel, _spatial_multiplier, _temporal_taps
 
 MAX_PATHWISE_ORDER = 8
@@ -67,18 +67,6 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _spatial_derivative_data(spec: LatticeSpec, data: np.ndarray, aq: tuple) -> np.ndarray:
-    if all(x == 0 for x in aq):
-        return data
-    grids = spec.freq_grids()
-    mult = np.ones(spec.space_shape(), dtype=complex)
-    for axis, deg in enumerate(aq):
-        if deg:
-            mult = mult * (1j * grids[axis]) ** deg
-    fhat = np.fft.fftn(data, axes=tuple(range(1, spec.d + 1)))
-    return np.fft.ifftn(mult[None] * fhat, axes=tuple(range(1, spec.d + 1))).real
-
-
 def effective_force_series(
     model: ModelSpec,
     counterterms,
@@ -102,7 +90,8 @@ def effective_force_series(
             f"(~{est} tree contractions per order)"
         )
     spec = noise.spec
-    coeffs = _coefficient_table(model, counterterms)
+    nu = model.noise.nu if model.noise is not None else 1.0
+    force = compile_force(model, counterterms, nu, spec)
     kernel = fluctuation_kernel(spec, mu)
     f_orders = {0: noise.data}
     u_orders = {}  # u^(k) = order-k part of phi + Ghat_mu * F_mu[phi]
@@ -117,38 +106,15 @@ def effective_force_series(
 
     for i in range(1, i_max + 1):
         acc = np.zeros_like(noise.data)
-        for (j, m, a), value in coeffs.items():
+        for (j, m, a), value in force.table.items():
             if j > i or value == 0.0:
                 continue
             sign = (-1.0) ** sum(sum(aq) for aq in a)
             for parts in _compositions(i - j, m):
-                prod = np.ones_like(acc)
-                for q, iq in enumerate(parts):
-                    term = u_of(iq)
-                    term = _spatial_derivative_data(spec, term, a[q])
-                    prod = prod * term
+                prod = force.monomial([u_of(iq) for iq in parts], a)
                 acc += sign * value * prod
         f_orders[i] = acc
     return {i: Field(spec, data, SPACE_TIME) for i, data in f_orders.items()}
-
-
-def _coefficient_table(model: ModelSpec, counterterms) -> dict:
-    from .model import _ct_dict
-
-    ct = _ct_dict(counterterms)
-    table = {}
-    nu = model.noise.nu if model.noise is not None else 1.0
-    for mo in model.monomials:
-        key = (mo.i, mo.m, tuple(sorted(mo.a)))
-        table[key] = coefficient_value(model, mo, nu)
-    for key in relevant_filtered(model):
-        if key in ct:
-            table[key] = ct[key]
-        elif key not in table:
-            raise ValidationFault(f"missing relevant coefficient for index {key}")
-    for key, value in ct.items():
-        table.setdefault(key, value)
-    return table
 
 
 def expand_pathwise(

@@ -187,6 +187,8 @@ def convolve(kernel: SpectralKernel, f: Field, require_full_history: bool = Fals
     spec = f.spec
     if kernel.spec.d != spec.d or kernel.spec.n != spec.n or kernel.spec.sigma != spec.sigma:
         raise ValidationFault("kernel and field live on incompatible lattices")
+    if kernel.spec.dt != spec.dt:
+        raise ValidationFault(f"kernel sampled at dt = {kernel.spec.dt:g}, field at dt = {spec.dt:g}")
     fhat = forward_transform(f)
     if f.domain == SPACE_ONLY:
         nt = spec.nt

@@ -14,6 +14,7 @@ sampled at integer frequencies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ SPACE_ONLY = "space_only"
 SPACE_TIME = "space_time"
 
 _FLD1_MAGIC = b"FLD1"
+_FLD1_HEADER_BYTES = 40
 
 
 def _is_pow2(n: int) -> bool:
@@ -200,16 +202,24 @@ def write_fld1(path, f: Field) -> None:
 
 def read_fld1(path) -> Field:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FLD1_MAGIC:
-            raise ValidationFault(f"bad magic {magic!r}, expected FLD1")
-        d, n, nt = struct.unpack("<III", fh.read(12))
-        dt, t_min, sigma = struct.unpack("<ddd", fh.read(24))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
+    if raw[:4] != _FLD1_MAGIC:
+        raise ValidationFault(f"bad magic {raw[:4]!r}, expected FLD1")
+    if len(raw) < _FLD1_HEADER_BYTES:
+        raise ValidationFault(f"FLD1 header truncated at {len(raw)} bytes")
+    d, n, nt = struct.unpack_from("<III", raw, 4)
+    dt, t_min, sigma = struct.unpack_from("<ddd", raw, 16)
+    payload = memoryview(raw)[_FLD1_HEADER_BYTES:]
     if nt == 0:
         # window endpoints are not stored for single slices; use one step
         spec = LatticeSpec(d, n, dt, t_min, t_min + dt, sigma)
-        return Field(spec, payload.reshape((n,) * d).copy(), SPACE_ONLY)
-    t_max = t_min + dt * (nt - 1)
-    spec = LatticeSpec(d, n, dt, t_min, t_max, sigma)
-    return Field(spec, payload.reshape((nt,) + (n,) * d).copy(), SPACE_TIME)
+        shape, domain = (n,) * d, SPACE_ONLY
+    else:
+        spec = LatticeSpec(d, n, dt, t_min, t_min + dt * (nt - 1), sigma)
+        shape, domain = (nt,) + (n,) * d, SPACE_TIME
+    expected = 8 * math.prod(shape)
+    if len(payload) != expected:
+        raise ValidationFault(
+            f"FLD1 payload holds {len(payload)} bytes, the header implies {expected}"
+        )
+    return Field(spec, np.frombuffer(payload, dtype="<f8").reshape(shape).copy(), domain)

@@ -17,13 +17,14 @@ prescribed directly, scaling as [nu]^(rho + extra)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationFault
-from .lattice import SPACE_ONLY, SPACE_TIME, Field, forward_transform, inverse_transform
+from .lattice import Field, LatticeSpec
 
 SYMMETRIES = ("none", "parity_z2", "shift_r")
 
@@ -300,18 +301,84 @@ def coefficient_value(spec: ModelSpec, mo: Monomial, nu: float) -> float:
     return mo.base * lam_nu ** (max(r, 0.0) + mo.extra_exponent)
 
 
-def spatial_derivative(f: Field, aq: tuple) -> Field:
-    if all(x == 0 for x in aq):
-        return f
-    fhat = forward_transform(f)
-    grids = f.spec.freq_grids()
-    mult = np.ones(f.spec.space_shape(), dtype=complex)
+def derivative_multiplier(lattice: LatticeSpec, aq: tuple) -> np.ndarray:
+    """Fourier multiplier prod_j (i k_j)^(aq_j) of d^aq on the spatial modes."""
+    grids = lattice.freq_grids()
+    mult = np.ones(lattice.space_shape(), dtype=complex)
     for axis, deg in enumerate(aq):
         if deg:
             mult = mult * (1j * grids[axis]) ** deg
-    if f.domain == SPACE_TIME:
-        mult = mult[None]
-    return inverse_transform(f.spec, mult * fhat, f.domain)
+    return mult
+
+
+def _apply_multiplier(mult: np.ndarray | None, data: np.ndarray) -> np.ndarray:
+    """Spectral multiplication over the trailing spatial axes of a slice or a
+    window; the data itself when there is no multiplier."""
+    if mult is None:
+        return data
+    axes = tuple(range(-mult.ndim, 0))
+    return np.fft.ifftn(mult * np.fft.fftn(data, axes=axes), axes=axes).real
+
+
+def spatial_derivative(f: Field, aq: tuple) -> Field:
+    """d^aq f for a slice or a window, by the multiplier the compiled force applies."""
+    if all(x == 0 for x in aq):
+        return f
+    return Field(f.spec, _apply_multiplier(derivative_multiplier(f.spec, aq), f.data), f.domain)
+
+
+@dataclass(frozen=True)
+class CompiledForce:
+    """F_nu of one (model, counterterms, nu) on one lattice, built once.
+
+    `table` maps (i, m, a) to its coefficient without lambda^i: the declared
+    monomials, then the relevant_filtered keys, in that order.  `mults` maps
+    each nonzero a_q to its derivative multiplier.
+    """
+
+    lam: float
+    table: dict
+    mults: dict
+
+    def monomial(self, factors, a: tuple):
+        """prod_q d^(a_q) factors[q]; the scalar 1.0 when m = 0."""
+        parts = (_apply_multiplier(self.mults.get(aq), u) for u, aq in zip(factors, a))
+        return functools.reduce(np.multiply, parts, 1.0)
+
+    def __call__(self, phi: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+        """noise + sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi."""
+        out = np.array(noise, dtype=float, copy=True) if noise is not None else np.zeros_like(phi)
+        for (i, m, a), coeff in self.table.items():
+            if coeff == 0.0:
+                continue
+            sign = (-1.0) ** sum(sum(aq) for aq in a)
+            out += sign * self.lam**i * coeff * self.monomial([phi] * m, a)
+        return out
+
+
+def compile_force(spec: ModelSpec, counterterms, nu: float, lattice: LatticeSpec) -> CompiledForce:
+    """The force's term table and derivative multipliers.
+
+    Relevant coefficients come from `counterterms` (a CounterTermResult or a
+    plain dict keyed by (i, m, a)); prescribed coefficients from the monomial
+    list.  A missing relevant coefficient faults with the index, and so does
+    a counterterm whose index is neither relevant after the symmetry filter
+    nor a declared monomial (the rule of RenormScheme.for_model).
+    """
+    ct = _ct_dict(counterterms)
+    table = {}
+    for mo in spec.monomials:
+        table[(mo.i, mo.m, tuple(sorted(mo.a)))] = coefficient_value(spec, mo, nu)
+    for key in relevant_filtered(spec):
+        if key in ct:
+            table[key] = ct[key]
+        elif key not in table:
+            raise ValidationFault(f"missing relevant coefficient for index {key}")
+    stray = sorted(key for key in ct if key not in table)
+    if stray:
+        raise ValidationFault(f"counterterms for non-relevant or filtered indices: {stray}")
+    mults = {aq: derivative_multiplier(lattice, aq) for (_, _, a) in table for aq in a if any(aq)}
+    return CompiledForce(spec.lam, table, mults)
 
 
 def evaluate_force(
@@ -321,31 +388,10 @@ def evaluate_force(
     noise: Field | None,
     nu: float,
 ) -> Field:
-    """Pointwise evaluation of F_nu[phi] on the lattice.
-
-    Relevant coefficients come from `counterterms` (a CounterTermResult or a
-    plain dict keyed by (i, m, a)); prescribed coefficients from the monomial
-    list.  Missing relevant coefficients fault with the index.
-    """
-    ct = _ct_dict(counterterms)
-    out = np.array(noise.data, dtype=float, copy=True) if noise is not None else np.zeros_like(phi.data)
-    terms = {}
-    for mo in spec.monomials:
-        key = (mo.i, mo.m, tuple(sorted(mo.a)))
-        terms[key] = coefficient_value(spec, mo, nu)
-    for key in relevant_filtered(spec):
-        if key in ct:
-            terms[key] = ct[key]
-        elif key not in terms:
-            raise ValidationFault(f"missing relevant coefficient for index {key}")
-    for (i, m, a), coeff in terms.items():
-        if coeff == 0.0:
-            continue
-        prod = np.ones_like(phi.data)
-        for aq in a:
-            prod = prod * spatial_derivative(phi, aq).data
-        sign = (-1.0) ** sum(sum(aq) for aq in a)
-        out += sign * spec.lam**i * coeff * prod
+    """Pointwise evaluation of F_nu[phi] on the lattice (one-shot form of
+    compile_force)."""
+    force = compile_force(spec, counterterms, nu, phi.spec)
+    out = force(phi.data, noise.data if noise is not None else None)
     return Field(phi.spec, out, phi.domain)
 
 

@@ -18,6 +18,7 @@ across nu share the leading uniform points of the substream (a thinning).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .errors import ValidationFault
 from .lattice import SPACE_TIME, Field, LatticeSpec
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
+HAT_BLOCK = 256  # frequencies per phase-matrix block in spatial_hat
 
 
 def substream(master_seed: int, sample_index: int, label: str) -> np.random.Generator:
@@ -87,10 +89,15 @@ class MollifierProfile:
     def spatial_hat(self, xi: np.ndarray) -> np.ndarray:
         """Continuous Fourier transform of the normalized spatial profile at
         frequencies xi; exact to quadrature error (profile is smooth and
-        compactly supported).  spatial_hat(0) = 1."""
+        compactly supported).  spatial_hat(0) = 1.  The phase matrix is
+        built HAT_BLOCK frequencies at a time, which bounds its memory."""
         vals = self.spatial(self._fine)
-        phase = np.exp(-1j * np.multiply.outer(xi, self._fine))
-        return phase @ vals * self._du
+        flat = np.ravel(xi)
+        out = np.empty(flat.size, dtype=complex)
+        for lo in range(0, flat.size, HAT_BLOCK):
+            phase = np.exp(-1j * np.multiply.outer(flat[lo : lo + HAT_BLOCK], self._fine))
+            out[lo : lo + HAT_BLOCK] = phase @ vals * self._du
+        return out.reshape(np.shape(xi))
 
 
 @dataclass(frozen=True)
@@ -184,13 +191,20 @@ def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
 
 
 def _spatial_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
-    prof = model.profile()
-    lam = model.nu ** (1.0 / spec.sigma)
-    k = spec.axis_freqs()
-    hat1d = prof.spatial_hat(lam * k)
+    """m_hat([nu] k) on the lattice's modes; cached and read-only, as it
+    depends on neither the time window nor the seed."""
+    return _cached_multiplier(model.family, model.nu, spec.n, spec.d, spec.sigma)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> np.ndarray:
+    lam = nu ** (1.0 / sigma)
+    k = np.fft.fftfreq(n, d=1.0 / n)  # LatticeSpec.axis_freqs
+    hat1d = MollifierProfile(family).spatial_hat(lam * k)
     mult = hat1d
-    for _ in range(spec.d - 1):
+    for _ in range(d - 1):
         mult = np.multiply.outer(mult, hat1d)
+    mult.setflags(write=False)
     return mult
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import NumericalFault, ValidationFault
 from .kernels import DEFAULT_EPS
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
-from .model import ModelSpec, evaluate_force
+from .model import ModelSpec, compile_force
+from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
 from .norms import c_gamma_norm
 
 STATUS_COMPLETED = "completed"
@@ -119,18 +120,14 @@ def solve_mild(
     mask = _dealias_mask(spec) if cfg.dealias else None
     axes = tuple(range(spec.d))
 
+    compiled = compile_force(model, counterterms, nu, spec)
+
     def force(phi_data: np.ndarray, t: float) -> np.ndarray:
-        phi_s = Field(spec, phi_data, SPACE_ONLY)
         if shift is not None:
-            j = _slice_index(shift, t)
-            shifted = Field(spec, phi_data + shift.data[j], SPACE_ONLY)
-            base = evaluate_force(model, counterterms, shifted, None, nu)
-            return base.data
-        noise_s = None
+            return compiled(phi_data + shift.data[_slice_index(shift, t)])
         if noise is not None:
-            j = _slice_index(noise, t)
-            noise_s = Field(spec, noise.data[j], SPACE_ONLY)
-        return evaluate_force(model, counterterms, phi_s, noise_s, nu).data
+            return compiled(phi_data, noise.data[_slice_index(noise, t)])
+        return compiled(phi_data)
 
     def step(phi_hat: np.ndarray, t: float) -> np.ndarray:
         phi_data = np.fft.ifftn(phi_hat, axes=axes).real

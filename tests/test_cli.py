@@ -100,6 +100,15 @@ def test_norms_command(tmp_path):
     _manifest_ok(out, "norms")
 
 
+def test_norms_command_rejects_truncated_field(tmp_path):
+    spec = LatticeSpec(1, 64, 0.05, 0.0, 0.5, 0.5)
+    fld = tmp_path / "f.fld"
+    write_fld1(fld, Field(spec, np.ones(spec.n), SPACE_ONLY))
+    fld.write_bytes(fld.read_bytes()[:-16])
+    rc = main(["norms", "--field", str(fld), "--alpha", "-0.5", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_VALIDATION
+
+
 def test_missing_config_is_validation_error(tmp_path):
     rc = main(["renorm", "--model", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == EXIT_VALIDATION

@@ -139,3 +139,13 @@ def test_battery_all_pass():
     assert rows, "battery produced no rows"
     failures = [r for r in rows if not r["pass"]]
     assert not failures, failures
+
+
+def test_convolution_rejects_dt_mismatch(rng):
+    """A kernel's time slices are only meaningful at the dt they were
+    sampled at."""
+    ker = fluctuation_kernel(LatticeSpec(1, 32, 0.02, -2.0, 1.0, 0.5), 0.3)
+    coarse = LatticeSpec(1, 32, 0.1, -2.0, 1.0, 0.5)
+    f = Field(coarse, rng.standard_normal((coarse.nt, coarse.n)), SPACE_TIME)
+    with pytest.raises(ValidationFault, match="dt"):
+        convolve(ker, f)

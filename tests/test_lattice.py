@@ -94,3 +94,34 @@ def test_fld1_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValidationFault, match="magic"):
         read_fld1(p)
+
+
+@pytest.mark.parametrize("spacetime", [False, True])
+@pytest.mark.parametrize("cut", [8, 100])
+def test_fld1_rejects_truncated_payload(tmp_path, spacetime, cut):
+    spec = LatticeSpec(1, 16, 0.05, -0.5, 0.5, 0.5)
+    shape = (spec.nt, spec.n) if spacetime else (spec.n,)
+    f = Field(spec, np.ones(shape), SPACE_TIME if spacetime else SPACE_ONLY)
+    p = tmp_path / "short.fld"
+    write_fld1(p, f)
+    p.write_bytes(p.read_bytes()[:-cut])
+    with pytest.raises(ValidationFault, match="payload"):
+        read_fld1(p)
+
+
+def test_fld1_rejects_trailing_bytes(tmp_path):
+    spec = LatticeSpec(1, 16, 0.05, -0.5, 0.5, 0.5)
+    p = tmp_path / "long.fld"
+    write_fld1(p, Field(spec, np.ones(spec.n), SPACE_ONLY))
+    p.write_bytes(p.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValidationFault, match="payload"):
+        read_fld1(p)
+
+
+def test_fld1_rejects_truncated_header(tmp_path):
+    spec = LatticeSpec(1, 16, 0.05, -0.5, 0.5, 0.5)
+    p = tmp_path / "stub.fld"
+    write_fld1(p, Field(spec, np.ones(spec.n), SPACE_ONLY))
+    p.write_bytes(p.read_bytes()[:20])
+    with pytest.raises(ValidationFault, match="header"):
+        read_fld1(p)

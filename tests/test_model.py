@@ -125,3 +125,22 @@ def test_evaluate_force_missing_relevant_faults(desk_model, desk_spec):
 def test_preset_unknown_name():
     with pytest.raises(ValidationFault):
         preset("phi6_9d")
+
+
+def test_stray_counterterm_key_faults_on_both_force_paths(desk_model, desk_spec, desk_noise):
+    """A counterterm for an index that is neither relevant after the
+    symmetry filter nor a declared monomial is rejected by the direct force
+    and by the pathwise hierarchy alike (the rule of RenormScheme.for_model)."""
+    from flowpde.flow import expand_pathwise
+    from flowpde.noise import sample_macroscopic_noise
+
+    stray = (1, 2, ((0,), (0,)))  # even arity: removed by parity_z2
+    ct = {(1, 1, ((0,),)): 0.0, stray: 0.5}
+    phi = Field(desk_spec, np.zeros(desk_spec.n), SPACE_ONLY)
+    with pytest.raises(ValidationFault, match="non-relevant"):
+        evaluate_force(desk_model, ct, phi, None, 0.1)
+    xi = sample_macroscopic_noise(desk_noise, desk_spec, 0)
+    with pytest.raises(ValidationFault, match="non-relevant"):
+        expand_pathwise(desk_model, ct, xi, 1)
+    with pytest.raises(ValidationFault, match="non-relevant"):
+        RenormScheme.for_model(desk_model, {stray: 0.5})

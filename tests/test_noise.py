@@ -8,6 +8,8 @@ from flowpde.lattice import LatticeSpec
 from flowpde.noise import (
     MollifierProfile,
     NoiseModel,
+    _cached_multiplier,
+    _spatial_multiplier,
     estimate_cumulants,
     extended_window,
     sample_macroscopic_noise,
@@ -151,3 +153,30 @@ def test_with_nu_preserves_identity(idx):
         model.rate,
     )
     assert m2.nu == 0.1
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize("n", [256, 512])
+def test_blocked_spatial_hat_equals_one_matrix_product(family, n):
+    prof = MollifierProfile(family)
+    xi = 0.1**2 * np.fft.fftfreq(n, d=1.0 / n)
+    vals = prof.spatial(prof._fine)
+    phase = np.exp(-1j * np.multiply.outer(xi, prof._fine))
+    np.testing.assert_array_equal(prof.spatial_hat(xi), phase @ vals * prof._du)
+
+
+def test_spatial_multiplier_is_cached_read_only_and_seed_free():
+    _cached_multiplier.cache_clear()
+    a = NoiseModel("mollified_white", 0.1, 1, "skew", resolution_policy="spectral")
+    b = NoiseModel("mollified_white", 0.1, 2, "skew", resolution_policy="spectral")
+    wick_window = LatticeSpec(1, 64, 0.01, 0.0, 0.4, 0.5)
+    noise_window = extended_window(wick_window, 2.0)
+    mult = _spatial_multiplier(a, wick_window)
+    assert _spatial_multiplier(b, noise_window) is mult
+    assert _cached_multiplier.cache_info().currsize == 1
+    assert not mult.flags.writeable
+    with pytest.raises(ValueError):
+        mult[0] = 0.0
+    lam = 0.1 ** (1.0 / wick_window.sigma)
+    fresh = MollifierProfile("skew").spatial_hat(lam * wick_window.axis_freqs())
+    np.testing.assert_array_equal(mult, fresh)

@@ -3,12 +3,16 @@ import pytest
 
 from flowpde.errors import ValidationFault
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
-from flowpde.model import preset
+from flowpde.model import evaluate_force, preset
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.solver import (
     STATUS_BLEW_UP,
     STATUS_COMPLETED,
     SolveConfig,
+    _dealias_mask,
+    _phi1,
+    _phi2,
+    _slice_index,
     build_stationary_shift,
     solve_decomposed,
     solve_mild,
@@ -109,9 +113,12 @@ def test_decomposed_solution_structure(desk_noise):
     assert set(res.parts) == {"shift", "remainder"}
     assert np.all(np.isfinite(res.trajectory.data))
     # the decomposition is exact: shift + remainder = total on the window
-    j0 = res.parts["remainder"].data.shape[0]
     shift = res.parts["shift"]
-    assert res.trajectory.data.shape[0] == j0
+    remainder = res.parts["remainder"].data
+    nt = remainder.shape[0]
+    assert res.trajectory.data.shape[0] == nt
+    j0 = int(round((0.0 - shift.spec.t_min) / shift.spec.dt))
+    np.testing.assert_array_equal(res.trajectory.data, shift.data[j0 : j0 + nt] + remainder)
 
 
 def test_initial_data_must_be_slice(desk_noise):
@@ -120,3 +127,57 @@ def test_initial_data_must_be_slice(desk_noise):
     bad = Field(spec, np.zeros((spec.nt, spec.n)), SPACE_TIME)
     with pytest.raises(ValidationFault, match="space_only"):
         solve_mild(model, CT_DESK, None, bad, SolveConfig())
+
+
+def test_missing_coefficient_faults_before_any_step(desk_noise):
+    """The force is compiled before the first step, so even a solve with no
+    steps left in the window rejects missing counterterms."""
+    spec = LatticeSpec(1, 16, 0.01, 0.0, 1.0, 0.5)
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    phi0 = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    for t_start in (0.0, spec.t_max):
+        with pytest.raises(ValidationFault, match="missing relevant"):
+            solve_mild(model, None, None, phi0, SolveConfig(), t_start=t_start)
+
+
+def _reference_etd_rk2(model, counterterms, noise, phi0, cfg):
+    """ETD2RK with the force evaluated afresh by evaluate_force at every
+    stage: the reference for the solver's compiled force."""
+    spec = phi0.spec
+    dt = spec.dt
+    n_steps = int(round(min(cfg.max_horizon, spec.t_max) / dt))
+    lin = -dt * spec.k_norm() ** spec.sigma
+    e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
+    mask = _dealias_mask(spec)
+    axes = (0,)
+
+    def force_hat(phi_hat, t):
+        phi = Field(spec, np.fft.ifftn(phi_hat, axes=axes).real, SPACE_ONLY)
+        xi = Field(spec, noise.data[_slice_index(noise, t)], SPACE_ONLY)
+        f = evaluate_force(model, counterterms, phi, xi, model.noise.nu).data
+        return np.fft.fftn(f, axes=axes) * mask
+
+    phi_hat = np.fft.fftn(phi0.data, axes=axes).astype(complex)
+    traj = [phi0.data]
+    for j in range(n_steps):
+        t = j * dt
+        f0 = force_hat(phi_hat, t)
+        a_hat = e_lin * phi_hat + w1 * f0
+        phi_hat = a_hat + w2 * (force_hat(a_hat, t + dt) - f0)
+        traj.append(np.fft.ifftn(phi_hat, axes=axes).real)
+    return np.array(traj)
+
+
+def test_compiled_force_trajectory_matches_per_step_evaluation(desk_noise, rng):
+    spec = LatticeSpec(1, 32, 0.005, -2.0, 1.0, 0.5)
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    ct = {(1, 1, ((0,),)): -0.4}
+    xi = sample_macroscopic_noise(desk_noise, spec, 4)
+    phi0 = Field(spec, 0.5 * rng.standard_normal(spec.n), SPACE_ONLY)
+    cfg = SolveConfig(scheme="etd_rk2", dealias=True, max_horizon=0.3, t_local=1.0)
+    res = solve_mild(model, ct, xi, phi0, cfg)
+    assert res.status == STATUS_COMPLETED
+    assert res.trajectory.data.shape[0] == 61
+    np.testing.assert_array_equal(
+        res.trajectory.data, _reference_etd_rk2(model, ct, xi, phi0, cfg)
+    )
