@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -48,113 +47,205 @@ class _Parser(argparse.ArgumentParser):
 # -- configuration ----------------------------------------------------------
 
 
-def noise_from_config(cfg: dict) -> NoiseModel:
+# Every loader reads a JSON object through _keys and _get, so a malformed
+# file, a misspelled key or a value of the wrong type is a ValidationFault
+# naming the place, never a traceback or a silently applied default.
+
+_REQUIRED = object()
+_KINDS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool)
+    or isinstance(v, float) and v.is_integer(),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    list: lambda v: isinstance(v, list),
+}
+
+
+def _keys(cfg, where: str, allowed: tuple) -> dict:
+    """`cfg` itself, once it is a JSON object with no key outside `allowed`."""
+    if not isinstance(cfg, dict):
+        raise ValidationFault(f"{where} must be a JSON object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ValidationFault(f"unknown key(s) {unknown} in {where}; allowed: {list(allowed)}")
+    return cfg
+
+
+def _get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
+    """cfg[key] as `kind`; `default` when absent (or null, for a None default)."""
+    if key not in cfg or (cfg[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ValidationFault(f"{where} lacks the key {key!r}")
+        return default
+    value = cfg[key]
+    if not _KINDS[kind](value):
+        raise ValidationFault(f"{where}.{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _multi_index(cfg: dict, where: str):
+    """A monomial's derivative list: 0, or a list of lists of integers."""
+    a = cfg.get("a", 0)
+    ok = a == 0 and not isinstance(a, bool) or isinstance(a, list) and all(
+        isinstance(aq, list) and all(_KINDS[int](x) for x in aq) for aq in a
+    )
+    if not ok:
+        raise ValidationFault(f"{where}.a must be 0 or a list of integer lists, got {a!r}")
+    return a
+
+
+def _entry(cfg, d: int, where: str) -> tuple:
+    """((i, m, a), value) of one scheme or counterterm entry."""
+    e = _keys(cfg, where, ("i", "m", "a", "value"))
+    m = _get(e, "m", int, where)
+    a = tuple(sorted(_norm_index(_multi_index(e, where), m, d)))
+    return (_get(e, "i", int, where), m, a), _get(e, "value", float, where)
+
+
+def noise_from_config(cfg: dict, where: str = "noise") -> NoiseModel:
+    _keys(cfg, where, ("kind", "nu", "master_seed", "family", "rate", "resolution_policy"))
     return NoiseModel(
-        kind=cfg.get("kind", "mollified_white"),
-        nu=float(cfg.get("nu", 0.1)),
-        master_seed=int(cfg.get("master_seed", 0)),
-        family=cfg.get("family", "bump"),
-        rate=float(cfg.get("rate", 40.0)),
-        resolution_policy=cfg.get("resolution_policy", "strict"),
+        kind=_get(cfg, "kind", str, where, "mollified_white"),
+        nu=_get(cfg, "nu", float, where, 0.1),
+        master_seed=_get(cfg, "master_seed", int, where, 0),
+        family=_get(cfg, "family", str, where, "bump"),
+        rate=_get(cfg, "rate", float, where, 40.0),
+        resolution_policy=_get(cfg, "resolution_policy", str, where, "strict"),
     )
 
 
-def model_from_config(cfg: dict) -> ModelSpec:
+def _monomial(cfg, where: str) -> Monomial:
+    _keys(cfg, where, ("i", "m", "a", "base", "extra_exponent"))
+    return Monomial(
+        i=_get(cfg, "i", int, where),
+        m=_get(cfg, "m", int, where),
+        a=_multi_index(cfg, where),
+        base=_get(cfg, "base", float, where, 0.0),
+        extra_exponent=_get(cfg, "extra_exponent", float, where, 0.0),
+    )
+
+
+def model_from_config(cfg: dict, where: str = "model") -> ModelSpec:
+    """A model file; its lattice, scheme and solve blocks are read by
+    lattice_from_config, scheme_from_config and solve_from_config."""
+    allowed = (
+        "d", "sigma", "dim_lambda", "lam", "symmetry", "monomials", "noise", "lattice", "scheme",
+        "solve",
+    )
+    _keys(cfg, where, allowed)
     monomials = tuple(
-        Monomial(
-            i=int(m["i"]),
-            m=int(m["m"]),
-            a=m.get("a", 0),
-            base=float(m.get("base", 0.0)),
-            extra_exponent=float(m.get("extra_exponent", 0.0)),
-        )
-        for m in cfg.get("monomials", [])
+        _monomial(m, f"{where}.monomials[{k}]")
+        for k, m in enumerate(_get(cfg, "monomials", list, where, []))
     )
-    noise = noise_from_config(cfg["noise"]) if "noise" in cfg else None
+    noise = noise_from_config(cfg["noise"], f"{where}.noise") if "noise" in cfg else None
     return ModelSpec(
-        d=int(cfg["d"]),
-        sigma=float(cfg["sigma"]),
-        dim_lambda=float(cfg["dim_lambda"]),
-        lam=float(cfg.get("lam", 1.0)),
+        d=_get(cfg, "d", int, where),
+        sigma=_get(cfg, "sigma", float, where),
+        dim_lambda=_get(cfg, "dim_lambda", float, where),
+        lam=_get(cfg, "lam", float, where, 1.0),
         monomials=monomials,
-        symmetry=cfg.get("symmetry", "none"),
+        symmetry=_get(cfg, "symmetry", str, where, "none"),
         noise=noise,
     )
 
 
 def lattice_from_config(model: ModelSpec, cfg: dict) -> LatticeSpec:
-    lat = cfg.get("lattice", {})
+    where = "lattice"
+    lat = _keys(cfg.get("lattice", {}), where, ("n", "dt", "t_min", "t_max"))
     return LatticeSpec(
         model.d,
-        int(lat.get("n", 64)),
-        float(lat.get("dt", 0.01)),
-        float(lat.get("t_min", 0.0)),
-        float(lat.get("t_max", 1.0)),
+        _get(lat, "n", int, where, 64),
+        _get(lat, "dt", float, where, 0.01),
+        _get(lat, "t_min", float, where, 0.0),
+        _get(lat, "t_max", float, where, 1.0),
         model.sigma,
     )
 
 
+def _entries(entries, d: int, where: str) -> tuple:
+    if not isinstance(entries, list):
+        raise ValidationFault(f"{where} must be a list, got {type(entries).__name__}")
+    return tuple(_entry(e, d, f"{where}[{k}]") for k, e in enumerate(entries))
+
+
 def scheme_from_config(model: ModelSpec, entries) -> RenormScheme:
-    values = {}
-    for e in entries or []:
-        a = tuple(sorted(_norm_index(e.get("a", 0), int(e["m"]), model.d)))
-        values[(int(e["i"]), int(e["m"]), a)] = float(e["value"])
-    return RenormScheme.for_model(model, values)
+    return RenormScheme.for_model(model, dict(_entries(entries or [], model.d, "scheme")))
 
 
 def solve_from_config(cfg: dict) -> SolveConfig:
-    s = cfg.get("solve", {})
+    where = "solve"
+    s = _keys(cfg.get("solve", {}), where, ("scheme", "t_local", "blow_up_radius", "max_horizon", "dealias", "gamma"))
     return SolveConfig(
-        scheme=s.get("scheme", "etd_rk2"),
-        t_local=float(s.get("t_local", 0.25)),
-        blow_up_radius=float(s.get("blow_up_radius", 50.0)),
-        max_horizon=float(s.get("max_horizon", 1.0)),
-        dealias=bool(s.get("dealias", True)),
-        gamma=s.get("gamma"),
+        scheme=_get(s, "scheme", str, where, "etd_rk2"),
+        t_local=_get(s, "t_local", float, where, 0.25),
+        blow_up_radius=_get(s, "blow_up_radius", float, where, 50.0),
+        max_horizon=_get(s, "max_horizon", float, where, 1.0),
+        dealias=_get(s, "dealias", bool, where, True),
+        gamma=_get(s, "gamma", float, where, None),
     )
+
+
+def _observable(cfg, where: str) -> Observable:
+    _keys(cfg, where, ("kind", "p", "time", "lag"))
+    lag = _get(cfg, "lag", list, where, [])
+    if not all(_KINDS[int](x) for x in lag):
+        raise ValidationFault(f"{where}.lag must be a list of integers, got {lag!r}")
+    return Observable(
+        kind=_get(cfg, "kind", str, where, "slice_moment"),
+        p=_get(cfg, "p", int, where, 2),
+        time=_get(cfg, "time", float, where, 0.5),
+        lag=tuple(lag),
+    )
+
+
+def _variant(cfg, where: str) -> tuple:
+    _keys(cfg, where, ("label", "model"))
+    return _get(cfg, "label", str, where), model_from_config(cfg.get("model"), f"{where}.model")
 
 
 def plan_from_config(cfg: dict) -> ExperimentPlan:
+    where = "plan"
+    allowed = (
+        "variants", "nu_schedule", "samples", "n", "dt", "t_max", "observables", "scheme",
+        "counterterm_overrides", "solve", "history", "use_shift", "coupling", "flow_j_levels",
+        "flow_nodes_per_octave",
+    )
+    _keys(cfg, where, allowed)
     variants = tuple(
-        (v["label"], model_from_config(v["model"])) for v in cfg["variants"]
+        _variant(v, f"plan.variants[{k}]") for k, v in enumerate(_get(cfg, "variants", list, where))
     )
-    model0 = variants[0][1]
+    if not variants:
+        raise ValidationFault("plan needs at least one variant")
+    d = variants[0][1].d
+    nus = _get(cfg, "nu_schedule", list, where)
+    if not all(_KINDS[float](x) for x in nus):
+        raise ValidationFault(f"plan.nu_schedule must be a list of numbers, got {nus!r}")
     observables = tuple(
-        Observable(
-            kind=o.get("kind", "slice_moment"),
-            p=int(o.get("p", 2)),
-            time=float(o.get("time", 0.5)),
-            lag=tuple(o.get("lag", ())),
-        )
-        for o in cfg.get("observables", [{}])
+        _observable(o, f"plan.observables[{k}]")
+        for k, o in enumerate(_get(cfg, "observables", list, where, [{}]))
     )
-    scheme_values = []
-    for e in cfg.get("scheme", []):
-        a = tuple(sorted(_norm_index(e.get("a", 0), int(e["m"]), model0.d)))
-        scheme_values.append(((int(e["i"]), int(e["m"]), a), float(e["value"])))
     overrides = []
-    for o in cfg.get("counterterm_overrides", []):
-        entries = []
-        for e in o["entries"]:
-            a = tuple(sorted(_norm_index(e.get("a", 0), int(e["m"]), model0.d)))
-            entries.append(((int(e["i"]), int(e["m"]), a), float(e["value"])))
-        overrides.append((o["label"], tuple(entries)))
+    for k, o in enumerate(_get(cfg, "counterterm_overrides", list, where, [])):
+        at = f"plan.counterterm_overrides[{k}]"
+        _keys(o, at, ("label", "entries"))
+        overrides.append((_get(o, "label", str, at), _entries(o.get("entries"), d, f"{at}.entries")))
     return ExperimentPlan(
         variants=variants,
-        nu_schedule=tuple(float(x) for x in cfg["nu_schedule"]),
-        samples=int(cfg["samples"]),
-        n=int(cfg["n"]),
-        dt=float(cfg["dt"]),
-        t_max=float(cfg["t_max"]),
+        nu_schedule=tuple(float(x) for x in nus),
+        samples=_get(cfg, "samples", int, where),
+        n=_get(cfg, "n", int, where),
+        dt=_get(cfg, "dt", float, where),
+        t_max=_get(cfg, "t_max", float, where),
         observables=observables,
-        scheme_values=tuple(scheme_values),
+        scheme_values=_entries(cfg.get("scheme", []), d, "plan.scheme"),
         counterterm_overrides=tuple(overrides),
         solve=solve_from_config(cfg),
-        history=float(cfg.get("history", 2.0)),
-        use_shift=bool(cfg.get("use_shift", True)),
-        coupling=bool(cfg.get("coupling", True)),
-        flow_j_levels=int(cfg.get("flow_j_levels", 8)),
-        flow_nodes_per_octave=int(cfg.get("flow_nodes_per_octave", 8)),
+        history=_get(cfg, "history", float, where, 2.0),
+        use_shift=_get(cfg, "use_shift", bool, where, True),
+        coupling=_get(cfg, "coupling", bool, where, True),
+        flow_j_levels=_get(cfg, "flow_j_levels", int, where, 8),
+        flow_nodes_per_octave=_get(cfg, "flow_nodes_per_octave", int, where, 8),
     )
 
 
@@ -188,7 +279,6 @@ def write_manifest(out: Path, args, config) -> None:
             "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
-        "threads": os.environ.get("FLOWPDE_THREADS", ""),
     }
     _write_json(out / "manifest.json", manifest)
 
@@ -203,7 +293,10 @@ def _load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ValidationFault(f"config file not found: {p}")
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except ValueError as exc:
+        raise ValidationFault(f"config file {p} is not valid JSON: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -398,7 +491,6 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernels", help="kernel identity battery")
-    k.add_argument("--check", action="store_true")
     k.add_argument("--d", type=int, default=1)
     k.add_argument("--sigma", type=float, default=0.5)
     k.add_argument("--n", type=int, default=64)
@@ -457,9 +549,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    threads = os.environ.get("FLOWPDE_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     try:
         return args.func(args)
     except ValidationFault as exc:

@@ -176,20 +176,11 @@ class WickCalculator:
         arr[lo:] = w
         return np.fft.rfft(arr, n=n_pad, axis=0) * np.fft.rfft(self.taps, n=n_pad)[:, None]
 
-    def _pad_for(self, *kernels) -> int:
-        need = max(lo + m.shape[0] for m, lo in kernels) + len(self.taps) + 1
-        return 1 << int(np.ceil(np.log2(need)))
-
-    def cross(self, mult1: np.ndarray, lo1: int, mult2: np.ndarray, lo2: int) -> float:
-        """< (K1 * Xi)(x) (K2 * Xi)(x) > for two kernels given as (slices,
-        modes) arrays of their time-sliced spectral multipliers starting at
-        absolute slice indices lo1, lo2.  Uses the identity
-        sum_(j,j') g1_j g2_j' A(j - j') = sum_t (g1 conv taps)(g2 conv taps)
-        evaluated by Parseval."""
-        n_pad = self._pad_for((mult1, lo1), (mult2, lo2))
-        H1 = self._tap_smoothed(mult1, lo1, n_pad)
-        H2 = self._tap_smoothed(mult2, lo2, n_pad)
-        # Parseval for rfft: sum_t h1 h2 = (H[0] + 2 sum_mid + edge) / n_pad
+    def _parseval(self, H1: np.ndarray, H2: np.ndarray, n_pad: int) -> float:
+        """< (K1 * Xi)(x) (K2 * Xi)(x) > from the two kernels' tap-smoothed
+        spectra.  Uses the identity sum_(j,j') g1_j g2_j' A(j - j') =
+        sum_t (g1 conv taps)(g2 conv taps), evaluated by Parseval for rfft:
+        sum_t h1 h2 = (H[0] + 2 sum_mid + edge) / n_pad."""
         prod = (H1.conj() * H2).real
         val = 2.0 * prod.sum(axis=0) - prod[0]
         if n_pad % 2 == 0:
@@ -197,31 +188,41 @@ class WickCalculator:
         val /= n_pad
         return float(self.prefactor * np.sum(self.mhat2 * val))
 
-    def _fluct_mult(self, mu: float) -> tuple:
-        dt = self.spec.dt
-        hi = int(np.ceil(2.0 * mu / dt))
-        t = dt * np.arange(hi + 1)
-        w = 1.0 - chi(t / mu)
-        return w[:, None] * np.exp(-np.outer(t, self.k_sigma)), 0
+    def _heat(self, mu: float) -> tuple:
+        """Slice times t_j = j dt up to ceil(2 mu / dt), where both the
+        fluctuation and the dot kernel at mu end, and e^(-t_j |k|^sigma)."""
+        hi = int(np.ceil(2.0 * mu / self.spec.dt))
+        t = self.spec.dt * np.arange(hi + 1)
+        return t, np.exp(-np.outer(t, self.k_sigma))
 
-    def _dot_mult(self, mu: float) -> tuple:
-        dt = self.spec.dt
-        lo = int(np.floor(mu / dt))
-        hi = int(np.ceil(2.0 * mu / dt))
-        t = dt * np.arange(lo, hi + 1)
-        w = -(t / mu**2) * chi_prime(t / mu)
-        return w[:, None] * np.exp(-np.outer(t, self.k_sigma)), lo
+    def _spectra(self, mu: float, dot: bool) -> tuple:
+        """Tap-smoothed spectra of the fluctuation kernel G - G_mu and, with
+        `dot`, of the dot kernel dG_mu (supported from slice floor(mu / dt)),
+        built from one heat table; both end at the same slice, so they share
+        n_pad.  Returns (spectra, n_pad)."""
+        t, heat = self._heat(mu)
+        n_pad = 1 << int(np.ceil(np.log2(len(t) + len(self.taps) + 1)))
+        spectra = [self._tap_smoothed((1.0 - chi(t / mu))[:, None] * heat, 0, n_pad)]
+        if dot:
+            lo = int(np.floor(mu / self.spec.dt))
+            w = -(t[lo:] / mu**2) * chi_prime(t[lo:] / mu)
+            spectra.append(self._tap_smoothed(w[:, None] * heat[lo:], lo, n_pad))
+        return spectra, n_pad
 
     def tadpole(self, mu: float) -> float:
         """C(mu) = < ((G - G_mu) * Xi)(x)^2 >."""
-        m, lo = self._fluct_mult(mu)
-        return self.cross(m, lo, m, lo)
+        (H,), n_pad = self._spectra(mu, dot=False)
+        return self._parseval(H, H, n_pad)
 
     def tadpole_derivative_half(self, mu: float) -> float:
         """D(mu) = < ((G - G_mu) * Xi) ((dG_mu) * Xi) > = -C'(mu)/2."""
-        m1, lo1 = self._fluct_mult(mu)
-        m2, lo2 = self._dot_mult(mu)
-        return self.cross(m1, lo1, m2, lo2)
+        return self.flow_node(mu)[1]
+
+    def flow_node(self, mu: float) -> tuple:
+        """(C(mu), D(mu)) from one spectrum of each kernel: the values of
+        tadpole and tadpole_derivative_half at a node of the flow."""
+        (H, H_dot), n_pad = self._spectra(mu, dot=True)
+        return self._parseval(H, H, n_pad), self._parseval(H, H_dot, n_pad)
 
     def noise_covariance(self, t_lag: int = 0, x_lag=0) -> float:
         """< Xi(x) Xi(x + lag) > with the lag in grid units."""
@@ -245,10 +246,9 @@ class WickCalculator:
         """P(t_lag, x) = < (Ghat_1 * Xi)(0) (Ghat_1 * Xi)(t_lag, x) > for
         t_lag = 0..n_lags-1, as real-space slices (used by the sunset
         integrals)."""
-        m, lo = self._fluct_mult(1.0)
-        T = m.shape[0]
-        n_pad = 1 << int(np.ceil(np.log2(2 * (T + len(self.taps) + n_lags))))
-        H = self._tap_smoothed(m, lo, n_pad)
+        t, heat = self._heat(1.0)
+        n_pad = 1 << int(np.ceil(np.log2(2 * (len(t) + len(self.taps) + n_lags))))
+        H = self._tap_smoothed((1.0 - chi(t))[:, None] * heat, 0, n_pad)
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
         out_hat = auto[:n_lags] * (self.prefactor * self.mhat2[None])
         # back to real space per time lag
@@ -338,8 +338,7 @@ def flow_expected(
 
     nodes, weights = _octave_nodes(j_levels, nodes_per_octave)
     mu_min = 2.0**-j_levels
-    C_nodes = np.array([wick.tadpole(mu) for mu in nodes])
-    D_nodes = np.array([wick.tadpole_derivative_half(mu) for mu in nodes])
+    C_nodes, D_nodes = np.array([wick.flow_node(mu) for mu in nodes]).T
     C_min = wick.tadpole(mu_min)
     C_one = wick.tadpole(1.0)
 

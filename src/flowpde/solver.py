@@ -9,6 +9,8 @@ delta.  The rough part of the dynamics can be split off as the stationary
 shift Phi_shift = (G - G_1) * f_shift built from the pathwise hierarchy; the
 remainder solves the shifted equation with force
 F_hat[phi] = F_nu[phi + Phi_shift] - f_shift, in which the noise cancels.
+One stepping loop serves a single sample and a stack of samples along a
+leading axis; each sample in a stack matches its own solve bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 
 from .errors import NumericalFault, ValidationFault
 from .kernels import DEFAULT_EPS
-from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
+from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, fft_space, ifft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
-from .norms import c_gamma_norm
+from .norms import c_gamma_multiplier, c_gamma_sup
+from .norms import c_gamma_norm  # noqa: F401  looked up here by perfbench/tracing.py
 
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
@@ -90,6 +93,106 @@ def _slice_index(noise: Field, t: float) -> int:
     return j
 
 
+def _n_steps(spec: LatticeSpec, cfg: SolveConfig, t_start: float) -> int:
+    return int(round(min(cfg.max_horizon, spec.t_max - t_start) / spec.dt))
+
+
+def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig, t_start: float = 0.0) -> np.ndarray:
+    """The slices of a noise or shift field that a solve on `spec` from
+    t_start reads: one per step and the end slice (read by the second
+    ETD2RK stage and by the decomposed total).  A view into field.data."""
+    if (field.spec.d, field.spec.n, field.spec.dt) != (spec.d, spec.n, spec.dt):
+        raise ValidationFault("driving field lattice does not match the solve lattice")
+    n_steps = _n_steps(spec, cfg, t_start)
+    j0 = _slice_index(field, t_start)
+    _slice_index(field, t_start + n_steps * spec.dt)
+    return field.data[j0 : j0 + n_steps + 1]
+
+
+def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec, t_start: float) -> list:
+    """The stepping loop, for a stack of samples along the leading axis.
+
+    `phi` holds the initial slices; `noise` or `shift`, when given, each
+    sample's solve_window slices.  The linear part is exact per Fourier
+    mode, the force gets ETD1 / ETD2RK phi-function weights.  At the end of
+    each local window of t_local the state restarts from its real slice, as
+    a fresh solve from that slice would.  A sample whose c_gamma norm
+    reaches the blow-up radius stops there and leaves the stack; a
+    non-finite slice in the stack faults.  Returns one SolveResult per
+    sample.
+    """
+    dt = spec.dt
+    n_steps = _n_steps(spec, cfg, t_start)
+    per_window = max(int(round(cfg.t_local / dt)), 1)
+    gamma = cfg.gamma if cfg.gamma is not None else spec.sigma - DEFAULT_EPS
+    norm_mult = c_gamma_multiplier(spec, gamma)
+    lin = -dt * spec.k_norm() ** spec.sigma
+    e_lin = np.exp(lin)
+    w1 = dt * _phi1(lin)
+    w2 = dt * _phi2(lin)
+    mask = _dealias_mask(spec) if cfg.dealias else None
+    d = spec.d
+
+    def force_hat(data: np.ndarray, j: int) -> np.ndarray:
+        if shift is not None:
+            f = force(data + shift[:, j])
+        elif noise is not None:
+            f = force(data, noise[:, j])
+        else:
+            f = force(data)
+        f = fft_space(f, d)
+        return f if mask is None else f * mask
+
+    samples = phi.shape[0]
+    traj = np.empty((samples, n_steps + 1, *spec.space_shape()))
+    norms = np.full((samples, n_steps + 1), np.nan)
+    traj[:, 0] = phi
+    norms[:, 0] = c_gamma_sup(phi, norm_mult)
+    last = np.full(samples, n_steps)
+    breve_T = np.empty(samples)
+    blown = np.zeros(samples, dtype=bool)
+    live = np.arange(samples)
+    t_win, j_win = t_start, 0
+    phi_hat = fft_space(phi, d)
+    data = ifft_space(phi_hat, d).real
+    for j in range(1, n_steps + 1):
+        f0 = force_hat(data, j - 1)
+        phi_hat = e_lin * phi_hat + w1 * f0
+        if cfg.scheme == "etd_rk2":
+            a_data = ifft_space(phi_hat, d).real
+            phi_hat = phi_hat + w2 * (force_hat(a_data, j) - f0)
+        data = ifft_space(phi_hat, d).real
+        if not np.all(np.isfinite(data)):
+            raise NumericalFault(
+                f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
+            )
+        traj[live, j] = data
+        norms[live, j] = sup = c_gamma_sup(data, norm_mult)
+        stop = sup >= cfg.blow_up_radius
+        if stop.any():
+            last[live[stop]] = j
+            breve_T[live[stop]] = t_win + (j - j_win) * dt
+            blown[live[stop]] = True
+            keep = ~stop
+            live, phi_hat, data = live[keep], phi_hat[keep], data[keep]
+            noise = None if noise is None else noise[keep]
+            shift = None if shift is None else shift[keep]
+            if not live.size:
+                break
+        if j % per_window == 0 and j < n_steps:
+            t_win, j_win = t_win + per_window * dt, j
+            phi_hat = fft_space(data, d)
+            data = ifft_space(phi_hat, d).real
+    breve_T[live] = t_win + (n_steps - j_win) * dt
+    out = []
+    for s in range(samples):
+        window = spec.with_window(t_start, t_start + last[s] * dt)
+        field = Field(window, traj[s, : last[s] + 1], SPACE_TIME)
+        status = STATUS_BLEW_UP if blown[s] else STATUS_COMPLETED
+        out.append(SolveResult(field, float(breve_T[s]), status, norms[s, : last[s] + 1]))
+    return out
+
+
 def solve_mild(
     model: ModelSpec,
     counterterms,
@@ -99,7 +202,10 @@ def solve_mild(
     shift: Field | None = None,
     t_start: float = 0.0,
 ) -> SolveResult:
-    """Advance the mild equation from phi_init at t_start over the horizon.
+    """Advance the mild equation from phi_init at t_start over the horizon,
+    in consecutive local windows of length t_local re-anchored on the real
+    slice at each seam (the local-solve-and-patch argument; the same
+    dynamics as one window up to the round trip at the seams).
 
     With `shift` given, the shifted force F[phi + shift] - force-of-shift is
     used: the caller passes noise = None and the shift trajectory absorbs
@@ -110,65 +216,37 @@ def solve_mild(
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
     nu = model.noise.nu if model.noise is not None else 1.0
-    dt = spec.dt
-    n_steps = int(round(min(cfg.max_horizon, spec.t_max - t_start) / dt))
-    gamma = cfg.gamma if cfg.gamma is not None else spec.sigma - DEFAULT_EPS
-    lin = -dt * spec.k_norm() ** spec.sigma
-    e_lin = np.exp(lin)
-    w1 = dt * _phi1(lin)
-    w2 = dt * _phi2(lin)
-    mask = _dealias_mask(spec) if cfg.dealias else None
-    axes = tuple(range(spec.d))
+    force = compile_force(model, counterterms, nu, spec)
+    noise, shift = (None if f is None else solve_window(f, spec, cfg, t_start)[None] for f in (noise, shift))
+    return _march(force, phi_init.data[None], noise, shift, cfg, spec, t_start)[0]
 
-    compiled = compile_force(model, counterterms, nu, spec)
 
-    def force(phi_data: np.ndarray, t: float) -> np.ndarray:
-        if shift is not None:
-            return compiled(phi_data + shift.data[_slice_index(shift, t)])
-        if noise is not None:
-            return compiled(phi_data, noise.data[_slice_index(noise, t)])
-        return compiled(phi_data)
-
-    def step(phi_hat: np.ndarray, t: float) -> np.ndarray:
-        phi_data = np.fft.ifftn(phi_hat, axes=axes).real
-        f0 = np.fft.fftn(force(phi_data, t), axes=axes)
-        if mask is not None:
-            f0 = f0 * mask
-        a_hat = e_lin * phi_hat + w1 * f0
-        if cfg.scheme == "etd1":
-            return a_hat
-        a_data = np.fft.ifftn(a_hat, axes=axes).real
-        f1 = np.fft.fftn(force(a_data, t + dt), axes=axes)
-        if mask is not None:
-            f1 = f1 * mask
-        return a_hat + w2 * (f1 - f0)
-
-    traj = np.empty((n_steps + 1, *spec.space_shape()))
-    norms = np.full(n_steps + 1, np.nan)
-    traj[0] = phi_init.data
-    norms[0] = c_gamma_norm(phi_init, gamma)
-    phi_hat = np.fft.fftn(phi_init.data, axes=axes).astype(complex)
-    status = STATUS_COMPLETED
-    breve_T = t_start + n_steps * dt
-    last = n_steps
-    for j in range(1, n_steps + 1):
-        t = t_start + (j - 1) * dt
-        phi_hat = step(phi_hat, t)
-        data = np.fft.ifftn(phi_hat, axes=axes).real
-        if not np.all(np.isfinite(data)):
-            raise NumericalFault(
-                f"numerical overflow before threshold at t = {t + dt:.6g}"
-            )
-        traj[j] = data
-        norms[j] = c_gamma_norm(Field(spec, data, SPACE_ONLY), gamma)
-        if norms[j] >= cfg.blow_up_radius:
-            status = STATUS_BLEW_UP
-            breve_T = t_start + j * dt
-            last = j
-            break
-    window = spec.with_window(t_start, t_start + last * dt)
-    out = Field(window, traj[: last + 1], SPACE_TIME)
-    return SolveResult(out, breve_T, status, norms[: last + 1])
+def solve_stack(
+    model: ModelSpec,
+    counterterms,
+    phi_init: Field,
+    cfg: SolveConfig,
+    noise: np.ndarray | None = None,
+    shift: np.ndarray | None = None,
+) -> list:
+    """solve_mild (noise given) or solve_decomposed (shift given) for a
+    stack of samples from t = 0, each sample's driving field given as
+    its solve_window slices along the leading axis.  With shift the
+    results hold the decomposed total and its remainder part."""
+    spec = phi_init.spec
+    nu = model.noise.nu if model.noise is not None else 1.0
+    force = compile_force(model, counterterms, nu, spec)
+    samples = (noise if shift is None else shift).shape[0]
+    phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
+    if shift is not None:
+        phi = phi - shift[:, 0]
+    results = _march(force, phi, noise, shift, cfg, spec, 0.0)
+    if shift is not None:
+        for res, sh in zip(results, shift):
+            rem = res.trajectory
+            res.trajectory = Field(rem.spec, rem.data + sh[: rem.data.shape[0]], SPACE_TIME)
+            res.parts = {"remainder": rem}
+    return results
 
 
 def build_stationary_shift(
@@ -201,55 +279,9 @@ def solve_with_patching(
     shift: Field | None = None,
     t_start: float = 0.0,
 ) -> SolveResult:
-    """Solve over consecutive local windows of length t_local, re-anchoring
-    the initial data at each seam; identical dynamics to a single window for
-    an explicit integrator, retained as the structural realization of the
-    local-solve-and-patch argument."""
-    spec = phi_init.spec
-    dt = spec.dt
-    horizon = min(cfg.max_horizon, spec.t_max - t_start)
-    steps_total = int(round(horizon / dt))
-    steps_per_win = max(int(round(cfg.t_local / dt)), 1)
-    pieces = []
-    norms = []
-    t = t_start
-    current = phi_init
-    done = 0
-    status = STATUS_COMPLETED
-    breve_T = t_start + horizon
-    while done < steps_total:
-        n_here = min(steps_per_win, steps_total - done)
-        sub_cfg = SolveConfig(
-            scheme=cfg.scheme,
-            t_local=cfg.t_local,
-            blow_up_radius=cfg.blow_up_radius,
-            max_horizon=n_here * dt,
-            dealias=cfg.dealias,
-            gamma=cfg.gamma,
-        )
-        res = solve_mild(model, counterterms, noise, current, sub_cfg, shift=shift, t_start=t)
-        start = 1 if pieces else 0
-        pieces.append(res.trajectory.data[start:])
-        norms.append(res.slice_norms[start:])
-        seam = res.trajectory.data[-1]
-        steps_done = res.trajectory.data.shape[0] - 1
-        done += steps_done
-        t += steps_done * dt
-        current = Field(spec, seam, SPACE_ONLY)
-        if res.status == STATUS_BLEW_UP:
-            status = STATUS_BLEW_UP
-            breve_T = res.breve_T
-            break
-    else:
-        breve_T = t
-    data = np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0]
-    window = spec.with_window(t_start, t_start + (data.shape[0] - 1) * dt)
-    return SolveResult(
-        Field(window, data, SPACE_TIME),
-        breve_T,
-        status,
-        np.concatenate(norms),
-    )
+    """The patched solve over local windows of t_local: solve_mild, which
+    re-anchors at every seam."""
+    return solve_mild(model, counterterms, noise, phi_init, cfg, shift=shift, t_start=t_start)
 
 
 def solve_decomposed(

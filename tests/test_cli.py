@@ -5,7 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowpde.cli import EXIT_OK, EXIT_VALIDATION, main
+from flowpde.cli import (
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _load_config,
+    lattice_from_config,
+    main,
+    model_from_config,
+    plan_from_config,
+    solve_from_config,
+)
+from flowpde.errors import ValidationFault
 from flowpde.lattice import SPACE_ONLY, Field, LatticeSpec, write_fld1
 
 REPO = Path(__file__).resolve().parents[1]
@@ -81,6 +91,12 @@ def test_universality_command(tmp_path):
     assert rc == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["label"] in ("universal", "distinct")
+    assert verdict["compared"] == ["bump", "skew"]
+    plan = json.loads(Path(PLAN).read_text())
+    assert len(verdict["cells"]) == 2 * len(plan["nu_schedule"])
+    for cell in verdict["cells"]:
+        assert {cell["variant"], cell["nu"]} <= {"bump", "skew", *plan["nu_schedule"]}
+        assert cell["kept"] + cell["dropped"] == plan["samples"]
     rows = _read_csv(out / "report.csv")
     assert {r["variant"] for r in rows} == {"bump", "skew"}
     assert {"estimate", "se", "gap", "verdict"} <= set(rows[0])
@@ -129,3 +145,100 @@ def test_replay_from_manifest(tmp_path):
     subprocess.run([sys.executable, "-m", "flowpde.cli"] + argv, check=True, capture_output=True)
     for name in ("f_0.fld", "f_1.fld", "psi_1.fld"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _write(tmp_path, text, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_truncated_config_is_validation_fault(tmp_path):
+    text = Path(MODEL).read_text()
+    with pytest.raises(ValidationFault, match="not valid JSON"):
+        _load_config(_write(tmp_path, text[: len(text) // 2]))
+
+
+def test_top_level_list_is_validation_fault(tmp_path):
+    cfg = _load_config(_write(tmp_path, "[1, 2]"))
+    with pytest.raises(ValidationFault, match="must be a JSON object"):
+        model_from_config(cfg)
+    with pytest.raises(ValidationFault, match="must be a JSON object"):
+        plan_from_config(cfg)
+
+
+def test_wrongly_typed_value_is_validation_fault():
+    cfg = json.loads(Path(MODEL).read_text())
+    model = model_from_config(cfg)
+    cfg["lattice"]["n"] = "sixty"
+    with pytest.raises(ValidationFault, match=r"lattice\.n must be of type int"):
+        lattice_from_config(model, cfg)
+    plan = json.loads(Path(PLAN).read_text())
+    plan["n"] = "sixty"
+    with pytest.raises(ValidationFault, match=r"plan\.n must be of type int"):
+        plan_from_config(plan)
+    plan = json.loads(Path(PLAN).read_text())
+    plan["solve"]["dealias"] = "false"
+    with pytest.raises(ValidationFault, match=r"solve\.dealias must be of type bool"):
+        plan_from_config(plan)
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ("plan", "flow_nodes_per_octvae"),
+        ("solve", "shceme"),
+        ("variant model", "lamda"),
+        ("noise", "famliy"),
+        ("observable", "tmie"),
+    ],
+)
+def test_misspelled_plan_key_is_validation_fault(where, key):
+    plan = json.loads(Path(PLAN).read_text())
+    model = plan["variants"][0]["model"]
+    block = {
+        "plan": plan,
+        "solve": plan["solve"],
+        "variant model": model,
+        "noise": model["noise"],
+        "observable": plan["observables"][0],
+    }[where]
+    block[key] = 1
+    with pytest.raises(ValidationFault, match=f"unknown key.*{key}"):
+        plan_from_config(plan)
+
+
+def test_misspelled_model_key_is_validation_fault():
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["monomials"][0]["bsae"] = 1.0
+    with pytest.raises(ValidationFault, match="unknown key.*bsae"):
+        model_from_config(cfg)
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["lattice"]["t_mxa"] = 2.0
+    with pytest.raises(ValidationFault, match="unknown key.*t_mxa"):
+        lattice_from_config(model_from_config(cfg), cfg)
+    cfg = {"solve": {"shceme": "etd1"}}
+    with pytest.raises(ValidationFault, match="unknown key.*shceme"):
+        solve_from_config(cfg)
+
+
+def test_bad_config_exits_with_validation_code(tmp_path, capsys):
+    """Each kind of config fault is a one-line message and exit code 1,
+    never a traceback or a run on defaults."""
+    cfg = json.loads(Path(MODEL).read_text())
+    misspelled = dict(cfg, shceme=[])
+    typed = json.loads(Path(MODEL).read_text())
+    typed["lattice"]["n"] = "sixty"
+    bad = {
+        "truncated": Path(MODEL).read_text()[:40],
+        "list": "[]",
+        "typed": json.dumps(typed),
+        "misspelled": json.dumps(misspelled),
+    }
+    for name, text in bad.items():
+        path = _write(tmp_path, text, f"{name}.json")
+        rc = main(["simulate", "--model", str(path), "--out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION, name
+        assert err.startswith("validation fault:") and "Traceback" not in err, err
+        assert not (tmp_path / name / "trajectory.fld").exists()

@@ -20,7 +20,7 @@ from flowpde.flow import (
     taylor_decompose,
     taylor_remainder,
 )
-from flowpde.kernels import SpectralKernel, convolve, fluctuation_kernel
+from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
 from flowpde.lattice import SPACE_TIME, Field, LatticeSpec
 from flowpde.model import RenormScheme, evaluate_force, preset
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
@@ -47,6 +47,38 @@ def test_tadpole_monotone_in_mu(desk_spec, desk_noise):
     wick = WickCalculator(desk_spec, desk_noise)
     vals = [wick.tadpole(mu) for mu in (0.1, 0.3, 1.0)]
     assert 0.0 < vals[0] < vals[1] < vals[2]
+
+
+def _reference_node(wick, mu):
+    """C(mu) and D(mu) with each kernel built on its own slices, each side
+    of each pairing transformed separately (the two-sided cross sum)."""
+    dt = wick.spec.dt
+    hi = int(np.ceil(2.0 * mu / dt))
+    lo = int(np.floor(mu / dt))
+    t = dt * np.arange(hi + 1)
+    fluct = (1.0 - chi(t / mu))[:, None] * np.exp(-np.outer(t, wick.k_sigma))
+    t_dot = dt * np.arange(lo, hi + 1)
+    dot = (-(t_dot / mu**2) * chi_prime(t_dot / mu))[:, None] * np.exp(-np.outer(t_dot, wick.k_sigma))
+    n_pad = 1 << int(np.ceil(np.log2(hi + 1 + len(wick.taps) + 1)))
+
+    def cross(m1, lo1, m2, lo2):
+        H1 = wick._tap_smoothed(m1, lo1, n_pad)
+        H2 = wick._tap_smoothed(m2, lo2, n_pad)
+        return wick._parseval(H1, H2, n_pad)
+
+    return cross(fluct, 0, fluct, 0), cross(fluct, 0, dot, lo)
+
+
+@pytest.mark.parametrize("n, dt", [(64, 0.02), (256, 0.0025)])
+def test_flow_node_equals_tadpole_and_derivative(n, dt, desk_noise):
+    """The flow's per-node C and D, from one spectrum per kernel, equal the
+    tadpole and its derivative exactly."""
+    wick = WickCalculator(LatticeSpec(1, n, dt, -2.0, 1.0, 0.5), desk_noise)
+    for mu in (2.0**-8, 0.013, 0.1, 0.37, 0.5, 1.0):
+        c, d = wick.flow_node(mu)
+        assert c == wick.tadpole(mu)
+        assert d == wick.tadpole_derivative_half(mu)
+        assert (c, d) == _reference_node(wick, mu)
 
 
 def test_tadpole_matches_monte_carlo(desk_spec, desk_noise):

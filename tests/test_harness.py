@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from flowpde import harness
 from flowpde.errors import ValidationFault
 from flowpde.harness import (
     ExperimentPlan,
@@ -10,8 +13,9 @@ from flowpde.harness import (
     run_universality,
 )
 from flowpde.model import Monomial, preset
-from flowpde.noise import NoiseModel
-from flowpde.solver import SolveConfig
+from flowpde.lattice import SPACE_ONLY, Field
+from flowpde.noise import NoiseModel, sample_macroscopic_noise
+from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_with_patching
 
 
 def _variant(family, nu=0.2, seed=7):
@@ -113,3 +117,49 @@ def test_irrelevance_probe_rejects_relevant_monomial():
     plan = _small_plan(variants=((label, base), probe))
     with pytest.raises(ValidationFault, match="not irrelevant"):
         run_irrelevance_probe(plan)
+
+
+@pytest.mark.parametrize(
+    "use_shift, scheme, t_local, radius",
+    [(True, "etd1", 0.25, 11.0), (False, "etd_rk2", 0.07, 9.8)],
+    ids=["shift-etd1", "direct-etd_rk2-windows"],
+)
+def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius):
+    """A cell solved in stacks (of two here, so five samples make three
+    blocks) gives the values and blow-up count of the per-sample loop, bit
+    for bit; the radii make some samples blow up and others complete."""
+    monkeypatch.setattr(harness, "STACK_SIZE", 2)
+    cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
+    plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg)
+    label, model = plan.variants[0]
+    nu = 0.1
+    values, blowups = harness._run_cell(plan, label, model, nu)
+
+    model = replace(model, noise=model.noise.with_nu(nu))
+    cterms = harness._cell_counterterms(plan, label, model, nu)
+    spec = plan.lattice()
+    psi = harness._smearing_function(spec)
+    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
+    expected, expected_blowups = [], 0
+    for s in range(plan.samples):
+        noise = sample_macroscopic_noise(model.noise, spec, s, history=plan.history)
+        solve = solve_decomposed if use_shift else solve_with_patching
+        res = solve(model, cterms, noise, zero, plan.solve)
+        expected_blowups += res.status == STATUS_BLEW_UP
+        expected.append(harness._observable_value(plan.observables[0], res, psi))
+    assert 0 < expected_blowups < plan.samples
+    assert blowups == expected_blowups
+    np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+
+
+def test_verdict_reports_compared_variants_and_dropped_samples():
+    plan = _small_plan(samples=3, solve=SolveConfig(scheme="etd1", max_horizon=0.25, blow_up_radius=11.0))
+    report = run_universality(plan)
+    assert report.verdict["compared"] == ["bump", "skew"]
+    rows = report.verdict["cells"]
+    assert len(rows) == len(report.cells) == 4
+    for row in rows:
+        cell = report.cells[(row["variant"], row["nu"], row["observable"])]
+        assert row["kept"] == cell["samples"]
+        assert row["kept"] + row["dropped"] == 3
+    assert sum(row["dropped"] for row in rows) > 0
