@@ -371,6 +371,7 @@ def cmd_renorm(args) -> int:
             if isinstance(v, (int, float))
         },
     }
+    payload["diagnostics"]["sunset"] = {k: float(v) for k, v in ct.diagnostics["sunset"].items()}
     _write_json(out / "ct.json", payload)
     rows = []
     for k, (mus, vals) in sorted(coeffs.expected.items()):

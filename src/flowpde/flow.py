@@ -1,6 +1,6 @@
-"""Flow-equation engine: effective force coefficients, contraction maps,
-Taylor reconstruction maps, the expectation flow, and the renormalization
-engine producing counterterms.
+"""Flow-equation engine: effective force coefficients, Taylor
+reconstruction maps, the expectation flow, and the renormalization engine
+producing counterterms.
 
 Scale decomposition.  The heat propagator splits as G = G_mu + Ghat_mu with
 G_mu the large-time part (supported in t > mu) and Ghat_mu = G - G_mu the
@@ -270,7 +270,6 @@ def pairing_count(m: int, k: int) -> int:
 class EffectiveCoefficients:
     i_max: int
     mu_grid: np.ndarray
-    pathwise: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)  # (i,m,a) -> (mu_nodes, values)
 
 
@@ -465,7 +464,7 @@ def _sunset_counterterm(model, spec, nu, anchors, wick, key):
     return value, {"I_G": I_G, "I_GP": I_GP, "I_GP2": I_GP2}
 
 
-# -- contraction maps ------------------------------------------------------
+# -- coefficient kernels and Taylor maps -----------------------------------
 
 
 @dataclass
@@ -484,83 +483,6 @@ class CoefKernel:
     def norm(self) -> float:
         """Grid analogue of the kernel norm: total mass of the modulus."""
         return float(np.sum(np.abs(self.data)) * self.volume() ** self.arity)
-
-
-def _difference_table(spec: LatticeSpec) -> np.ndarray:
-    """diff[p, q] = index of the group difference p - q on the space-time
-    grid (time periodic by convention of the small test fixtures)."""
-    nt, n, d = spec.nt, spec.n, spec.d
-    P = nt * n**d
-    idx = np.arange(P)
-    coords = np.unravel_index(idx, (nt, *([n] * d)))
-    out = np.empty((P, P), dtype=np.intp)
-    for q in range(P):
-        cq = [c[q] for c in coords]
-        diff = [
-            (coords[axis] - cq[axis]) % (nt if axis == 0 else n)
-            for axis in range(d + 1)
-        ]
-        out[:, q] = np.ravel_multi_index(diff, (nt, *([n] * d)))
-    return out
-
-
-def contract_B(G: np.ndarray, W: CoefKernel, U: CoefKernel) -> CoefKernel:
-    """Discrete trilinear contraction: the distinguished (first) slot of W
-    is integrated against G(y - x2), with U anchored at x2:
-
-        B(G, W, U)[z_W, z_U] = sum_(x2, y) W[y, z_W] G[y - x2] U[z_U - x2]
-                               * vol^2.
-    """
-    spec = W.spec
-    g = np.asarray(G, dtype=float).ravel()
-    P = g.size
-    if W.data.shape[0] != P:
-        raise ValidationFault("contraction arity mismatch: G and W grids differ")
-    diff = _difference_table(spec)
-    vol = W.volume()
-    # H[y, z_U...] = sum_(x2) G[y - x2] U[z_U - x2]
-    U_flat = U.data.reshape((P,) * U.arity) if U.arity else U.data.reshape(())
-    H = np.zeros((P,) + (P,) * U.arity)
-    for x2 in range(P):
-        gcol = g[diff[:, x2]]
-        if U.arity == 0:
-            H += gcol * float(U_flat)
-        elif U.arity == 1:
-            H += np.multiply.outer(gcol, U_flat[diff[:, x2]])
-        else:
-            H += np.multiply.outer(gcol, U_flat[np.ix_(*([diff[:, x2]] * U.arity))])
-    out = np.tensordot(W.data, H, axes=([0], [0])) * vol**2
-    return CoefKernel(spec, out, W.arity - 1 + U.arity)
-
-
-def contract_A(G: np.ndarray, V: CoefKernel) -> CoefKernel:
-    """Discrete bilinear cumulant contraction: V carries a second base point
-    (first axis) and a distinguished slot (second axis); both are integrated
-    out against G(y - x2):
-
-        A(G, V)[rest] = sum_(x2, y) V[x2, y, rest] G[y - x2] * vol^2.
-    """
-    spec = V.spec
-    g = np.asarray(G, dtype=float).ravel()
-    P = g.size
-    if V.arity < 2 or V.data.shape[0] != P:
-        raise ValidationFault("contraction arity mismatch: A needs base + slot axes")
-    diff = _difference_table(spec)
-    vol = V.volume()
-    gmat = g[diff].T  # gmat[x2, y] = G[y - x2]
-    out = np.einsum("xy,xy...->...", gmat, V.data) * vol**2
-    return CoefKernel(spec, np.asarray(out), V.arity - 2)
-
-
-def delta_kernel(spec: LatticeSpec) -> np.ndarray:
-    """Discrete delta on the space-time grid: mass 1 at the origin cell."""
-    P = spec.nt * spec.n**spec.d
-    g = np.zeros(P)
-    g[0] = 1.0 / (spec.dt * spec.dx**spec.d)
-    return g
-
-
-# -- Taylor maps -----------------------------------------------------------
 
 
 def lift_L(spec: LatticeSpec, v: float, m: int) -> CoefKernel:
@@ -617,64 +539,6 @@ def apply_moment(V: CoefKernel, a_list) -> CoefKernel:
     return CoefKernel(V.spec, data, V.arity)
 
 
-def slot_derivative(V: CoefKernel, b_list) -> CoefKernel:
-    """partial^b V: spectral derivative in each slot's space-time variables
-    (fixtures periodic in both axes)."""
-    spec = V.spec
-    nt, n, d = spec.nt, spec.n, spec.d
-    data = V.data.reshape(((nt,) + (n,) * d) * V.arity).astype(complex)
-    kt = 2j * np.pi * np.fft.fftfreq(nt, d=spec.dt)
-    kx = 1j * np.fft.fftfreq(n, d=1.0 / n)
-    naxes = 1 + d
-    for q, bq in enumerate(b_list):
-        for axis, deg in enumerate(bq):
-            if not deg:
-                continue
-            ax = q * naxes + axis
-            data = np.fft.fft(data, axis=ax)
-            mult = (kt if axis == 0 else kx) ** deg
-            shape = [1] * data.ndim
-            shape[ax] = mult.size
-            data = data * mult.reshape(shape)
-            data = np.fft.ifft(data, axis=ax)
-    data = data.real.reshape(V.data.shape)
-    return CoefKernel(spec, data, V.arity)
-
-
-def scale_Z(V: CoefKernel, tau: float) -> CoefKernel:
-    """Z_tau V: slot variables scaled by 1/tau with the Jacobian factor
-    tau^(-(1+d) m), evaluated by trigonometric interpolation per axis."""
-    spec = V.spec
-    if V.arity != 1:
-        raise ValidationFault("Z_tau implemented for arity-1 kernels")
-    nt, n, d = spec.nt, spec.n, spec.d
-    data = V.data.reshape((nt,) + (n,) * d).astype(complex)
-
-    def axis_matrix(npts: int, step: float, periods: float) -> np.ndarray:
-        k = np.fft.fftfreq(npts, d=1.0 / npts)  # integer frequencies
-        z = step * np.arange(npts)
-        half = step * npts / 2.0
-        zc = (z + half) % (step * npts) - half
-        A = np.exp(2j * np.pi * np.outer(zc / tau, k) / (step * npts)) / npts
-        # the kernel is compactly supported inside the fundamental domain:
-        # evaluation points z/tau that leave it must read 0, not the
-        # periodic extension (which would alias contracted copies back in)
-        A[np.abs(zc / tau) > half] = 0.0
-        return A
-
-    A_t = axis_matrix(nt, spec.dt, 1.0)
-    A_x = axis_matrix(n, spec.dx, 1.0)
-    out = np.fft.fft(data, axis=0)
-    out = np.tensordot(A_t, out, axes=([1], [0]))
-    for axis in range(1, d + 1):
-        out = np.fft.fft(out, axis=axis)
-        out = np.moveaxis(
-            np.tensordot(A_x, np.moveaxis(out, axis, 0), axes=([1], [0])), 0, axis
-        )
-    out = out.real * tau ** (-(1 + d))
-    return CoefKernel(spec, out.reshape(V.data.shape), 1)
-
-
 def _st_indices(d: int, max_order: int):
     """Space-time multi-indices (a_t, a_x1..a_xd) with total order <=
     max_order."""
@@ -684,75 +548,6 @@ def _st_indices(d: int, max_order: int):
             if sum(combo) == total:
                 out.append(combo)
     return out
-
-
-def taylor_remainder(
-    v_low: dict, V_high: dict, a: tuple, l: int, n_tau: int = 8
-) -> CoefKernel:
-    """X^a_l map: reconstruct X^(1,a) V from the integrated low-order
-    moments v^b (|b| < l) and the order-l moment kernels V^b (|b| = l).
-
-        X^a_l = sum_(|a+b|<l) (-1)^|b| C(a+b,a) partial^b L(v^(a+b))
-              + sum_(|a+b|=l) |b| (-1)^|b| C(a+b,a)
-                  int_0^1 (1-tau)^(|b|-1) partial^b Z_tau(V^(a+b)) dtau.
-    """
-    if sum(a) >= l:
-        raise ValidationFault(f"need |a| < l, got |a| = {sum(a)}, l = {l}")
-    some = next(iter(V_high.values()))
-    spec = some.spec
-    d = spec.d
-
-    def binom(ab, aa):
-        return int(
-            np.prod([math.comb(ab[j], aa[j]) for j in range(len(ab))])
-        )
-
-    acc = CoefKernel(spec, np.zeros_like(some.data), 1)
-    for b in _st_indices(d, l):
-        ab = tuple(a[j] + b[j] for j in range(d + 1))
-        if sum(ab) < l:
-            if ab not in v_low:
-                continue
-            term = lift_L(spec, v_low[ab], 1)
-            term = slot_derivative(term, [b])
-            coef = (-1.0) ** sum(b) * binom(ab, a)
-            acc = CoefKernel(spec, acc.data + coef * term.data, 1)
-        elif sum(ab) == l and sum(b) > 0:
-            if ab not in V_high:
-                continue
-            x, w = np.polynomial.legendre.leggauss(n_tau)
-            tau_nodes = 0.5 * (x + 1.0)
-            tau_w = 0.5 * w
-            integ = np.zeros_like(some.data)
-            for tn, tw in zip(tau_nodes, tau_w):
-                zt = scale_Z(V_high[ab], tn)
-                zt = slot_derivative(zt, [b])
-                integ += tw * (1.0 - tn) ** (sum(b) - 1) * zt.data
-            coef = sum(b) * (-1.0) ** sum(b) * binom(ab, a)
-            acc = CoefKernel(spec, acc.data + coef * integ, 1)
-    return acc
-
-
-def slot_smooth(V: CoefKernel, width_t: float, width_x: float) -> CoefKernel:
-    """Convolve an arity-1 kernel with a fixed smooth window (periodized
-    Gaussian) in its slot variable.  Both sides of the reconstruction
-    identity contain point masses and their derivatives, so they coincide
-    only after pairing with a smooth function; this realizes that pairing
-    at every base offset at once."""
-    if V.arity != 1:
-        raise ValidationFault("slot_smooth implemented for arity-1 kernels")
-    spec = V.spec
-    nt, n, d = spec.nt, spec.n, spec.d
-    offs = _slot_offsets(spec)
-    arg = (offs[0] / width_t) ** 2
-    for axis in range(1, d + 1):
-        arg = arg + (offs[axis] / width_x) ** 2
-    window = np.exp(-arg).reshape((nt,) + (n,) * d)
-    window /= np.sum(window) * spec.dt * spec.dx**d
-    data = V.data.reshape((nt,) + (n,) * d)
-    out = np.fft.ifftn(np.fft.fftn(data) * np.fft.fftn(window)).real
-    out *= spec.dt * spec.dx**d
-    return CoefKernel(spec, out.reshape(V.data.shape), 1)
 
 
 def _gauss_window_deriv(u: np.ndarray, width: float, period: float, order: int):

@@ -97,7 +97,7 @@ class ExperimentPlan:
 @dataclass
 class ExperimentReport:
     cells: dict  # (label, nu, observable) -> {estimate, se, samples, blowups}
-    gaps: dict  # (observable, nu) -> {labels, gap, se}
+    gaps: dict  # (observable, nu) -> {labels, gap, se, samples}
     drifts: dict  # (label, observable) -> [(nu_hi, nu_lo, drift, se), ...]
     verdict: dict
 
@@ -195,6 +195,15 @@ def _run_cell(plan: ExperimentPlan, label: str, model: ModelSpec, nu: float):
     return values, blowups
 
 
+def _mean_se(values: np.ndarray) -> tuple:
+    """Mean and standard error of a sample: NaN mean without a value and
+    NaN error with fewer than two, without numpy's warnings."""
+    k = values.size
+    mean = float(np.mean(values)) if k else np.nan
+    se = float(np.std(values, ddof=1) / np.sqrt(k)) if k > 1 else np.nan
+    return mean, se
+
+
 def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     """Run every (variant, nu) cell, aggregate, and issue the verdict.
 
@@ -210,8 +219,7 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
             for o in plan.observables:
                 v = values[o.name]
                 ok = np.isfinite(v)
-                est = float(np.mean(v[ok])) if ok.any() else np.nan
-                se = float(np.std(v[ok], ddof=1) / np.sqrt(ok.sum())) if ok.sum() > 1 else np.nan
+                est, se = _mean_se(v[ok])
                 raw[(label, nu, o.name)] = v
                 cells[(label, nu, o.name)] = {
                     "estimate": est,
@@ -228,12 +236,8 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
             for nu in plan.nu_schedule:
                 va, vb = raw[(a, nu, o.name)], raw[(b, nu, o.name)]
                 ok = np.isfinite(va) & np.isfinite(vb)
-                diff = va[ok] - vb[ok]
-                gaps[(o.name, nu)] = {
-                    "labels": (a, b),
-                    "gap": float(np.mean(diff)),
-                    "se": float(np.std(diff, ddof=1) / np.sqrt(ok.sum())),
-                }
+                gap, se = _mean_se(va[ok] - vb[ok])
+                gaps[(o.name, nu)] = {"labels": (a, b), "gap": gap, "se": se, "samples": int(ok.sum())}
 
     drifts = {}
     for label in labels:
@@ -242,15 +246,7 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
             for nu_hi, nu_lo in zip(plan.nu_schedule, plan.nu_schedule[1:]):
                 vh, vl = raw[(label, nu_hi, o.name)], raw[(label, nu_lo, o.name)]
                 ok = np.isfinite(vh) & np.isfinite(vl)
-                diff = vl[ok] - vh[ok]
-                seq.append(
-                    (
-                        nu_hi,
-                        nu_lo,
-                        float(np.mean(diff)),
-                        float(np.std(diff, ddof=1) / np.sqrt(ok.sum())),
-                    )
-                )
+                seq.append((nu_hi, nu_lo, *_mean_se(vl[ok] - vh[ok])))
             drifts[(label, o.name)] = seq
 
     verdict = {"label": "no_comparison", "universal": False}
@@ -274,6 +270,11 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
                 "violations": violations,
                 "pass": ok,
             }
+            if final["samples"] < 2:
+                details[o.name]["reason"] = (
+                    f"{final['samples']} sample(s) finite in both variants at the "
+                    "final nu: no standard error, so no comparison"
+                )
         verdict = {
             "label": "universal" if universal else "distinct",
             "universal": universal,

@@ -9,9 +9,9 @@ Symbols housed here: the fractional heat kernel G (multiplier
 exp(-t|k|^sigma), zero for t<0), the temporal cutoff family G_mu =
 chi(t/mu) G and its scale derivative dG_mu = d/dmu G_mu =
 -(t/mu^2) chi'(t/mu) G supported in t in (mu, 2mu), the moment-weighted
-dG^a_mu = X^a dG_mu, the regularizing kernels K_mu and J_nu, the operators
-P_mu = (1 + mu d_t)(1 - [mu]^2 Lap), R_nu = 1 + [nu]^(sigma-eps) |k|^(sigma-eps),
-Q = d_t + (-Lap)^(sigma/2), and the scaling map S_mu.
+dG^a_mu = X^a dG_mu, the regularizing kernel K_mu and its inverse
+P_mu = (1 + mu d_t)(1 - [mu]^2 Lap), and the dressing
+R_nu = 1 + [nu]^(sigma-eps) |k|^(sigma-eps) of the moment norms.
 
 Note on the scale decomposition: with dG_mu := d/dmu G_mu (a nonpositive
 kernel, since chi' >= 0) the heat kernel splits as
@@ -22,7 +22,8 @@ over scales.  `reconstruct_G` realizes that split by quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .lattice import (
     SPACE_TIME,
     Field,
     LatticeSpec,
+    causal_time_convolve,
+    fft_time,
     forward_transform,
     inverse_transform,
 )
@@ -91,6 +94,7 @@ class SpectralKernel:
     kind: str = "custom"
     support_lo: int = 0
     support_hi: int = -1
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mult = np.asarray(self.mult)
@@ -99,6 +103,18 @@ class SpectralKernel:
 
     def n_slices(self) -> int:
         return self.mult.shape[0]
+
+    def time_spectrum(self, hi: int, m: int) -> np.ndarray:
+        """FFT along time of slices 0..hi zero-padded to m points, time-last
+        (space..., m).  A kernel with a read-only multiplier keeps its last
+        spectrum (read-only too) for the next call with the same (hi, m)."""
+        if self._spectrum is not None and self._spectrum[0] == (hi, m):
+            return self._spectrum[1]
+        kk = fft_time(self.mult[: hi + 1], m)
+        if not self.mult.flags.writeable:
+            kk.setflags(write=False)
+            self._spectrum = ((hi, m), kk)
+        return kk
 
 
 def heat_multiplier(spec: LatticeSpec, t) -> np.ndarray:
@@ -128,14 +144,18 @@ def cutoff_heat(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> Sp
     return SpectralKernel(spec, mult, kind=f"cutoff_heat({mu})", support_lo=min(lo, nt - 1))
 
 
+@functools.lru_cache(maxsize=2)
 def fluctuation_kernel(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> SpectralKernel:
-    """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu]."""
+    """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu].  Cached and
+    read-only: every shift on one lattice convolves with the same kernel,
+    whose time spectrum then stays on it."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
     nt = spec.nt if n_slices is None else n_slices
     t = spec.dt * np.arange(nt)
     w = 1.0 - chi(t / mu)
     mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
+    mult.setflags(write=False)
     hi = int(np.searchsorted(t, 2.0 * mu, side="left"))
     return SpectralKernel(spec, mult, kind=f"fluct({mu})", support_hi=min(hi, nt - 1))
 
@@ -159,13 +179,6 @@ def K_multiplier(spec: LatticeSpec, mu: float, g: int = 1) -> np.ndarray:
     """Spatial part of the K_mu symbol: (1 + [mu]^2 |k|^2)^(-g)."""
     lam = spec.scale_of(mu)
     return (1.0 + lam**2 * spec.k_norm() ** 2) ** (-g)
-
-
-def J_multiplier(spec: LatticeSpec, nu: float, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """J_nu symbol: 1 / (1 + [nu]^(sigma-eps) |k|^(sigma-eps))."""
-    lam = spec.scale_of(nu)
-    e = spec.sigma - eps
-    return 1.0 / (1.0 + (lam * spec.k_norm()) ** e)
 
 
 # -- convolution and operators --------------------------------------------
@@ -203,16 +216,13 @@ def convolve(kernel: SpectralKernel, f: Field, require_full_history: bool = Fals
             "insufficient time padding: kernel support exceeds lattice window"
         )
     dt = spec.dt
-    km = kernel.mult[: hi + 1]
-    # causal convolution along the time axis via zero-padded FFT
+    # causal convolution along the time axis via zero-padded FFT; the copy
+    # gives the arithmetic below contiguous operands, as numpy may pick
+    # another loop (and other roundings) for strided ones
     m = 1
     while m < nt + hi + 1:
         m *= 2
-    kk = np.zeros((m,) + km.shape[1:], dtype=complex)
-    kk[: hi + 1] = km
-    ff = np.zeros((m,) + fhat.shape[1:], dtype=complex)
-    ff[:nt] = fhat
-    conv = np.fft.ifft(np.fft.fft(kk, axis=0) * np.fft.fft(ff, axis=0), axis=0)[:nt]
+    conv = np.ascontiguousarray(causal_time_convolve(kernel.time_spectrum(hi, m), fhat))
     out = dt * conv - 0.5 * dt * kernel.mult[0] * fhat
     return inverse_transform(spec, out, SPACE_TIME)
 
@@ -273,80 +283,6 @@ def apply_P(f: Field, mu: float, g: int = 1) -> Field:
         for _ in range(g):
             fhat = _exp_filter_inverse(fhat, alpha)
     return inverse_transform(f.spec, fhat, f.domain)
-
-
-def apply_R(f: Field, nu: float, eps: float = DEFAULT_EPS) -> Field:
-    """R_nu = 1 + [nu]^(sigma-eps) (-Lap)^((sigma-eps)/2)."""
-    lam = f.spec.scale_of(nu)
-    e = f.spec.sigma - eps
-    mult = 1.0 + (lam * f.spec.k_norm()) ** e
-    return inverse_transform(f.spec, mult * forward_transform(f), f.domain)
-
-
-def apply_Q(f: Field) -> Field:
-    """Q = d_t + (-Lap)^(sigma/2); d_t by centered differences (one-sided at
-    the window ends)."""
-    if f.domain != SPACE_TIME:
-        raise ValidationFault("Q acts on space_time fields")
-    spec = f.spec
-    ddt = np.gradient(f.data, spec.dt, axis=0)
-    lap = inverse_transform(
-        spec, spec.k_norm() ** spec.sigma * forward_transform(f), SPACE_TIME
-    )
-    return Field(spec, ddt + lap.data, SPACE_TIME)
-
-
-class SymbolKernel:
-    """Kernel given by a closed-form mixed symbol m(t, |k|) (spatial Fourier
-    transform of the slice at time t).  The scaling map S_mu acts exactly:
-
-        (S_mu K)(t, x) = [mu]^{-D} K(t/mu, x/[mu]),
-
-    whose mixed symbol is (1/mu) m(t/mu, [mu]|k|).  The zero-frequency,
-    time-integrated value (total mass) is preserved.
-    """
-
-    def __init__(self, symbol, label: str = "symbol"):
-        self.symbol = symbol
-        self.label = label
-
-    def rescaled(self, mu: float, sigma: float) -> "SymbolKernel":
-        if mu <= 0:
-            raise ValidationFault("mu must be positive")
-        lam = float(mu) ** (1.0 / sigma)
-        base = self.symbol
-
-        def scaled(t, kn):
-            return base(np.asarray(t, dtype=float) / mu, lam * np.asarray(kn)) / mu
-
-        return SymbolKernel(scaled, label=f"S_{mu}({self.label})")
-
-    def sample(self, spec: LatticeSpec, n_slices: int | None = None) -> SpectralKernel:
-        nt = spec.nt if n_slices is None else n_slices
-        t = spec.dt * np.arange(nt)
-        kn = spec.k_norm()
-        mult = np.stack([self.symbol(tj, kn) for tj in t])
-        return SpectralKernel(spec, mult, kind=self.label)
-
-
-def K_symbol(sigma: float, g: int = 1) -> SymbolKernel:
-    """Mixed symbol of K^{*g}: temporal kernel (exp(-t)1_{t>0})^(*g) times the
-    spatial multiplier (1+|k|^2)^(-g); K_mu^{*g} = S_mu applied to it."""
-    from math import factorial
-
-    def symbol(t, kn):
-        t = np.asarray(t, dtype=float)
-        temporal = np.where(t >= 0, t ** (g - 1) * np.exp(-np.clip(t, 0, None)), 0.0) / factorial(
-            g - 1
-        )
-        return temporal * (1.0 + np.asarray(kn) ** 2) ** (-g)
-
-    return SymbolKernel(symbol, label=f"K^*{g}")
-
-
-def rescale(kernel: SymbolKernel, mu: float, sigma: float) -> SymbolKernel:
-    """S_mu on a closed-form kernel; S_1 is the identity."""
-    return kernel.rescaled(mu, sigma)
 
 
 def kernel_l1_norm(kernel: SpectralKernel) -> float:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationFault
-from .lattice import SPACE_TIME, Field, LatticeSpec
+from .lattice import SPACE_TIME, Field, LatticeSpec, causal_time_convolve
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
-HAT_BLOCK = 256  # frequencies per phase-matrix block in spatial_hat
+HAT_BLOCK = 64  # frequencies per phase-matrix block in spatial_hat
 
 
 def substream(master_seed: int, sample_index: int, label: str) -> np.random.Generator:
@@ -218,10 +218,9 @@ def _sample_mollified_white(model: NoiseModel, spec: LatticeSpec, sample_index: 
     # causal temporal convolution via zero-padded FFT along the time axis
     n_pad = 1 << int(np.ceil(np.log2(spec.nt + len(taps))))
     tap_hat = np.fft.fft(taps, n=n_pad)
-    w_hat = np.fft.fft(w, n=n_pad, axis=0)
-    shape = (n_pad,) + (1,) * spec.d
-    out = np.fft.ifft(tap_hat.reshape(shape) * w_hat, axis=0).real[: spec.nt]
-    return Field(spec, spec.dt * out, SPACE_TIME)
+    out = np.ascontiguousarray(causal_time_convolve(tap_hat, w).real)
+    out *= spec.dt
+    return Field(spec, out, SPACE_TIME)
 
 
 # -- shot noise ------------------------------------------------------------
@@ -415,10 +414,3 @@ def _k_statistic(cols: list, order: int) -> float:
         * ((N + 1) * s4 - (N - 1) * (p12 + p13 + p14))
     )
     return float(k4.mean())
-
-
-def macroscopic_covariance_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
-    """Spatial spectral multiplier of one bold-Xi_nu slice's covariance
-    contribution: |m_hat([nu] k)|^2 per spatial mode (mollified_white)."""
-    mult = _spatial_multiplier(model, spec)
-    return np.abs(mult) ** 2

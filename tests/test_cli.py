@@ -58,9 +58,27 @@ def test_renorm_command(tmp_path):
     assert (entry["i"], entry["m"]) == (1, 1)
     assert entry["provenance"] in ("flow_integrated", "oracle")
     assert np.isfinite(entry["value"])
+    assert ct["diagnostics"]["sunset"] == {}  # no second-order index at dim(lambda) = 0.3
     curves = _read_csv(out / "flow_curves.csv")
     assert {"index", "mu", "value"} <= set(curves[0])
     _manifest_ok(out, "renorm")
+
+
+def test_renorm_command_persists_sunset_integrals(tmp_path):
+    """At dim(lambda) = 0.2 the index (2, 1, 0) is relevant and its
+    counterterm comes from the sunset integrals, which ct.json keeps."""
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["dim_lambda"] = 0.2
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(cfg))
+    out = tmp_path / "renorm"
+    assert main(["renorm", "--model", str(model), "--nu", "0.1", "--out", str(out)]) == EXIT_OK
+    ct = json.loads((out / "ct.json").read_text())
+    assert {(e["i"], e["m"]) for e in ct["entries"]} == {(1, 1), (2, 1)}
+    sunset = ct["diagnostics"]["sunset"]
+    assert set(sunset) == {"I_G", "I_GP", "I_GP2"}
+    assert all(np.isfinite(v) for v in sunset.values())
+    assert sunset["I_G"] > 0.0
 
 
 def test_expand_command(tmp_path):

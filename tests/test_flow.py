@@ -14,11 +14,9 @@ from flowpde.flow import (
     lift_L,
     mu_grid_geometric,
     pairing_count,
-    scale_Z,
     stationary_sum,
     tadpole_oracle,
     taylor_decompose,
-    taylor_remainder,
 )
 from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
 from flowpde.lattice import SPACE_TIME, Field, LatticeSpec
@@ -188,20 +186,6 @@ def test_apply_moment_zero_index_is_identity(rng):
     V = CoefKernel(spec, rng.standard_normal(P), 1)
     W = apply_moment(V, [(0, 0)])
     np.testing.assert_array_equal(W.data, V.data)
-
-
-def test_scale_z_at_unit_tau_is_identity(rng):
-    spec = LatticeSpec(1, 8, 0.1, 0.0, 0.4, 0.5)
-    P = spec.nt * spec.n
-    V = CoefKernel(spec, rng.standard_normal(P), 1)
-    W = scale_Z(V, 1.0)
-    np.testing.assert_allclose(W.data, V.data, atol=1e-10)
-
-
-def test_taylor_remainder_index_guard():
-    spec = LatticeSpec(1, 8, 0.1, 0.0, 0.4, 0.5)
-    with pytest.raises(ValidationFault, match=r"\|a\| < l"):
-        taylor_remainder({}, {(0, 2): lift_L(spec, 1.0, 1)}, (0, 2), 2)
 
 
 def test_taylor_decompose_reconstructs(rng):

@@ -152,9 +152,16 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     np.testing.assert_array_equal(values[plan.observables[0].name], expected)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verdict_reports_compared_variants_and_dropped_samples():
     plan = _small_plan(samples=3, solve=SolveConfig(scheme="etd1", max_horizon=0.25, blow_up_radius=11.0))
     report = run_universality(plan)
+    # one sample is finite in both variants: no standard error, and the
+    # verdict says so instead of failing silently on a NaN
+    final = report.gaps[("moment2@t0.25", 0.1)]
+    assert final["samples"] == 1 and np.isnan(final["se"]) and np.isfinite(final["gap"])
+    assert report.verdict["label"] == "distinct"
+    assert "1 sample(s) finite in both variants" in report.verdict["observables"]["moment2@t0.25"]["reason"]
     assert report.verdict["compared"] == ["bump", "skew"]
     rows = report.verdict["cells"]
     assert len(rows) == len(report.cells) == 4
@@ -163,3 +170,13 @@ def test_verdict_reports_compared_variants_and_dropped_samples():
         assert row["kept"] == cell["samples"]
         assert row["kept"] + row["dropped"] == 3
     assert sum(row["dropped"] for row in rows) > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_se_is_nan_without_enough_samples():
+    mean, se = harness._mean_se(np.array([]))
+    assert np.isnan(mean) and np.isnan(se)
+    mean, se = harness._mean_se(np.array([2.5]))
+    assert mean == 2.5 and np.isnan(se)
+    mean, se = harness._mean_se(np.array([1.0, 3.0]))
+    assert mean == 2.0 and se == pytest.approx(1.0)

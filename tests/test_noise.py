@@ -10,11 +10,13 @@ from flowpde.noise import (
     NoiseModel,
     _cached_multiplier,
     _spatial_multiplier,
+    _temporal_taps,
     estimate_cumulants,
     extended_window,
     sample_macroscopic_noise,
     shot_third_cumulant_oracle,
     substream,
+    white_noise_slab,
 )
 
 SPEC = LatticeSpec(1, 32, 0.01, 0.0, 0.4, 0.5)
@@ -180,3 +182,37 @@ def test_spatial_multiplier_is_cached_read_only_and_seed_free():
     lam = 0.1 ** (1.0 / wick_window.sigma)
     fresh = MollifierProfile("skew").spatial_hat(lam * wick_window.axis_freqs())
     np.testing.assert_array_equal(mult, fresh)
+
+
+def _axis0_mollified_white(model, spec, sample_index):
+    """Reference for the mollified white-noise sampler: the same steps with
+    the time FFTs along axis 0 of the (nt, space...) array.  The sampler
+    must match it bit for bit."""
+    rng = substream(model.master_seed, sample_index, "white")
+    w = white_noise_slab(spec, rng)
+    what = np.fft.fftn(w, axes=tuple(range(1, spec.d + 1)))
+    what *= _spatial_multiplier(model, spec)[None]
+    w = np.fft.ifftn(what, axes=tuple(range(1, spec.d + 1))).real
+    taps = _temporal_taps(model, spec)
+    n_pad = 1 << int(np.ceil(np.log2(spec.nt + len(taps))))
+    tap_hat = np.fft.fft(taps, n=n_pad)
+    w_hat = np.fft.fft(w, n=n_pad, axis=0)
+    shape = (n_pad,) + (1,) * spec.d
+    out = np.fft.ifft(tap_hat.reshape(shape) * w_hat, axis=0).real[: spec.nt]
+    return spec.dt * out
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize(
+    "spec, history",
+    [
+        (LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5), 2.0),  # criterion 7's lattice
+        (LatticeSpec(2, 32, 0.01, 0.0, 0.25, 1.5), 0.5),
+    ],
+)
+def test_time_last_noise_equals_axis0_reference(family, spec, history):
+    model = NoiseModel("mollified_white", 0.1, 5, family, resolution_policy="spectral")
+    sample = sample_macroscopic_noise(model, spec, 3, history=history)
+    assert sample.data.flags.c_contiguous
+    ref = _axis0_mollified_white(model, extended_window(spec, history), 3)
+    np.testing.assert_array_equal(sample.data, ref)
