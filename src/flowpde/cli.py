@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalFault, ValidationFault
-from .flow import expand_pathwise, flow_expected, mu_grid_geometric
+from .flow import expand_pathwise, flow_expected
 from .harness import (
     ExperimentPlan,
     Observable,

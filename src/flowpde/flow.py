@@ -47,12 +47,6 @@ from .noise import NoiseModel, _spatial_multiplier, _temporal_taps
 MAX_PATHWISE_ORDER = 8
 
 
-def mu_grid_geometric(j_levels: int = 10) -> np.ndarray:
-    """Geometric grid {2^-j, j = 0..J} matching the octave support of
-    Gdot_mu."""
-    return 2.0 ** (-np.arange(j_levels + 1, dtype=float))
-
-
 # -- pathwise expansion ----------------------------------------------------
 
 
@@ -131,8 +125,9 @@ def expand_pathwise(
     return {"f": f, "psi": psi}
 
 
-def stationary_sum(expansion: dict, lam: float, i_max: int, which: str = "psi") -> Field:
-    fields = expansion[which]
+def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
+    """sum_(i <= i_max) lambda^i Psi^i of a pathwise expansion."""
+    fields = expansion["psi"]
     spec = fields[0].spec
     acc = np.zeros_like(fields[0].data)
     for i in range(i_max + 1):
@@ -157,8 +152,6 @@ class WickCalculator:
         self.model = model
         self.mhat2 = np.abs(_spatial_multiplier(model, spec)).ravel() ** 2
         self.taps = _temporal_taps(model, spec)
-        self.acorr = np.correlate(self.taps, self.taps, mode="full")
-        self.acorr_offset = len(self.taps) - 1
         self.k_sigma = spec.k_norm().ravel() ** spec.sigma
         self.prefactor = spec.dt / (spec.dx**spec.d * spec.n**spec.d)
 
@@ -224,24 +217,6 @@ class WickCalculator:
         (H, H_dot), n_pad = self._spectra(mu, dot=True)
         return self._parseval(H, H, n_pad), self._parseval(H, H_dot, n_pad)
 
-    def noise_covariance(self, t_lag: int = 0, x_lag=0) -> float:
-        """< Xi(x) Xi(x + lag) > with the lag in grid units."""
-        spec = self.spec
-        off = self.acorr_offset
-        if abs(t_lag) > off:
-            return 0.0
-        phase = np.ones(spec.n**spec.d)
-        if np.any(np.atleast_1d(x_lag)):
-            grids = spec.freq_grids()
-            ph = np.zeros(spec.space_shape())
-            for axis, sh in enumerate(np.atleast_1d(x_lag)):
-                ph = ph + grids[axis] * (sh * spec.dx)
-            phase = np.cos(ph).ravel()
-        a = self.acorr[t_lag + off]
-        return float(
-            spec.dt / spec.dx**spec.d * a * np.mean(self.mhat2 * phase)
-        )
-
     def covariance_kernel(self, n_lags: int) -> np.ndarray:
         """P(t_lag, x) = < (Ghat_1 * Xi)(0) (Ghat_1 * Xi)(t_lag, x) > for
         t_lag = 0..n_lags-1, as real-space slices (used by the sunset
@@ -268,8 +243,6 @@ def pairing_count(m: int, k: int) -> int:
 
 @dataclass
 class EffectiveCoefficients:
-    i_max: int
-    mu_grid: np.ndarray
     expected: dict = field(default_factory=dict)  # (i,m,a) -> (mu_nodes, values)
 
 
@@ -295,11 +268,6 @@ def _octave_nodes(j_levels: int, nodes_per_octave: int):
         nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         weights.append(0.5 * (hi - lo) * w)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def tadpole_oracle(spec: LatticeSpec, noise_model: NoiseModel, mu: float = 1.0) -> float:
-    """Independent Wick evaluation of C(mu) = <((G - G_mu) * Xi)^2>."""
-    return WickCalculator(spec, noise_model).tadpole(mu)
 
 
 def flow_expected(
@@ -404,11 +372,7 @@ def flow_expected(
         "nodes_per_octave": nodes_per_octave,
         "quad_error": quad_errors,
     }
-    coeffs = EffectiveCoefficients(
-        i_max=max((k[0] for k in entries), default=1),
-        mu_grid=mu_grid_geometric(j_levels),
-        expected=curves,
-    )
+    coeffs = EffectiveCoefficients(expected=curves)
     result = CounterTermResult(nu=nu, entries=entries, provenance=provenance, diagnostics=diagnostics)
     return coeffs, result
 
@@ -479,22 +443,6 @@ class CoefKernel:
 
     def volume(self) -> float:
         return self.spec.dt * self.spec.dx**self.spec.d
-
-    def norm(self) -> float:
-        """Grid analogue of the kernel norm: total mass of the modulus."""
-        return float(np.sum(np.abs(self.data)) * self.volume() ** self.arity)
-
-
-def lift_L(spec: LatticeSpec, v: float, m: int) -> CoefKernel:
-    """L^m v for a constant v: v times the product of slot deltas at the
-    base point."""
-    P = spec.nt * spec.n**spec.d
-    vol = spec.dt * spec.dx**spec.d
-    if m == 0:
-        return CoefKernel(spec, np.asarray(v, dtype=float), 0)
-    data = np.zeros((P,) * m)
-    data[(0,) * m] = v / vol**m
-    return CoefKernel(spec, data, m)
 
 
 def integrate_I(V: CoefKernel) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationFault
 from .flow import flow_expected
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
-from .model import ModelSpec, Monomial, RenormScheme, relevant_filtered
+from .model import ModelSpec, RenormScheme, relevant_filtered
 from .noise import sample_macroscopic_noise
 from .solver import (
     STATUS_BLEW_UP,
@@ -295,24 +295,3 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     ]
     return ExperimentReport(cells, gaps, drifts, verdict)
 
-
-def run_irrelevance_probe(plan: ExperimentPlan) -> ExperimentReport:
-    """Universality run where the variants differ by irrelevant monomials
-    only; faults if any differing monomial is in fact relevant."""
-    base = plan.variants[0][1]
-    base_keys = {(m.i, m.m, m.a) for m in base.monomials}
-    for _, model in plan.variants[1:]:
-        for mo in model.monomials:
-            key = (mo.i, mo.m, mo.a)
-            if key in base_keys:
-                continue
-            if model.rho(mo.i, mo.m, mo.a) <= 0:
-                raise ValidationFault(
-                    f"probe monomial (i={mo.i}, m={mo.m}, a={mo.a}) is not irrelevant"
-                )
-    return run_universality(plan)
-
-
-def make_probe_variant(model: ModelSpec, mo: Monomial, label: str):
-    """Attach an extra monomial to a model, for irrelevance probes."""
-    return (label, dataclasses.replace(model, monomials=model.monomials + (mo,)))

@@ -126,17 +126,11 @@ def heat_multiplier(spec: LatticeSpec, t) -> np.ndarray:
     return prof
 
 
-def heat_kernel(spec: LatticeSpec, n_slices: int | None = None) -> SpectralKernel:
-    nt = spec.nt if n_slices is None else n_slices
-    t = spec.dt * np.arange(nt)
-    return SpectralKernel(spec, heat_multiplier(spec, t), kind="heat")
-
-
-def cutoff_heat(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> SpectralKernel:
+def cutoff_heat(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """G_mu = chi(t/mu) G: vanishes for t <= mu, equals G for t >= 2mu."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
-    nt = spec.nt if n_slices is None else n_slices
+    nt = spec.nt
     t = spec.dt * np.arange(nt)
     w = chi(t / mu)
     mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
@@ -145,13 +139,13 @@ def cutoff_heat(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> Sp
 
 
 @functools.lru_cache(maxsize=2)
-def fluctuation_kernel(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> SpectralKernel:
+def fluctuation_kernel(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu].  Cached and
     read-only: every shift on one lattice convolves with the same kernel,
     whose time spectrum then stays on it."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
-    nt = spec.nt if n_slices is None else n_slices
+    nt = spec.nt
     t = spec.dt * np.arange(nt)
     w = 1.0 - chi(t / mu)
     mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
@@ -160,11 +154,11 @@ def fluctuation_kernel(spec: LatticeSpec, mu: float, n_slices: int | None = None
     return SpectralKernel(spec, mult, kind=f"fluct({mu})", support_hi=min(hi, nt - 1))
 
 
-def dot_G(spec: LatticeSpec, mu: float, n_slices: int | None = None) -> SpectralKernel:
+def dot_G(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """dG_mu = d/dmu [chi(t/mu) G] = -(t/mu^2) chi'(t/mu) G, support (mu, 2mu)."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
-    nt = spec.nt if n_slices is None else n_slices
+    nt = spec.nt
     t = spec.dt * np.arange(nt)
     w = -(t / mu**2) * chi_prime(t / mu)
     mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
@@ -184,7 +178,7 @@ def K_multiplier(spec: LatticeSpec, mu: float, g: int = 1) -> np.ndarray:
 # -- convolution and operators --------------------------------------------
 
 
-def convolve(kernel: SpectralKernel, f: Field, require_full_history: bool = False) -> Field:
+def convolve(kernel: SpectralKernel, f: Field) -> Field:
     """Space-time convolution kernel * f.
 
     Spatial part: exact spectral multiplication (torus periodization is
@@ -211,10 +205,6 @@ def convolve(kernel: SpectralKernel, f: Field, require_full_history: bool = Fals
         return inverse_transform(spec, out, SPACE_TIME)
     nt = spec.nt
     hi = min(kernel.support_hi, nt - 1)
-    if require_full_history and kernel.support_hi > nt - 1:
-        raise ValidationFault(
-            "insufficient time padding: kernel support exceeds lattice window"
-        )
     dt = spec.dt
     # causal convolution along the time axis via zero-padded FFT; the copy
     # gives the arithmetic below contiguous operands, as numpy may pick
@@ -283,14 +273,6 @@ def apply_P(f: Field, mu: float, g: int = 1) -> Field:
         for _ in range(g):
             fhat = _exp_filter_inverse(fhat, alpha)
     return inverse_transform(f.spec, fhat, f.domain)
-
-
-def kernel_l1_norm(kernel: SpectralKernel) -> float:
-    """Grid L1 norm: sum over slices of ||slice||_{L1(T^d)} dt."""
-    spec = kernel.spec
-    axes = tuple(range(-spec.d, 0))
-    real = np.fft.ifftn(kernel.mult, axes=axes).real
-    return float(np.sum(np.abs(real))) * spec.dx**spec.d * spec.dt
 
 
 # -- moment norms of dG_mu -------------------------------------------------

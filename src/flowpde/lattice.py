@@ -35,6 +35,16 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def check_whole_steps(span: float, dt: float, what: str) -> None:
+    """ValidationFault naming `what` unless span / dt is finite and within
+    1e-9 of its size of an integer."""
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise ValidationFault(f"{what} is not a finite number of steps of dt")
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        raise ValidationFault(f"{what} must be an integer multiple of dt")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Grid for fields on [t_min, t_max] x T^d.
@@ -55,6 +65,8 @@ class LatticeSpec:
             raise ValidationFault(f"spatial dimension must be 1..3, got {self.d}")
         if not _is_pow2(self.n):
             raise ValidationFault(f"n must be a power of two, got {self.n}")
+        if not all(math.isfinite(v) for v in (self.dt, self.t_min, self.t_max, self.sigma)):
+            raise ValidationFault("dt, t_min, t_max and sigma must be finite")
         if not self.dt > 0:
             raise ValidationFault("dt must be positive")
         if not self.t_min < self.t_max:
@@ -63,9 +75,7 @@ class LatticeSpec:
             raise ValidationFault(
                 f"sigma must lie in (0, d]; got sigma={self.sigma}, d={self.d}"
             )
-        nt_f = (self.t_max - self.t_min) / self.dt
-        if abs(nt_f - round(nt_f)) > 1e-9 * max(1.0, nt_f):
-            raise ValidationFault("window length must be an integer multiple of dt")
+        check_whole_steps(self.t_max - self.t_min, self.dt, "window length")
 
     # -- geometry ---------------------------------------------------------
 
@@ -77,11 +87,6 @@ class LatticeSpec:
     def nt(self) -> int:
         """Number of time slices, including both endpoints."""
         return int(round((self.t_max - self.t_min) / self.dt)) + 1
-
-    @property
-    def boundary_case(self) -> bool:
-        """sigma == d means dim(Phi) == 0 (admitted but flagged)."""
-        return self.sigma == self.d
 
     def times(self) -> np.ndarray:
         return self.t_min + self.dt * np.arange(self.nt)
@@ -110,12 +115,6 @@ class LatticeSpec:
     def coords(self) -> tuple:
         x = self.dx * np.arange(self.n)
         return np.meshgrid(*([x] * self.d), indexing="ij")
-
-    def centered_coords(self) -> tuple:
-        """Coordinates wrapped to [-pi, pi), for moment weights of kernels."""
-        x = self.dx * np.arange(self.n)
-        xc = (x + np.pi) % TORUS_LEN - np.pi
-        return np.meshgrid(*([xc] * self.d), indexing="ij")
 
     def scale_of(self, mu: float) -> float:
         """Parabolic scale [mu] = mu^(1/sigma)."""
@@ -203,8 +202,10 @@ def forward_transform(f: Field) -> np.ndarray:
 
 
 def inverse_transform(spec: LatticeSpec, coeffs: np.ndarray, domain: str) -> Field:
-    """Inverse DFT (1/n^d factor); imaginary residue of real fields dropped."""
-    return Field(spec, ifft_space(coeffs, spec.d).real, domain)
+    """Inverse DFT (1/n^d factor); imaginary residue of real fields dropped.
+    The field owns a contiguous copy of the real part, so the complex
+    transform is freed."""
+    return Field(spec, ifft_space(coeffs, spec.d).real.copy(), domain)
 
 
 def pair_with_test_function(f: Field, psi: Field) -> float:
@@ -256,4 +257,7 @@ def read_fld1(path) -> Field:
         raise ValidationFault(
             f"FLD1 payload holds {len(payload)} bytes, the header implies {expected}"
         )
-    return Field(spec, np.frombuffer(payload, dtype="<f8").reshape(shape).copy(), domain)
+    data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if not np.all(np.isfinite(data)):
+        raise ValidationFault("FLD1 payload holds a non-finite value")
+    return Field(spec, data, domain)

@@ -138,11 +138,6 @@ class ModelSpec:
     def m_flat(self) -> int:
         return max((mo.m for mo in self.monomials), default=1)
 
-    @property
-    def m_diamond(self) -> int:
-        rel = self.relevant_indices()
-        return max((m for (_, m, _) in rel), default=0)
-
     # -- classification ---------------------------------------------------
 
     def _spatial_indices_of_degree(self, deg: int):
@@ -159,7 +154,6 @@ class ModelSpec:
     def _index_lists(self, m: int, total_deg: int):
         """Sorted lists of m spatial multi-indices, each of degree < sigma,
         with total degree total_deg (up to slot permutation)."""
-        per_slot = []
         max_deg = int(np.ceil(self.sigma)) - 1
         for degs in itertools.product(range(max_deg + 1), repeat=m):
             if sum(degs) != total_deg:
@@ -205,48 +199,6 @@ class ModelSpec:
     def relevant_indices(self):
         idx = [k for k in self.enumerate_indices() if self.rho(k[0], k[1], k[2]) <= 0]
         return [k for k in idx if not (k[0] == 0 and k[1] == 0)]
-
-    def irrelevant_indices(self):
-        return [k for k in self.enumerate_indices() if self.rho(k[0], k[1], k[2]) > 0]
-
-
-def classify(spec: ModelSpec) -> dict:
-    """Partition the index set and report the derived integers."""
-    rel = spec.relevant_indices()
-    irr = spec.irrelevant_indices()
-    table = {k: spec.rho(k[0], k[1], k[2]) for k in spec.enumerate_indices()}
-    return {
-        "relevant": rel,
-        "relevant_filtered": relevant_filtered(spec),
-        "irrelevant": irr,
-        "rho": table,
-        "i_diamond": spec.i_diamond,
-        "m_diamond": spec.m_diamond,
-        "i_rhd": spec.i_rhd,
-        "i_flat": spec.i_flat,
-        "m_flat": spec.m_flat,
-        "dim_phi": spec.dim_phi,
-        "dim_xi": spec.dim_xi,
-    }
-
-
-def symmetry_filter(spec: ModelSpec) -> ModelSpec:
-    """Drop monomials violating the declared symmetry (idempotent).
-
-    parity_z2: an odd system's force must be odd, so even-arity monomials go.
-    shift_r: the force may depend on phi only through spatial derivatives, so
-    monomials with an underived slot go.
-    """
-    if spec.symmetry == "none":
-        return spec
-    keep = []
-    for mo in spec.monomials:
-        if spec.symmetry == "parity_z2" and mo.m % 2 == 0:
-            continue
-        if spec.symmetry == "shift_r" and any(sum(aq) == 0 for aq in mo.a):
-            continue
-        keep.append(mo)
-    return replace(spec, monomials=tuple(keep))
 
 
 def allowed_by_symmetry(spec: ModelSpec, i: int, m: int, a) -> bool:
@@ -318,13 +270,6 @@ def _apply_multiplier(mult: np.ndarray | None, data: np.ndarray) -> np.ndarray:
         return data
     axes = tuple(range(-mult.ndim, 0))
     return np.fft.ifftn(mult * np.fft.fftn(data, axes=axes), axes=axes).real
-
-
-def spatial_derivative(f: Field, aq: tuple) -> Field:
-    """d^aq f for a slice or a window, by the multiplier the compiled force applies."""
-    if all(x == 0 for x in aq):
-        return f
-    return Field(f.spec, _apply_multiplier(derivative_multiplier(f.spec, aq), f.data), f.domain)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
-"""Mild-equation solver with exponential time differencing, the stationary
-shift decomposition, window patching, and blow-up detection.
+"""Mild-equation solver: exponential time differencing, the stationary
+shift decomposition, window patching and blow-up detection.
 
 The mild macroscopic equation Phi = G * (1_[0,inf) F_nu[Phi] + delta_0 x phi)
 is advanced per Fourier mode with the exact linear factor exp(-dt |k|^sigma)
 and phi-function weights on the force (ETD1 / ETD2RK).  The initial pairing
 delta_0 x phi enters exactly as the semigroup image of phi, never as a grid
-delta.  The rough part of the dynamics can be split off as the stationary
-shift Phi_shift = (G - G_1) * f_shift built from the pathwise hierarchy; the
-remainder solves the shifted equation with force
-F_hat[phi] = F_nu[phi + Phi_shift] - f_shift, in which the noise cancels.
-One stepping loop serves a single sample and a stack of samples along a
-leading axis; each sample in a stack matches its own solve bit for bit.
+delta.
+
+solve_stack is the one solve: it compiles the force, runs the stepping loop
+for a stack of samples along a leading axis (each sample matches its own
+solve bit for bit) and owns the decomposition rule.  A sample is driven
+either directly, by its noise as the additive term of the force, or through
+the Da Prato-Debussche split Phi = Phi_shift + remainder, where
+Phi_shift = (G - G_1) * f_shift is built from the pathwise hierarchy and the
+remainder starts at phi - Phi_shift(0) and solves the shifted force
+F_nu[phi + Phi_shift] - f_shift, in which the noise cancels.  solve_mild,
+solve_with_patching and solve_decomposed are its one-sample callers.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalFault, ValidationFault
 from .kernels import DEFAULT_EPS
-from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, fft_space, ifft_space
+from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, fft_space, ifft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
 from .norms import c_gamma_multiplier, c_gamma_sup
@@ -60,7 +65,6 @@ class SolveResult:
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """phi_1(z) = (e^z - 1)/z, stable near 0."""
-    out = np.ones_like(z)
     small = np.abs(z) < 1e-8
     zs = np.where(small, 1.0, z)
     out = (np.expm1(zs)) / zs
@@ -93,23 +97,29 @@ def _slice_index(noise: Field, t: float) -> int:
     return j
 
 
-def _n_steps(spec: LatticeSpec, cfg: SolveConfig, t_start: float) -> int:
-    return int(round(min(cfg.max_horizon, spec.t_max - t_start) / spec.dt))
+def _n_steps(spec: LatticeSpec, cfg: SolveConfig) -> int:
+    return int(round(min(cfg.max_horizon, spec.t_max) / spec.dt))
 
 
-def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig, t_start: float = 0.0) -> np.ndarray:
+def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarray:
     """The slices of a noise or shift field that a solve on `spec` from
-    t_start reads: one per step and the end slice (read by the second
-    ETD2RK stage and by the decomposed total).  A view into field.data."""
-    if (field.spec.d, field.spec.n, field.spec.dt) != (spec.d, spec.n, spec.dt):
+    t = 0 reads: one per step and the end slice (read by the second ETD2RK
+    stage and by the decomposed total).  The field must share the solve's
+    d, n, dt and sigma, and t = 0 must be one of its slices.  A view into
+    field.data."""
+    fs = field.spec
+    if (fs.d, fs.n, fs.dt) != (spec.d, spec.n, spec.dt):
         raise ValidationFault("driving field lattice does not match the solve lattice")
-    n_steps = _n_steps(spec, cfg, t_start)
-    j0 = _slice_index(field, t_start)
-    _slice_index(field, t_start + n_steps * spec.dt)
+    if fs.sigma != spec.sigma:
+        raise ValidationFault(f"driving field has sigma {fs.sigma:g}, the solve {spec.sigma:g}")
+    check_whole_steps(-fs.t_min, spec.dt, "the driving field's start t_min")
+    n_steps = _n_steps(spec, cfg)
+    j0 = _slice_index(field, 0.0)
+    _slice_index(field, n_steps * spec.dt)
     return field.data[j0 : j0 + n_steps + 1]
 
 
-def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec, t_start: float) -> list:
+def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
     `phi` holds the initial slices; `noise` or `shift`, when given, each
@@ -122,7 +132,7 @@ def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec, t_star
     sample.
     """
     dt = spec.dt
-    n_steps = _n_steps(spec, cfg, t_start)
+    n_steps = _n_steps(spec, cfg)
     per_window = max(int(round(cfg.t_local / dt)), 1)
     gamma = cfg.gamma if cfg.gamma is not None else spec.sigma - DEFAULT_EPS
     norm_mult = c_gamma_multiplier(spec, gamma)
@@ -152,7 +162,7 @@ def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec, t_star
     breve_T = np.empty(samples)
     blown = np.zeros(samples, dtype=bool)
     live = np.arange(samples)
-    t_win, j_win = t_start, 0
+    t_win, j_win = 0.0, 0
     phi_hat = fft_space(phi, d)
     data = ifft_space(phi_hat, d).real
     for j in range(1, n_steps + 1):
@@ -186,39 +196,11 @@ def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec, t_star
     breve_T[live] = t_win + (n_steps - j_win) * dt
     out = []
     for s in range(samples):
-        window = spec.with_window(t_start, t_start + last[s] * dt)
+        window = spec.with_window(0.0, last[s] * dt)
         field = Field(window, traj[s, : last[s] + 1], SPACE_TIME)
         status = STATUS_BLEW_UP if blown[s] else STATUS_COMPLETED
         out.append(SolveResult(field, float(breve_T[s]), status, norms[s, : last[s] + 1]))
     return out
-
-
-def solve_mild(
-    model: ModelSpec,
-    counterterms,
-    noise: Field | None,
-    phi_init: Field,
-    cfg: SolveConfig,
-    shift: Field | None = None,
-    t_start: float = 0.0,
-) -> SolveResult:
-    """Advance the mild equation from phi_init at t_start over the horizon,
-    in consecutive local windows of length t_local re-anchored on the real
-    slice at each seam (the local-solve-and-patch argument; the same
-    dynamics as one window up to the round trip at the seams).
-
-    With `shift` given, the shifted force F[phi + shift] - force-of-shift is
-    used: the caller passes noise = None and the shift trajectory absorbs
-    the rough driving (the noise term of the bare force cancels against the
-    shift's defining equation).
-    """
-    spec = phi_init.spec
-    if phi_init.domain != SPACE_ONLY:
-        raise ValidationFault("initial data must be a space_only slice")
-    nu = model.noise.nu if model.noise is not None else 1.0
-    force = compile_force(model, counterterms, nu, spec)
-    noise, shift = (None if f is None else solve_window(f, spec, cfg, t_start)[None] for f in (noise, shift))
-    return _march(force, phi_init.data[None], noise, shift, cfg, spec, t_start)[0]
 
 
 def solve_stack(
@@ -229,18 +211,26 @@ def solve_stack(
     noise: np.ndarray | None = None,
     shift: np.ndarray | None = None,
 ) -> list:
-    """solve_mild (noise given) or solve_decomposed (shift given) for a
-    stack of samples from t = 0, each sample's driving field given as
-    its solve_window slices along the leading axis.  With shift the
-    results hold the decomposed total and its remainder part."""
+    """Solve a stack of samples from phi_init at t = 0, each sample's
+    driving field given as its solve_window slices along the leading axis
+    (one sample, undriven, when neither is given).
+
+    With `noise`, the direct path: the noise is the additive term of the
+    force.  With `shift`, the decomposed path: the remainder starts at
+    phi_init - shift[:, 0] and solves the shifted force
+    F[phi + shift] - f_shift, in which the noise cancels; each result holds
+    the total remainder + shift and keeps the remainder in parts."""
     spec = phi_init.spec
+    if phi_init.domain != SPACE_ONLY:
+        raise ValidationFault("initial data must be a space_only slice")
     nu = model.noise.nu if model.noise is not None else 1.0
     force = compile_force(model, counterterms, nu, spec)
-    samples = (noise if shift is None else shift).shape[0]
+    drive = noise if shift is None else shift
+    samples = 1 if drive is None else drive.shape[0]
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
     if shift is not None:
         phi = phi - shift[:, 0]
-    results = _march(force, phi, noise, shift, cfg, spec, 0.0)
+    results = _march(force, phi, noise, shift, cfg, spec)
     if shift is not None:
         for res, sh in zip(results, shift):
             rem = res.trajectory
@@ -249,25 +239,17 @@ def solve_stack(
     return results
 
 
-def build_stationary_shift(
+def solve_mild(
     model: ModelSpec,
     counterterms,
-    noise: Field,
-    order: int | None = None,
-) -> Field:
-    """Phi_shift = (G - G_1) * f_shift with f_shift = sum_(i <= order)
-    lambda^i f^i from the pathwise hierarchy; order defaults to the model's
-    stationary truncation order."""
-    from .flow import expand_pathwise, stationary_sum
-
-    spec = noise.spec
-    if spec.t_max - spec.t_min < 2.0:
-        raise ValidationFault(
-            "noise window too short for the fluctuation kernel support (needs >= 2)"
-        )
-    order = model.i_rhd if order is None else order
-    expansion = expand_pathwise(model, counterterms, noise, order)
-    return stationary_sum(expansion, model.lam, order, which="psi")
+    noise: Field | None,
+    phi_init: Field,
+    cfg: SolveConfig,
+) -> SolveResult:
+    """The direct path for one sample: solve_stack on the solve_window of
+    `noise` (none: the undriven equation)."""
+    window = None if noise is None else solve_window(noise, phi_init.spec, cfg)[None]
+    return solve_stack(model, counterterms, phi_init, cfg, noise=window)[0]
 
 
 def solve_with_patching(
@@ -276,12 +258,25 @@ def solve_with_patching(
     noise: Field | None,
     phi_init: Field,
     cfg: SolveConfig,
-    shift: Field | None = None,
-    t_start: float = 0.0,
 ) -> SolveResult:
     """The patched solve over local windows of t_local: solve_mild, which
     re-anchors at every seam."""
-    return solve_mild(model, counterterms, noise, phi_init, cfg, shift=shift, t_start=t_start)
+    return solve_mild(model, counterterms, noise, phi_init, cfg)
+
+
+def build_stationary_shift(model: ModelSpec, counterterms, noise: Field) -> Field:
+    """Phi_shift = (G - G_1) * f_shift with f_shift = sum_(i <= i_rhd)
+    lambda^i f^i from the pathwise hierarchy, to the model's stationary
+    truncation order i_rhd."""
+    from .flow import expand_pathwise, stationary_sum
+
+    spec = noise.spec
+    if spec.t_max - spec.t_min < 2.0:
+        raise ValidationFault(
+            "noise window too short for the fluctuation kernel support (needs >= 2)"
+        )
+    expansion = expand_pathwise(model, counterterms, noise, model.i_rhd)
+    return stationary_sum(expansion, model.lam, model.i_rhd)
 
 
 def solve_decomposed(
@@ -290,23 +285,12 @@ def solve_decomposed(
     noise: Field,
     phi_init: Field,
     cfg: SolveConfig,
-    shift_order: int | None = None,
 ) -> SolveResult:
-    """Full solution via the trick: Phi = Phi_shift + Phi_remainder, with
-    the remainder solving the shifted (noise-free) equation from phi_init
-    minus the shift's initial slice."""
-    spec = phi_init.spec
-    shift = build_stationary_shift(model, counterterms, noise, order=shift_order)
-    j0 = _slice_index(shift, 0.0)
-    rem_init = Field(spec, phi_init.data - shift.data[j0], SPACE_ONLY)
-    res = solve_with_patching(model, counterterms, None, rem_init, cfg, shift=shift)
-    nt_out = res.trajectory.data.shape[0]
-    total = res.trajectory.data + shift.data[j0 : j0 + nt_out]
-    full = Field(res.trajectory.spec, total, SPACE_TIME)
-    return SolveResult(
-        full,
-        res.breve_T,
-        res.status,
-        res.slice_norms,
-        parts={"shift": shift, "remainder": res.trajectory},
-    )
+    """The decomposed path for one sample: Phi = Phi_shift + remainder, by
+    solve_stack on the solve_window of the sample's stationary shift; parts
+    hold the shift and the remainder."""
+    shift = build_stationary_shift(model, counterterms, noise)
+    window = solve_window(shift, phi_init.spec, cfg)[None]
+    res = solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]
+    res.parts["shift"] = shift
+    return res

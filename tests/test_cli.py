@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from flowpde.cli import (
     solve_from_config,
 )
 from flowpde.errors import ValidationFault
-from flowpde.lattice import SPACE_ONLY, Field, LatticeSpec, write_fld1
+from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, write_fld1
 
 REPO = Path(__file__).resolve().parents[1]
 MODEL = str(REPO / "configs" / "phi4_desk.json")
@@ -141,6 +142,24 @@ def test_norms_command_rejects_truncated_field(tmp_path):
     fld.write_bytes(fld.read_bytes()[:-16])
     rc = main(["norms", "--field", str(fld), "--alpha", "-0.5", "--out", str(tmp_path / "o")])
     assert rc == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "offset, value", [(40 + 8 * 37, np.nan), (16, 1e308)], ids=["nan-payload", "dt-1e308"]
+)
+def test_norms_command_rejects_malformed_field_in_one_line(tmp_path, capsys, offset, value):
+    """A non-finite payload value and a header whose window ends at
+    t = inf are malformed files: exit code 1 and one line on stderr."""
+    spec = LatticeSpec(1, 16, 0.05, -0.5, 0.5, 0.5)
+    fld = tmp_path / "f.fld"
+    write_fld1(fld, Field(spec, np.ones((spec.nt, spec.n)), SPACE_TIME))
+    raw = bytearray(fld.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    fld.write_bytes(bytes(raw))
+    rc = main(["norms", "--field", str(fld), "--alpha", "-0.5", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("validation fault:") and err.count("\n") == 1, err
 
 
 def test_missing_config_is_validation_error(tmp_path):

@@ -11,11 +11,8 @@ from flowpde.flow import (
     expand_pathwise,
     flow_expected,
     integrate_I,
-    lift_L,
-    mu_grid_geometric,
     pairing_count,
     stationary_sum,
-    tadpole_oracle,
     taylor_decompose,
 )
 from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
@@ -24,13 +21,6 @@ from flowpde.model import RenormScheme, evaluate_force, preset
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 
 CT_DESK = {(1, 1, ((0,),)): 0.0}
-
-
-def test_mu_grid_is_geometric():
-    grid = mu_grid_geometric(6)
-    assert np.all(grid > 0)
-    ratios = grid[1:] / grid[:-1]
-    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
 def test_pairing_count_known_values():
@@ -83,7 +73,7 @@ def test_tadpole_matches_monte_carlo(desk_spec, desk_noise):
     """The deterministic quadratic-form value against a direct simulation:
     variance of (G - G_mu) * noise in the saturated part of the window."""
     mu = 0.3
-    target = tadpole_oracle(desk_spec, desk_noise, mu)
+    target = WickCalculator(desk_spec, desk_noise).tadpole(mu)
     ker = fluctuation_kernel(desk_spec, mu)
     per_sample = []
     for i in range(80):
@@ -172,12 +162,6 @@ def test_flow_expected_desk_counterterm(desk_model, desk_spec):
     assert key in coeffs.expected
     mus, vals = coeffs.expected[key]
     assert len(mus) == len(vals) > 0
-
-
-def test_lift_and_integrate_are_inverse():
-    spec = LatticeSpec(1, 8, 0.1, 0.0, 0.4, 0.5)
-    for m in (0, 1, 2):
-        assert integrate_I(lift_L(spec, 2.5, m)) == pytest.approx(2.5)
 
 
 def test_apply_moment_zero_index_is_identity(rng):

@@ -8,11 +8,9 @@ from flowpde.errors import ValidationFault
 from flowpde.harness import (
     ExperimentPlan,
     Observable,
-    make_probe_variant,
-    run_irrelevance_probe,
     run_universality,
 )
-from flowpde.model import Monomial, preset
+from flowpde.model import preset
 from flowpde.lattice import SPACE_ONLY, Field
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_with_patching
@@ -109,14 +107,6 @@ def test_counterterm_override_changes_cells():
         abs(a.cells[k]["estimate"] - b.cells[k]["estimate"]) for k in a.cells
     ]
     assert max(diffs) > 0.0
-
-
-def test_irrelevance_probe_rejects_relevant_monomial():
-    label, base = _variant("bump")
-    probe = make_probe_variant(base, Monomial(1, 1, 0, base=0.5), "probe")
-    plan = _small_plan(variants=((label, base), probe))
-    with pytest.raises(ValidationFault, match="not irrelevant"):
-        run_irrelevance_probe(plan)
 
 
 @pytest.mark.parametrize(

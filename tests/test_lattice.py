@@ -1,3 +1,7 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,10 @@ def test_spec_rejects_bad_parameters():
         LatticeSpec(1, 64, 0.1, 1.0, 0.0, 0.5)  # empty window
     with pytest.raises(ValidationFault):
         LatticeSpec(4, 64, 0.1, 0.0, 1.0, 0.5)  # d out of range
+    for bad in ((np.inf, 0.0, 1.0, 0.5), (0.1, -np.inf, 1.0, 0.5), (0.1, 0.0, np.inf, 0.5),
+                (0.1, 0.0, np.nan, 0.5), (0.1, 0.0, 1.0, np.nan), (5e-324, 0.0, 1.0, 0.5)):
+        with pytest.raises(ValidationFault, match="finite"):
+            LatticeSpec(1, 64, *bad)  # non-finite parameter or window length
 
 
 def test_spec_geometry(desk_spec):
@@ -71,22 +79,68 @@ def test_pairing_is_riemann_sum(desk_spec):
     assert pair_with_test_function(f, f) == pytest.approx(np.pi, rel=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_fld1_roundtrip(seed, spacetime):
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fld1_roundtrip(data):
+    """A random valid field reads back exactly.  After a truncation, an
+    extension or a single-byte change of its bytes, reading returns a
+    finite Field or raises ValidationFault, and nothing else."""
+    d = data.draw(st.integers(1, 2))
+    n = data.draw(st.sampled_from([1, 2, 4, 8]))
+    nt = data.draw(st.sampled_from([0, 2, 3, 5]))  # 0: a space_only field
+    dt = data.draw(st.floats(1e-3, 1.0))
+    t_min = data.draw(st.floats(-10.0, 10.0))
+    sigma = data.draw(st.floats(0.1, float(d)))
+    spec = LatticeSpec(d, n, dt, t_min, t_min + dt * max(nt - 1, 1), sigma)
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = spec.space_shape() if nt == 0 else (spec.nt, *spec.space_shape())
+    f = Field(spec, gen.standard_normal(shape), SPACE_ONLY if nt == 0 else SPACE_TIME)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fld"
+        write_fld1(path, f)
+        g = read_fld1(path)
+        assert g.domain == f.domain and g.spec == spec
+        np.testing.assert_array_equal(g.data, f.data)
+
+        raw = path.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "extend", "change"]))
+        if kind == "truncate":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "extend":
+            raw = raw + data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            i = data.draw(st.integers(0, len(raw) - 1))
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]))
+            raw = raw[:i] + bytes([byte]) + raw[i + 1 :]
+        path.write_bytes(raw)
+        try:
+            g = read_fld1(path)
+        except ValidationFault:
+            return
+        assert np.all(np.isfinite(g.data))
+
+
+def _patched_fld1(path, offset: int, value: float):
+    """A valid space_time FLD1 file with one f64 replaced at `offset`."""
     spec = LatticeSpec(1, 16, 0.05, -0.5, 0.5, 0.5)
-    gen = np.random.default_rng(seed)
-    if spacetime:
-        f = Field(spec, gen.standard_normal((spec.nt, spec.n)), SPACE_TIME)
-    else:
-        f = Field(spec, gen.standard_normal(spec.n), SPACE_ONLY)
-    path = "/tmp/_fld1_roundtrip.fld"
-    write_fld1(path, f)
-    g = read_fld1(path)
-    assert g.domain == f.domain
-    np.testing.assert_array_equal(g.data, f.data)
-    assert g.spec.d == spec.d and g.spec.n == spec.n
-    assert g.spec.sigma == spec.sigma
+    write_fld1(path, Field(spec, np.ones((spec.nt, spec.n)), SPACE_TIME))
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_fld1_non_finite_payload_is_a_validation_fault(tmp_path):
+    p = _patched_fld1(tmp_path / "nan.fld", 40 + 8 * 37, np.nan)
+    with pytest.raises(ValidationFault, match="non-finite"):
+        read_fld1(p)
+
+
+def test_fld1_header_with_huge_dt_is_a_validation_fault(tmp_path):
+    # 20 steps of dt = 1e308 end at t = inf
+    p = _patched_fld1(tmp_path / "dt.fld", 16, 1e308)
+    with pytest.raises(ValidationFault, match="finite"):
+        read_fld1(p)
 
 
 def test_fld1_rejects_bad_magic(tmp_path):

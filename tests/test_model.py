@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from flowpde.errors import ValidationFault
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
 from flowpde.model import (
+    CompiledForce,
     ModelSpec,
     Monomial,
     RenormScheme,
-    classify,
     coefficient_value,
+    derivative_multiplier,
     evaluate_force,
     preset,
     relevant_filtered,
-    spatial_derivative,
-    symmetry_filter,
 )
 
 
@@ -30,33 +29,19 @@ def test_desk_model_dimensions(desk_model):
 
 
 def test_desk_model_classification(desk_model):
-    info = classify(desk_model)
-    assert info["relevant_filtered"] == [(1, 1, ((0,),))]
-    assert (1, 3, ((0,), (0,), (0,))) in info["irrelevant"]
-    assert info["i_diamond"] >= 1
-    assert info["m_flat"] == 3
+    assert relevant_filtered(desk_model) == [(1, 1, ((0,),))]
+    cubic = (1, 3, ((0,), (0,), (0,)))
+    assert cubic in desk_model.enumerate_indices() and desk_model.rho(*cubic) > 0
+    assert desk_model.i_diamond >= 1
+    assert desk_model.m_flat == 3
 
 
 def test_phi4_3d_classification():
     model = preset("phi4_3d")
-    info = classify(model)
     # the classical phi^4_3 counterterm structure: mass at orders 1 and 2
-    keys = set(info["relevant_filtered"])
+    keys = set(relevant_filtered(model))
     assert (1, 1, ((0, 0, 0),)) in keys
     assert (2, 1, ((0, 0, 0),)) in keys
-
-
-def test_symmetry_filter_drops_even_arity():
-    model = ModelSpec(
-        d=1,
-        sigma=0.5,
-        dim_lambda=0.3,
-        lam=1.0,
-        monomials=(Monomial(1, 3, 0, -1.0), Monomial(1, 2, 0, 0.7)),
-        symmetry="parity_z2",
-    )
-    kept = symmetry_filter(model).monomials
-    assert [mo.m for mo in kept] == [3]
 
 
 def test_semilinearity_guard():
@@ -98,10 +83,10 @@ def test_coefficient_value_scaling(desk_model):
 def test_spatial_derivative_exact_on_modes(order, mode):
     spec = LatticeSpec(1, 32, 0.1, 0.0, 0.5, 0.5)
     x = spec.coords()[0]
-    f = Field(spec, np.sin(mode * x), SPACE_ONLY)
-    g = spatial_derivative(f, (order,))
+    force = CompiledForce(1.0, {}, {(order,): derivative_multiplier(spec, (order,))})
+    g = force.monomial([np.sin(mode * x)], ((order,),))
     phase = np.sin(mode * x + order * np.pi / 2.0)
-    np.testing.assert_allclose(g.data, float(mode) ** order * phase, atol=1e-10)
+    np.testing.assert_allclose(g, float(mode) ** order * phase, atol=1e-10)
 
 
 def test_evaluate_force_polynomial(desk_model, desk_spec, rng):

@@ -134,13 +134,13 @@ def test_initial_data_must_be_slice(desk_noise):
 
 def test_missing_coefficient_faults_before_any_step(desk_noise):
     """The force is compiled before the first step, so even a solve with no
-    steps left in the window rejects missing counterterms."""
+    steps in its horizon rejects missing counterterms."""
     spec = LatticeSpec(1, 16, 0.01, 0.0, 1.0, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     phi0 = Field(spec, np.zeros(spec.n), SPACE_ONLY)
-    for t_start in (0.0, spec.t_max):
+    for cfg in (SolveConfig(), SolveConfig(max_horizon=0.0)):
         with pytest.raises(ValidationFault, match="missing relevant"):
-            solve_mild(model, None, None, phi0, SolveConfig(), t_start=t_start)
+            solve_mild(model, None, None, phi0, cfg)
 
 
 def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
@@ -285,3 +285,21 @@ def test_solve_window_checks_lattice_and_range(desk_noise):
     other = LatticeSpec(1, 32, 0.01, 0.0, 0.5, 0.5)
     with pytest.raises(ValidationFault, match="lattice does not match"):
         solve_window(xi, other, SolveConfig())
+
+
+def test_solve_window_rejects_noise_sampled_at_another_sigma(desk_noise):
+    spec = LatticeSpec(1, 16, 0.01, 0.0, 0.5, 0.5)
+    xi = sample_macroscopic_noise(desk_noise, spec, 0, history=1.0)
+    other = LatticeSpec(1, 16, 0.01, 0.0, 0.5, 1.0)
+    with pytest.raises(ValidationFault, match="sigma"):
+        solve_window(xi, other, SolveConfig())
+
+
+def test_solve_window_rejects_a_field_off_the_solve_time_grid():
+    """A field whose slices sit at -0.004 + j dt has no slice at t = 0; its
+    slice at -0.004 must not be read as the initial one."""
+    spec = LatticeSpec(1, 16, 0.01, 0.0, 0.5, 0.5)
+    shifted = LatticeSpec(1, 16, 0.01, -0.004, 0.996, 0.5)
+    xi = Field(shifted, np.zeros((shifted.nt, shifted.n)), SPACE_TIME)
+    with pytest.raises(ValidationFault, match="integer multiple of dt"):
+        solve_window(xi, spec, SolveConfig())

@@ -1,0 +1,94 @@
+"""Dead-code guard for the package source: every import is used in its
+module, and every top-level function or class is referenced somewhere in
+src/ or serves a named paper check or caller outside it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "flowpde"
+
+# top-level names with no caller in src/, and what each one serves
+SERVES_OUTSIDE_SRC = {
+    "taylor_decompose": "the Taylor reconstruction identity (criterion 2, identities workload)",
+    "shot_third_cumulant_oracle": "the shot-noise third-cumulant check of tests/test_noise.py",
+    "preset": "model fixtures of the tests and of perfbench",
+}
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path: Path):
+    text = path.read_text()
+    return text, ast.parse(text)
+
+
+def _public_exports(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(text: str, tree) -> list:
+    lines = text.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = _public_exports(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported:
+                out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert _unused_imports(*_parse(path)) == []
+
+
+def _references(tree, skip) -> set:
+    """Names referenced in a module outside the subtree `skip`: loads of a
+    bare name, attribute names and names imported from another module."""
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_top_level_definition_is_referenced():
+    """A definition is referenced in src/ (outside its own body) or named
+    in SERVES_OUTSIDE_SRC, never both: a stale table entry fails too."""
+    modules = {p.name: _parse(p)[1] for p in MODULES}
+    wrong, defined = [], set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(node.name)
+            refs = set()
+            for other, other_tree in modules.items():
+                refs |= _references(other_tree, node if other == module else None)
+            if (node.name in refs) == (node.name in SERVES_OUTSIDE_SRC):
+                wrong.append(f"{module}: {node.name}")
+    assert wrong == []
+    assert set(SERVES_OUTSIDE_SRC) <= defined
