@@ -417,8 +417,8 @@ def cmd_simulate(args) -> int:
     model = dataclasses.replace(model, noise=nm)
     spec = lattice_from_config(model, cfg)
     scheme = scheme_from_config(model, cfg.get("scheme"))
-    _, ct = flow_expected(model, spec, nm.nu, scheme)
     solve_cfg = solve_from_config(cfg)
+    _, ct = flow_expected(model, spec, nm.nu, scheme)
     noise = sample_macroscopic_noise(nm, spec, args.sample, history=2.0)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     if args.shift:

@@ -6,12 +6,21 @@ coupled solver ensemble along a decreasing nu schedule, and compares smeared
 moment observables across variants.  Coupling means every (variant, nu) cell
 consumes the same white-noise substreams per sample index, so cross-cell
 gaps are paired differences with strongly reduced variance.
+
+Where a cell's drive is linear in the white noise W (mollified white noise,
+on the direct path or with a stationary shift of order i_rhd = 0), the
+cells share W itself: per sample index, W is drawn and transformed once per
+master seed (noise.white_spectrum), and each cell takes its solve window
+from that spectrum through its own multiplier (noise.SpectralDriver).
+Shot noise and shifts of order i_rhd >= 1 sample, shift and cut each
+cell's window on their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +28,7 @@ from .errors import ValidationFault
 from .flow import flow_expected
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, relevant_filtered
-from .noise import sample_macroscopic_noise
+from .noise import SpectralDriver, sample_macroscopic_noise, spectral_driver
 from .solver import (
     STATUS_BLEW_UP,
     SolveConfig,
@@ -27,10 +36,13 @@ from .solver import (
     build_stationary_shift,
     solve_stack,
     solve_window,
+    window_slices,
 )
 from .solver import solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
 
-# samples solved together in one stack: bounds a cell's memory at any size
+# samples per block.  A block holds every cell's solve windows at once
+# (cells x STACK_SIZE windows), so each sample's white spectrum is built
+# once for all cells, and the memory of a run stays bounded at any size
 STACK_SIZE = 32
 
 
@@ -166,33 +178,83 @@ def _cell_counterterms(plan: ExperimentPlan, label: str, model: ModelSpec, nu: f
     return ct.as_dict()
 
 
-def _run_cell(plan: ExperimentPlan, label: str, model: ModelSpec, nu: float):
-    """All per-sample observable values for one (variant, nu) cell.  The
-    samples are solved in stacks of at most STACK_SIZE; of each sample's
-    noise (or shift) only the slices inside the solve window are kept."""
+class _Cell(NamedTuple):
+    """One (variant, nu) cell: its model at nu, its counterterms and, when
+    its drive is linear in the white noise, its SpectralDriver (None: the
+    general path of sample, shift and solve_window per sample)."""
+
+    label: str
+    nu: float
+    model: ModelSpec
+    cterms: dict
+    driver: SpectralDriver | None
+
+
+def _make_cell(plan: ExperimentPlan, label: str, model: ModelSpec, nu: float) -> _Cell:
+    """The driver is built before the counterterms, so a history too short
+    for the shift faults before the flow runs."""
+    model = dataclasses.replace(model, noise=model.noise.with_nu(nu))
+    driver = None
+    if model.noise.kind == "mollified_white" and not (plan.use_shift and model.i_rhd > 0):
+        driver = spectral_driver(model.noise, plan.lattice(), plan.history, shift=plan.use_shift)
+    return _Cell(label, nu, model, _cell_counterterms(plan, label, model, nu), driver)
+
+
+def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict) -> np.ndarray:
+    """The solve window of one sample's noise (direct path) or shift.  A
+    driver reads the sample's white spectrum from `spectra`, adding it on
+    first use, so cells that share a master seed share one transform of W."""
     spec = plan.lattice()
-    noise_model = model.noise.with_nu(nu)
-    model = dataclasses.replace(model, noise=noise_model)
-    cterms = _cell_counterterms(plan, label, model, nu)
+    if cell.driver is None:
+        drive = sample_macroscopic_noise(cell.model.noise, spec, sample, history=plan.history)
+        if plan.use_shift:
+            drive = build_stationary_shift(cell.model, cell.cterms, drive)
+        return solve_window(drive, spec, plan.solve)
+    key = cell.driver.key
+    if key not in spectra:
+        spectra[key] = cell.driver.spectrum(sample)
+    return cell.driver.window(spectra[key], window_slices(cell.driver.spec, spec, plan.solve))
+
+
+def _run_cell(plan: ExperimentPlan, cell: _Cell, stack: np.ndarray) -> tuple:
+    """Observable values and blow-up count of one cell's block of samples,
+    solved as one stack from their drive windows."""
+    spec = plan.lattice()
     psi = _smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    values = {o.name: np.full(plan.samples, np.nan) for o in plan.observables}
-    blowups = 0
+    kind = "shift" if plan.use_shift else "noise"
+    results = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: stack})
+    values = {
+        o.name: np.array([_observable_value(o, res, psi) for res in results])
+        for o in plan.observables
+    }
+    return values, sum(res.status == STATUS_BLEW_UP for res in results)
+
+
+def _run_cells(plan: ExperimentPlan, cells: list) -> list:
+    """(values, blow-ups) per cell: the per-sample observable values and
+    the blow-up count.  Sample-major within each block of STACK_SIZE
+    samples: each sample's white spectrum is built once per master seed
+    and every cell's window is taken from it; then each cell solves its
+    block as one stack."""
+    values = [{o.name: np.full(plan.samples, np.nan) for o in plan.observables} for _ in cells]
+    blowups = [0] * len(cells)
     for first in range(0, plan.samples, STACK_SIZE):
         block = range(first, min(first + STACK_SIZE, plan.samples))
-        windows = []
-        for s in block:
-            drive = sample_macroscopic_noise(noise_model, spec, s, history=plan.history)
-            if plan.use_shift:
-                drive = build_stationary_shift(model, cterms, drive)
-            windows.append(solve_window(drive, spec, plan.solve).copy())
-        kind = "shift" if plan.use_shift else "noise"
-        results = solve_stack(model, cterms, zero, plan.solve, **{kind: np.stack(windows)})
-        for s, res in zip(block, results):
-            blowups += res.status == STATUS_BLEW_UP
-            for o in plan.observables:
-                values[o.name][s] = _observable_value(o, res, psi)
-    return values, blowups
+        stacks = None
+        for i, sample in enumerate(block):
+            spectra = {}
+            for c, cell in enumerate(cells):
+                window = _drive_window(plan, cell, sample, spectra)
+                if stacks is None:
+                    stacks = np.empty((len(cells), len(block), *window.shape))
+                stacks[c, i] = window
+        for c, cell in enumerate(cells):
+            block_values, block_blowups = _run_cell(plan, cell, stacks[c])
+            blowups[c] += block_blowups
+            for name, v in block_values.items():
+                values[c][name][block.start : block.stop] = v
+    return list(zip(values, blowups))
 
 
 def _mean_se(values: np.ndarray) -> tuple:
@@ -213,20 +275,23 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     """
     raw = {}
     cells = {}
-    for label, model in plan.variants:
-        for nu in plan.nu_schedule:
-            values, blowups = _run_cell(plan, label, model, nu)
-            for o in plan.observables:
-                v = values[o.name]
-                ok = np.isfinite(v)
-                est, se = _mean_se(v[ok])
-                raw[(label, nu, o.name)] = v
-                cells[(label, nu, o.name)] = {
-                    "estimate": est,
-                    "se": se,
-                    "samples": int(ok.sum()),
-                    "blowups": blowups,
-                }
+    runs = [
+        _make_cell(plan, label, model, nu)
+        for label, model in plan.variants
+        for nu in plan.nu_schedule
+    ]
+    for cell, (values, blowups) in zip(runs, _run_cells(plan, runs)):
+        for o in plan.observables:
+            v = values[o.name]
+            ok = np.isfinite(v)
+            est, se = _mean_se(v[ok])
+            raw[(cell.label, cell.nu, o.name)] = v
+            cells[(cell.label, cell.nu, o.name)] = {
+                "estimate": est,
+                "se": se,
+                "samples": int(ok.sum()),
+                "blowups": blowups,
+            }
 
     gaps = {}
     labels = [lab for lab, _ in plan.variants]

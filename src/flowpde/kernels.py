@@ -33,7 +33,6 @@ from .lattice import (
     SPACE_TIME,
     Field,
     LatticeSpec,
-    causal_time_convolve,
     fft_time,
     forward_transform,
     inverse_transform,
@@ -138,6 +137,15 @@ def cutoff_heat(spec: LatticeSpec, mu: float) -> SpectralKernel:
     return SpectralKernel(spec, mult, kind=f"cutoff_heat({mu})", support_lo=min(lo, nt - 1))
 
 
+def check_fluctuation_window(spec: LatticeSpec) -> None:
+    """ValidationFault unless the window is long enough for G - G_1 to act
+    on its interior: the kernel's support [0, 2] fits in it."""
+    if spec.t_max - spec.t_min < 2.0:
+        raise ValidationFault(
+            "noise window too short for the fluctuation kernel support (needs >= 2)"
+        )
+
+
 @functools.lru_cache(maxsize=2)
 def fluctuation_kernel(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu].  Cached and
@@ -206,13 +214,18 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
     nt = spec.nt
     hi = min(kernel.support_hi, nt - 1)
     dt = spec.dt
-    # causal convolution along the time axis via zero-padded FFT; the copy
-    # gives the arithmetic below contiguous operands, as numpy may pick
-    # another loop (and other roundings) for strided ones
+    # causal convolution along the time axis via zero-padded FFT, time-last
+    # and in place; the kernel stays the left factor (a complex product is
+    # not bitwise commutative), and the copy gives the arithmetic below
+    # contiguous operands, as numpy may pick another loop (and other
+    # roundings) for strided ones
     m = 1
     while m < nt + hi + 1:
         m *= 2
-    conv = np.ascontiguousarray(causal_time_convolve(kernel.time_spectrum(hi, m), fhat))
+    buf = fft_time(fhat, m)
+    np.multiply(kernel.time_spectrum(hi, m), buf, out=buf)
+    np.fft.ifft(buf, axis=-1, out=buf)
+    conv = np.ascontiguousarray(np.moveaxis(buf[..., :nt], -1, 0))
     out = dt * conv - 0.5 * dt * kernel.mult[0] * fhat
     return inverse_transform(spec, out, SPACE_TIME)
 

@@ -182,19 +182,6 @@ def fft_time(data: np.ndarray, m: int) -> np.ndarray:
     return np.fft.fft(buf, axis=-1, out=buf)
 
 
-def causal_time_convolve(left_hat: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Causal discrete convolution along the leading (time) axis of data
-    with the sequence whose fft_time is left_hat (space... or broadcast,
-    m points; m at least the sum of both lengths less one).  Returns the
-    first nt slices as a (nt, space...) view of a time-last buffer.
-    left_hat stays the left factor: a complex product is not bitwise
-    commutative."""
-    buf = fft_time(data, left_hat.shape[-1])
-    np.multiply(left_hat, buf, out=buf)
-    np.fft.ifft(buf, axis=-1, out=buf)
-    return np.moveaxis(buf[..., : data.shape[0]], -1, 0)
-
-
 def forward_transform(f: Field) -> np.ndarray:
     """DFT over the spatial axes (no normalization factor)."""
     check_finite(f.data)

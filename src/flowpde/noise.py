@@ -12,6 +12,14 @@ once per (master_seed, sample_index) substream, so every nu and every
 mollifier family in an experiment is driven by the same realization: the
 coupling used in the nu -> 0 comparisons, and a large variance reduction.
 
+This module is the one place where W is transformed.  white_spectrum takes
+W to its white spectrum (rfft over space, zero-padded FFT along time), and a
+SpectralDriver turns that spectrum into any drive that is linear in W -- the
+noise itself, or its stationary shift (G - G_1) * Xi -- by one multiplier
+and the inverse transforms of just the slices it is asked for.  A caller
+that drives several cells from one sample (harness) builds the spectrum
+once and hands it to every cell's driver.
+
 Shot noise is a homogeneous Poisson cloud with a zero-mean kernel; couplings
 across nu share the leading uniform points of the substream (a thinning).
 """
@@ -21,11 +29,13 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationFault
-from .lattice import SPACE_TIME, Field, LatticeSpec, causal_time_convolve
+from .kernels import check_fluctuation_window, fluctuation_kernel
+from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
 HAT_BLOCK = 64  # frequencies per phase-matrix block in spatial_hat
@@ -165,12 +175,15 @@ def sample_macroscopic_noise(
     history: float = 0.0,
 ) -> Field:
     """One reproducible sample of bold-Xi_nu on the (possibly extended)
-    lattice window."""
-    _check_resolution(model, spec)
-    ext = extended_window(spec, history)
+    lattice window.  Mollified white noise is the noise driver of
+    spectral_driver read over every slice."""
     if model.kind == "mollified_white":
-        return _sample_mollified_white(model, ext, sample_index)
-    return _sample_poisson_shot(model, ext, sample_index)
+        driver = spectral_driver(model, spec, history)
+        ext = driver.spec
+        data = driver.window(driver.spectrum(sample_index), slice(0, ext.nt))
+        return Field(ext, data, SPACE_TIME)
+    _check_resolution(model, spec)
+    return _sample_poisson_shot(model, extended_window(spec, history), sample_index)
 
 
 def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
@@ -208,19 +221,122 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
     return mult
 
 
-def _sample_mollified_white(model: NoiseModel, spec: LatticeSpec, sample_index: int) -> Field:
-    rng = substream(model.master_seed, sample_index, "white")
-    w = white_noise_slab(spec, rng)
-    what = np.fft.fftn(w, axes=tuple(range(1, spec.d + 1)))
-    what *= _spatial_multiplier(model, spec)[None]
-    w = np.fft.ifftn(what, axes=tuple(range(1, spec.d + 1))).real
-    taps = _temporal_taps(model, spec)
-    # causal temporal convolution via zero-padded FFT along the time axis
-    n_pad = 1 << int(np.ceil(np.log2(spec.nt + len(taps))))
-    tap_hat = np.fft.fft(taps, n=n_pad)
-    out = np.ascontiguousarray(causal_time_convolve(tap_hat, w).real)
-    out *= spec.dt
-    return Field(spec, out, SPACE_TIME)
+# -- the map from white noise to a drive ----------------------------------
+
+
+def _space_axes(spec: LatticeSpec) -> tuple:
+    return tuple(range(1, spec.d + 1))
+
+
+def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int) -> np.ndarray:
+    """The white spectrum of one sample: the white noise W of the
+    (master_seed, sample_index) substream on `spec`, rfft over space, then
+    the FFT along time zero-padded to m points, time-last: shape
+    (n, ..., n // 2 + 1, m).  Every drive of the sample is this spectrum
+    times one multiplier, so W is drawn and transformed once however many
+    cells read it."""
+    w = white_noise_slab(spec, substream(master_seed, sample_index, "white"))
+    return fft_time(np.fft.rfftn(w, axes=_space_axes(spec)), m)
+
+
+class SpectralDriver(NamedTuple):
+    """A drive that is linear in the white noise W, as a spectral
+    multiplier on W's white spectrum: the drive's slices are the inverse
+    time FFT of multiplier * spectrum, then the inverse rfft over space.
+    The multiplier is space[..., None] * time, times `kernel` when there is
+    one: space on the rfft half of the frequency grid, (n, ..., n // 2 + 1);
+    time and kernel with m time frequencies, where m leaves room for every
+    slice of `spec` plus the drive's kernel, so no slice wraps.  The kernel
+    is one read-only array per lattice, shared by every driver on it."""
+
+    master_seed: int
+    spec: LatticeSpec  # the sampling window W covers
+    space: np.ndarray
+    time: np.ndarray
+    kernel: np.ndarray | None = None
+
+    @property
+    def key(self) -> tuple:
+        """Drivers with one key share the spectrum() of each sample."""
+        return (self.master_seed, self.spec, self.time.size, self.kernel is not None)
+
+    def spectrum(self, sample_index: int) -> np.ndarray:
+        """The sample's white spectrum, times the kernel if there is one:
+        the factor of the drive that every driver with this key shares."""
+        out = white_spectrum(self.master_seed, sample_index, self.spec, self.time.size)
+        if self.kernel is not None:
+            out *= self.kernel
+        return out
+
+    def window(self, spectrum: np.ndarray, slices: slice) -> np.ndarray:
+        """The drive's time slices `slices` of the sample whose spectrum()
+        is given, as a contiguous (slices, space...) array."""
+        buf = spectrum * self.space[..., None]
+        buf *= self.time
+        np.fft.ifft(buf, axis=-1, out=buf)
+        picked = np.ascontiguousarray(np.moveaxis(buf[..., slices], -1, 0))
+        return np.fft.irfftn(picked, s=self.spec.space_shape(), axes=_space_axes(self.spec))
+
+
+def spectral_driver(
+    model: NoiseModel, spec: LatticeSpec, history: float = 0.0, shift: bool = False
+) -> SpectralDriver:
+    """The driver of bold-Xi_nu on `spec` extended backward by `history`,
+    or with `shift` of the stationary shift (G - G_1) * bold-Xi_nu, which is
+    the whole shift at stationary order i_rhd = 0.
+
+    The noise multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
+    mollifier and the causal temporal taps.  The shift multiplier is that
+    times the kernel dt (K_hat(k, omega) - K_0(k) / 2) with K = G - G_1,
+    which is kernels.convolve's trapezoid rule (half weight at the t = 0
+    tap) as a multiplier.  Both take W to be zero before the window start,
+    as kernels.convolve does."""
+    if model.kind != "mollified_white":
+        raise ValidationFault(f"no spectral driver for {model.kind} noise")
+    _check_resolution(model, spec)
+    ext = extended_window(spec, history)
+    taps = _temporal_taps(model, ext)
+    size = ext.nt + len(taps)
+    if shift:
+        check_fluctuation_window(ext)
+        size += _fluctuation_hi(ext)
+    m = 1 << int(np.ceil(np.log2(size)))
+    space = _rfft_layout(_spatial_multiplier(model, ext))
+    kernel = _fluctuation_symbol(ext, m) if shift else None
+    return SpectralDriver(model.master_seed, ext, space, ext.dt * np.fft.fft(taps, n=m), kernel)
+
+
+def _rfft_layout(mult: np.ndarray) -> np.ndarray:
+    """A spatial multiplier M on the rfft half of the frequency grid, as
+    the real part of a full complex transform applies it.  Off the last
+    axis' zero and Nyquist columns that is the Hermitian part
+    (M(k) + conj M(-k)) / 2, which differs from M only where a Nyquist
+    index of a leading axis is its own mirror (so never in d = 1).  On
+    those two columns M is kept: irfft takes their Hermitian part itself."""
+    axes = tuple(range(mult.ndim))
+    half = mult.shape[-1] // 2 + 1
+    out = mult[..., :half].copy()
+    if mult.ndim > 1:
+        mirror = np.roll(np.flip(mult, axes), 1, axes).conj()  # conj M(-k)
+        out[..., 1 : half - 1] = 0.5 * (mult + mirror)[..., 1 : half - 1]
+    return out
+
+
+def _fluctuation_hi(spec: LatticeSpec) -> int:
+    """The last slice of K = G - G_1 inside the window, as convolve cuts it."""
+    return min(fluctuation_kernel(spec, 1.0).support_hi, spec.nt - 1)
+
+
+@functools.lru_cache(maxsize=2)
+def _fluctuation_symbol(spec: LatticeSpec, m: int) -> np.ndarray:
+    """dt (K_hat - K_0 / 2) for K = G - G_1 on the rfft layout of `spec`,
+    m time frequencies; cached and read-only (one per lattice)."""
+    half = fluctuation_kernel(spec, 1.0).mult[..., : spec.n // 2 + 1]
+    sym = fft_time(half[: _fluctuation_hi(spec) + 1], m)
+    sym -= 0.5 * half[0][..., None]
+    sym *= spec.dt
+    sym.setflags(write=False)
+    return sym
 
 
 # -- shot noise ------------------------------------------------------------

@@ -16,16 +16,23 @@ Phi_shift = (G - G_1) * f_shift is built from the pathwise hierarchy and the
 remainder starts at phi - Phi_shift(0) and solves the shifted force
 F_nu[phi + Phi_shift] - f_shift, in which the noise cancels.  solve_mild,
 solve_with_patching and solve_decomposed are its one-sample callers.
+
+The solver never transforms white noise: it reads each sample's driving
+field as its window_slices, which come either from a field (solve_window)
+or, for the harness's coupled cells, straight from the noise module's
+spectral drivers, which compute only those slices.  build_stationary_shift
+is the general shift, for every stationary order and noise kind.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS
+from .kernels import DEFAULT_EPS, check_fluctuation_window
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, fft_space, ifft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -50,8 +57,12 @@ class SolveConfig:
             raise ValidationFault(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.t_local <= 1.0):
             raise ValidationFault("local window length must lie in (0, 1]")
-        if self.blow_up_radius <= 1.0:
+        if not self.blow_up_radius > 1.0:
             raise ValidationFault("blow-up radius must exceed 1")
+        if not (math.isfinite(self.max_horizon) and self.max_horizon > 0.0):
+            raise ValidationFault(f"max_horizon must be finite and positive, got {self.max_horizon}")
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise ValidationFault(f"gamma must be finite, got {self.gamma}")
 
 
 @dataclass
@@ -90,9 +101,9 @@ def _dealias_mask(spec: LatticeSpec) -> np.ndarray:
     return mask
 
 
-def _slice_index(noise: Field, t: float) -> int:
-    j = int(round((t - noise.spec.t_min) / noise.spec.dt))
-    if j < 0 or j >= noise.spec.nt:
+def _slice_index(fs: LatticeSpec, t: float) -> int:
+    j = int(round((t - fs.t_min) / fs.dt))
+    if j < 0 or j >= fs.nt:
         raise ValidationFault(f"time {t} outside the noise window")
     return j
 
@@ -101,22 +112,25 @@ def _n_steps(spec: LatticeSpec, cfg: SolveConfig) -> int:
     return int(round(min(cfg.max_horizon, spec.t_max) / spec.dt))
 
 
-def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarray:
-    """The slices of a noise or shift field that a solve on `spec` from
-    t = 0 reads: one per step and the end slice (read by the second ETD2RK
-    stage and by the decomposed total).  The field must share the solve's
-    d, n, dt and sigma, and t = 0 must be one of its slices.  A view into
-    field.data."""
-    fs = field.spec
+def window_slices(fs: LatticeSpec, spec: LatticeSpec, cfg: SolveConfig) -> slice:
+    """The time slices of a noise or shift field on `fs` that a solve on
+    `spec` from t = 0 reads: one per step and the end slice (read by the
+    second ETD2RK stage and by the decomposed total).  The field must share
+    the solve's d, n, dt and sigma, and t = 0 must be one of its slices."""
     if (fs.d, fs.n, fs.dt) != (spec.d, spec.n, spec.dt):
         raise ValidationFault("driving field lattice does not match the solve lattice")
     if fs.sigma != spec.sigma:
         raise ValidationFault(f"driving field has sigma {fs.sigma:g}, the solve {spec.sigma:g}")
     check_whole_steps(-fs.t_min, spec.dt, "the driving field's start t_min")
     n_steps = _n_steps(spec, cfg)
-    j0 = _slice_index(field, 0.0)
-    _slice_index(field, n_steps * spec.dt)
-    return field.data[j0 : j0 + n_steps + 1]
+    j0 = _slice_index(fs, 0.0)
+    _slice_index(fs, n_steps * spec.dt)
+    return slice(j0, j0 + n_steps + 1)
+
+
+def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarray:
+    """The window_slices of a driving field: a view into field.data."""
+    return field.data[window_slices(field.spec, spec, cfg)]
 
 
 def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec) -> list:
@@ -270,11 +284,7 @@ def build_stationary_shift(model: ModelSpec, counterterms, noise: Field) -> Fiel
     truncation order i_rhd."""
     from .flow import expand_pathwise, stationary_sum
 
-    spec = noise.spec
-    if spec.t_max - spec.t_min < 2.0:
-        raise ValidationFault(
-            "noise window too short for the fluctuation kernel support (needs >= 2)"
-        )
+    check_fluctuation_window(noise.spec)
     expansion = expand_pathwise(model, counterterms, noise, model.i_rhd)
     return stationary_sum(expansion, model.lam, model.i_rhd)
 

@@ -279,3 +279,19 @@ def test_bad_config_exits_with_validation_code(tmp_path, capsys):
         assert rc == EXIT_VALIDATION, name
         assert err.startswith("validation fault:") and "Traceback" not in err, err
         assert not (tmp_path / name / "trajectory.fld").exists()
+
+
+@pytest.mark.parametrize("horizon", [-0.5, 0.0])
+def test_bad_solve_horizon_exits_with_validation_code(tmp_path, capsys, horizon):
+    """A horizon that is not positive is a config fault: exit code 1 and a
+    one-line message naming it, not a traceback from the stepping loop or
+    a fault about the lattice window."""
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["solve"] = {"max_horizon": horizon}
+    path = _write(tmp_path, json.dumps(cfg), "horizon.json")
+    rc = main(["simulate", "--model", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("validation fault: max_horizon") and "Traceback" not in err, err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "trajectory.fld").exists()

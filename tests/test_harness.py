@@ -3,17 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowpde import harness
+from flowpde import harness, noise
 from flowpde.errors import ValidationFault
 from flowpde.harness import (
     ExperimentPlan,
     Observable,
     run_universality,
 )
-from flowpde.model import preset
+from flowpde.model import preset, relevant_filtered
 from flowpde.lattice import SPACE_ONLY, Field
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
-from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_with_patching
+from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, window_slices
 
 
 def _variant(family, nu=0.2, seed=7):
@@ -117,29 +117,111 @@ def test_counterterm_override_changes_cells():
 def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius):
     """A cell solved in stacks (of two here, so five samples make three
     blocks) gives the values and blow-up count of the per-sample loop, bit
-    for bit; the radii make some samples blow up and others complete."""
+    for bit: each sample's window taken from the cell's driver on its own
+    and solved alone.  The radii make some samples blow up and others
+    complete."""
     monkeypatch.setattr(harness, "STACK_SIZE", 2)
     cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
     plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg)
     label, model = plan.variants[0]
-    nu = 0.1
-    values, blowups = harness._run_cell(plan, label, model, nu)
+    cell = harness._make_cell(plan, label, model, 0.1)
+    [(values, blowups)] = harness._run_cells(plan, [cell])
 
-    model = replace(model, noise=model.noise.with_nu(nu))
-    cterms = harness._cell_counterterms(plan, label, model, nu)
     spec = plan.lattice()
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
+    slices = window_slices(cell.driver.spec, spec, plan.solve)
+    kind = "shift" if use_shift else "noise"
     expected, expected_blowups = [], 0
     for s in range(plan.samples):
-        noise = sample_macroscopic_noise(model.noise, spec, s, history=plan.history)
-        solve = solve_decomposed if use_shift else solve_with_patching
-        res = solve(model, cterms, noise, zero, plan.solve)
+        window = cell.driver.window(cell.driver.spectrum(s), slices)
+        res = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: window[None]})[0]
         expected_blowups += res.status == STATUS_BLEW_UP
         expected.append(harness._observable_value(plan.observables[0], res, psi))
     assert 0 < expected_blowups < plan.samples
     assert blowups == expected_blowups
     np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+
+
+@pytest.mark.parametrize("seeds, spectra", [((7, 7), 2), ((7, 8), 4)], ids=["shared", "distinct"])
+def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spectra):
+    """Per sample index the white noise is transformed once per distinct
+    master seed, and every cell equals its variant's run alone: variants
+    with their own seeds never read another's noise."""
+    calls = []
+    white_spectrum = noise.white_spectrum
+
+    def counted(*args):
+        calls.append(args[:2])
+        return white_spectrum(*args)
+
+    monkeypatch.setattr(noise, "white_spectrum", counted)
+    variants = (_variant("bump", seed=seeds[0]), _variant("skew", seed=seeds[1]))
+    plan = _small_plan(variants=variants, samples=2)
+    report = run_universality(plan)
+    assert len(calls) == spectra == len(set(calls))
+    for variant in variants:
+        alone = run_universality(replace(plan, variants=(variant,)))
+        for key, cell in alone.cells.items():
+            assert report.cells[key]["estimate"] == cell["estimate"]
+            assert report.cells[key]["se"] == cell["se"]
+
+
+def _shot_variant():
+    nm = NoiseModel("poisson_shot", 1.0, 7, "bump", resolution_policy="spectral")
+    return ("shot", preset("phi4_desk", lam=0.3, noise=nm))
+
+
+def _second_order_variant():
+    label, model = _variant("bump")
+    return (label, replace(model, dim_lambda=0.1))
+
+
+@pytest.mark.parametrize(
+    "variant, nu_schedule",
+    [(_shot_variant(), (1.0, 0.5)), (_second_order_variant(), (0.2, 0.1))],
+    ids=["poisson_shot", "i_rhd-2"],
+)
+def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
+    """Shot noise and a shift of order i_rhd >= 1 keep the general path:
+    each sample's noise sampled, its shift built and its window cut on its
+    own, giving the values of solve_decomposed bit for bit."""
+    label, model = variant
+    # forced counterterms: no Wick sums for shot noise, and the flow stops
+    # short of the relevant orders i >= 3 that dim_lambda = 0.1 brings
+    forced = tuple((key, 0.0) for key in relevant_filtered(model))
+    plan = _small_plan(
+        variants=(variant,),
+        nu_schedule=nu_schedule,
+        samples=2,
+        counterterm_overrides=((label, forced),),
+    )
+    assert plan.use_shift and (model.noise.kind == "poisson_shot" or model.i_rhd == 2)
+    spec = plan.lattice()
+    psi = harness._smearing_function(spec)
+    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
+    for nu in nu_schedule:
+        cell = harness._make_cell(plan, label, model, nu)
+        assert cell.driver is None
+        [(values, _)] = harness._run_cells(plan, [cell])
+        expected = []
+        for s in range(plan.samples):
+            xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=plan.history)
+            res = solve_decomposed(cell.model, cell.cterms, xi, zero, plan.solve)
+            expected.append(harness._observable_value(plan.observables[0], res, psi))
+        np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+
+
+@pytest.mark.parametrize("use_shift", [True, False], ids=["shift", "direct"])
+def test_short_history_faults_on_the_shift_path_only(use_shift):
+    """A history too short for the support of G - G_1 is a ValidationFault
+    on the shift path; the direct path needs no history."""
+    plan = _small_plan(samples=1, history=1.0, use_shift=use_shift)
+    if use_shift:
+        with pytest.raises(ValidationFault, match="too short"):
+            run_universality(plan)
+    else:
+        assert run_universality(plan).verdict["label"] in ("universal", "distinct")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

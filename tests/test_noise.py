@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpde.errors import ValidationFault
-from flowpde.lattice import LatticeSpec
+from flowpde.flow import WickCalculator
+from flowpde.kernels import convolve, fluctuation_kernel
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec
 from flowpde.noise import (
     MollifierProfile,
     NoiseModel,
@@ -15,9 +17,11 @@ from flowpde.noise import (
     extended_window,
     sample_macroscopic_noise,
     shot_third_cumulant_oracle,
+    spectral_driver,
     substream,
     white_noise_slab,
 )
+from flowpde.solver import SolveConfig, solve_window, window_slices
 
 SPEC = LatticeSpec(1, 32, 0.01, 0.0, 0.4, 0.5)
 
@@ -185,9 +189,10 @@ def test_spatial_multiplier_is_cached_read_only_and_seed_free():
 
 
 def _axis0_mollified_white(model, spec, sample_index):
-    """Reference for the mollified white-noise sampler: the same steps with
-    the time FFTs along axis 0 of the (nt, space...) array.  The sampler
-    must match it bit for bit."""
+    """Reference for the mollified white-noise sampler: the formula it had
+    before the noise became a spectral multiplier on the white spectrum.
+    A full complex spatial transform, the mollifier multiplier, the real
+    part, then the causal temporal convolution along axis 0."""
     rng = substream(model.master_seed, sample_index, "white")
     w = white_noise_slab(spec, rng)
     what = np.fft.fftn(w, axes=tuple(range(1, spec.d + 1)))
@@ -200,6 +205,22 @@ def _axis0_mollified_white(model, spec, sample_index):
     shape = (n_pad,) + (1,) * spec.d
     out = np.fft.ifft(tap_hat.reshape(shape) * w_hat, axis=0).real[: spec.nt]
     return spec.dt * out
+
+
+# criterion 7's lattice, and a d = 2 one whose skew mollifier has complex
+# values on the Nyquist rows (where the rfft layout of m_hat matters)
+REFERENCE_CASES = [
+    (LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5), 2.0),
+    (LatticeSpec(2, 32, 0.01, 0.0, 0.25, 1.5), 2.0),
+]
+# the spectral driver reorders the same sums, so it matches its reference
+# to rounding; 1e-12 of the field's size leaves ~1000 ulps of room
+REL_TOL = 1e-12
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("family", ["bump", "skew"])
@@ -215,4 +236,57 @@ def test_time_last_noise_equals_axis0_reference(family, spec, history):
     sample = sample_macroscopic_noise(model, spec, 3, history=history)
     assert sample.data.flags.c_contiguous
     ref = _axis0_mollified_white(model, extended_window(spec, history), 3)
-    np.testing.assert_array_equal(sample.data, ref)
+    _assert_close(sample.data, ref)
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize("spec, history", REFERENCE_CASES)
+def test_driver_windows_equal_the_sample_and_convolve_path(family, spec, history):
+    """The solve windows of the noise driver and of the shift driver match
+    the reference noise and its shift (G - G_1) * Xi by kernels.convolve,
+    which is build_stationary_shift at i_rhd = 0."""
+    model = NoiseModel("mollified_white", 0.1, 5, family, resolution_policy="spectral")
+    cfg = SolveConfig(scheme="etd1", max_horizon=spec.t_max, t_local=spec.t_max)
+    ext = extended_window(spec, history)
+    xi = Field(ext, _axis0_mollified_white(model, ext, 3), SPACE_TIME)
+    shift = convolve(fluctuation_kernel(ext, 1.0), xi)
+    for drive, ref in ((False, xi), (True, shift)):
+        driver = spectral_driver(model, spec, history, shift=drive)
+        assert driver.spec == ext
+        got = driver.window(driver.spectrum(3), window_slices(ext, spec, cfg))
+        assert got.flags.c_contiguous
+        _assert_close(got, solve_window(ref, spec, cfg))
+
+
+def test_shift_driver_keeps_the_checks_of_the_sample_path():
+    spec = LatticeSpec(1, 64, 0.01, 0.0, 0.25, 0.5)
+    spectral = NoiseModel("mollified_white", 0.1, 5, "bump", resolution_policy="spectral")
+    with pytest.raises(ValidationFault, match="too short"):
+        spectral_driver(spectral, spec, 1.0, shift=True)
+    spectral_driver(spectral, spec, 1.0)  # the noise alone needs no history
+    with pytest.raises(ValidationFault, match="under-resolves"):
+        spectral_driver(NoiseModel("mollified_white", 0.01, 5, "bump"), spec, 2.0, shift=True)
+    with pytest.raises(ValidationFault, match="poisson_shot"):
+        spectral_driver(NoiseModel("poisson_shot", 0.1, 5, "bump"), spec, 2.0)
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize("nu", [0.2, 0.1, 0.05])
+def test_shift_multiplier_energy_is_the_wick_tadpole(family, nu):
+    """Parseval: the shift drive is h * W with W of cell variance
+    1 / (dt dx^d), so its stationary variance is the energy of the
+    multiplier's impulse response over n^d dt dx^d, and that is the
+    discrete Wick tadpole C(1) = < ((G - G_1) * Xi)^2 >."""
+    spec = LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5)  # criterion 7's lattice
+    model = NoiseModel("mollified_white", nu, 5, family, resolution_policy="spectral")
+    driver = spectral_driver(model, spec, 2.0, shift=True)
+    ext = driver.spec
+    multiplier = driver.space[..., None] * driver.time * driver.kernel
+    energy = np.sum(np.abs(np.fft.ifft(multiplier, axis=-1)) ** 2, axis=-1)
+    # on the rfft half every column but the zero and Nyquist one stands for
+    # a mode and its mirror
+    weights = np.full(energy.shape[-1], 2.0)
+    weights[0] = weights[-1] = 1.0
+    variance = float(np.sum(weights * energy)) / (ext.n**ext.d * ext.dt * ext.dx**ext.d)
+    tadpole = WickCalculator(spec, model).tadpole(1.0)
+    assert variance == pytest.approx(tadpole, rel=1e-12, abs=0.0)

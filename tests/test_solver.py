@@ -32,6 +32,15 @@ def test_solve_config_validation():
         SolveConfig(t_local=0.0)
     with pytest.raises(ValidationFault):
         SolveConfig(blow_up_radius=0.5)
+    nan, inf = float("nan"), float("inf")
+    for horizon in (0.0, -0.5, nan, inf):
+        with pytest.raises(ValidationFault, match="max_horizon"):
+            SolveConfig(max_horizon=horizon)
+    with pytest.raises(ValidationFault, match="radius"):
+        SolveConfig(blow_up_radius=nan)
+    for gamma in (nan, inf):
+        with pytest.raises(ValidationFault, match="gamma"):
+            SolveConfig(gamma=gamma)
 
 
 def test_linear_decay_is_exact():
@@ -133,12 +142,12 @@ def test_initial_data_must_be_slice(desk_noise):
 
 
 def test_missing_coefficient_faults_before_any_step(desk_noise):
-    """The force is compiled before the first step, so even a solve with no
-    steps in its horizon rejects missing counterterms."""
+    """The force is compiled before the first step, so even a solve whose
+    horizon is a single step rejects missing counterterms before taking it."""
     spec = LatticeSpec(1, 16, 0.01, 0.0, 1.0, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     phi0 = Field(spec, np.zeros(spec.n), SPACE_ONLY)
-    for cfg in (SolveConfig(), SolveConfig(max_horizon=0.0)):
+    for cfg in (SolveConfig(), SolveConfig(max_horizon=spec.dt)):
         with pytest.raises(ValidationFault, match="missing relevant"):
             solve_mild(model, None, None, phi0, cfg)
 
