@@ -28,6 +28,13 @@ direct Wick oracle agree up to mu-quadrature error only.  Contracting k
 pairs of a degree-m monomial into a degree m - 2k coefficient carries the
 pairing count m! / ((m - 2k)! k! 2^k).  Order i = 2 is provided for the
 cubic Z2 class through the closed sunset form (see flow_expected).
+
+Node spectra.  The time spectra of Ghat_mu and Gdot_mu depend only on the
+lattice, mu, the padded length and |k|^sigma: a KernelSpectra builds them on
+the distinct |k|^sigma, once per node and length for all cells of a
+flow_stack, and each cell multiplies in its own taps.  Each column is
+transformed alone and expanded to every mode before the sum over modes, so C
+and D are bit-identical to a per-cell, per-mode layout.
 """
 
 from __future__ import annotations
@@ -138,36 +145,74 @@ def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
 # -- discrete Wick sums ----------------------------------------------------
 
 
+class KernelSpectra:
+    """Time spectra of G - G_mu and dG_mu on one lattice, without taps, on
+    the distinct |k|^sigma (`inverse` maps each mode to its column).  The
+    heat table is built once; the last mu's spectra are kept per n_pad."""
+
+    def __init__(self, spec: LatticeSpec):
+        self.spec = spec
+        k_sigma = spec.k_norm().ravel() ** spec.sigma
+        self.k_sigma, self.inverse = np.unique(k_sigma, return_inverse=True)
+        self._t = np.zeros(0)
+        self._mu, self._memo = None, {}
+
+    def _rfft(self, mult: np.ndarray, lo: int, n_pad: int) -> np.ndarray:
+        """Time rfft of quadrature-weighted slices placed from slice lo."""
+        arr = np.zeros((lo + len(mult), mult.shape[1]))
+        arr[lo:] = self.spec.dt * mult
+        if lo == 0:
+            arr[0] *= 0.5
+        return np.fft.rfft(arr, n=n_pad, axis=0)
+
+    def at(self, mu: float, n_pad: int, dot: bool) -> list:
+        """[fluctuation spectrum] or, with `dot`, [fluctuation, dot kernel
+        from slice floor(mu / dt)] at mu, from rows j <= ceil(2 mu / dt) of
+        one heat table e^(-j dt |k|^sigma) built for max(1, mu)."""
+        if mu != self._mu:
+            self._mu, self._memo = mu, {}
+        if (n_pad, dot) not in self._memo:
+            hi = int(np.ceil(2.0 * mu / self.spec.dt))
+            if hi >= len(self._t):
+                self._t = self.spec.dt * np.arange(max(hi, int(np.ceil(2.0 / self.spec.dt))) + 1)
+                self._heat = np.exp(-np.outer(self._t, self.k_sigma))
+            t, heat = self._t[: hi + 1], self._heat[: hi + 1]
+            spectra = [self._rfft((1.0 - chi(t / mu))[:, None] * heat, 0, n_pad)]
+            if dot:
+                lo = int(np.floor(mu / self.spec.dt))
+                w = -(t[lo:] / mu**2) * chi_prime(t[lo:] / mu)
+                spectra.append(self._rfft(w[:, None] * heat[lo:], lo, n_pad))
+            self._memo[(n_pad, dot)] = spectra
+        return self._memo[(n_pad, dot)]
+
+
 class WickCalculator:
     """Exact second-moment computations for mollified white noise on the
     lattice, with the same discrete conventions as the sampler and the
     convolution operator: temporal taps of the mollifier, spatial mollifier
     multiplier, white-noise cell variance 1/(dt dx^d), and the half-weight
-    at a kernel's t = 0 tap."""
+    at a kernel's t = 0 tap.  Kernel spectra come from `kernels`, its own or
+    a flow_stack's (module docstring); the taps' rfft is built per n_pad."""
 
-    def __init__(self, spec: LatticeSpec, model: NoiseModel):
+    def __init__(self, spec: LatticeSpec, model: NoiseModel, kernels: KernelSpectra | None = None):
         if model.kind != "mollified_white":
             raise ValidationFault("Wick sums implemented for mollified_white noise")
         self.spec = spec
         self.model = model
+        self.kernels = kernels if kernels is not None else KernelSpectra(spec)
         self.mhat2 = np.abs(_spatial_multiplier(model, spec)).ravel() ** 2
         self.taps = _temporal_taps(model, spec)
         self.k_sigma = spec.k_norm().ravel() ** spec.sigma
         self.prefactor = spec.dt / (spec.dx**spec.d * spec.n**spec.d)
+        self._taps_hat = {}
 
-    def _weights(self, lo: int, length: int) -> np.ndarray:
-        w = np.full(length, self.spec.dt)
-        if lo == 0 and length > 0:
-            w[0] = 0.5 * self.spec.dt
-        return w
-
-    def _tap_smoothed(self, mult: np.ndarray, lo: int, n_pad: int) -> np.ndarray:
-        """rfft along time of (quadrature-weighted kernel slices, placed at
-        their absolute positions) convolved with the mollifier taps."""
-        w = self._weights(lo, mult.shape[0])[:, None] * mult
-        arr = np.zeros((lo + mult.shape[0],) + mult.shape[1:])
-        arr[lo:] = w
-        return np.fft.rfft(arr, n=n_pad, axis=0) * np.fft.rfft(self.taps, n=n_pad)[:, None]
+    def _smoothed(self, mu: float, dot: bool, n_pad: int | None = None) -> tuple:
+        """(spectra at mu times the taps' rfft, n_pad); n_pad defaults to fit both kernels."""
+        if n_pad is None:  # both kernels end at slice ceil(2 mu / dt)
+            n_pad = 1 << int(np.ceil(np.log2(np.ceil(2 * mu / self.spec.dt) + len(self.taps) + 2)))
+        if n_pad not in self._taps_hat:
+            self._taps_hat[n_pad] = np.fft.rfft(self.taps, n=n_pad)[:, None]
+        return [S * self._taps_hat[n_pad] for S in self.kernels.at(mu, n_pad, dot)], n_pad
 
     def _parseval(self, H1: np.ndarray, H2: np.ndarray, n_pad: int) -> float:
         """< (K1 * Xi)(x) (K2 * Xi)(x) > from the two kernels' tap-smoothed
@@ -179,32 +224,11 @@ class WickCalculator:
         if n_pad % 2 == 0:
             val -= prod[-1]
         val /= n_pad
-        return float(self.prefactor * np.sum(self.mhat2 * val))
-
-    def _heat(self, mu: float) -> tuple:
-        """Slice times t_j = j dt up to ceil(2 mu / dt), where both the
-        fluctuation and the dot kernel at mu end, and e^(-t_j |k|^sigma)."""
-        hi = int(np.ceil(2.0 * mu / self.spec.dt))
-        t = self.spec.dt * np.arange(hi + 1)
-        return t, np.exp(-np.outer(t, self.k_sigma))
-
-    def _spectra(self, mu: float, dot: bool) -> tuple:
-        """Tap-smoothed spectra of the fluctuation kernel G - G_mu and, with
-        `dot`, of the dot kernel dG_mu (supported from slice floor(mu / dt)),
-        built from one heat table; both end at the same slice, so they share
-        n_pad.  Returns (spectra, n_pad)."""
-        t, heat = self._heat(mu)
-        n_pad = 1 << int(np.ceil(np.log2(len(t) + len(self.taps) + 1)))
-        spectra = [self._tap_smoothed((1.0 - chi(t / mu))[:, None] * heat, 0, n_pad)]
-        if dot:
-            lo = int(np.floor(mu / self.spec.dt))
-            w = -(t[lo:] / mu**2) * chi_prime(t[lo:] / mu)
-            spectra.append(self._tap_smoothed(w[:, None] * heat[lo:], lo, n_pad))
-        return spectra, n_pad
+        return float(self.prefactor * np.sum(self.mhat2 * val[self.kernels.inverse]))
 
     def tadpole(self, mu: float) -> float:
         """C(mu) = < ((G - G_mu) * Xi)(x)^2 >."""
-        (H,), n_pad = self._spectra(mu, dot=False)
+        (H,), n_pad = self._smoothed(mu, dot=False)
         return self._parseval(H, H, n_pad)
 
     def tadpole_derivative_half(self, mu: float) -> float:
@@ -214,18 +238,20 @@ class WickCalculator:
     def flow_node(self, mu: float) -> tuple:
         """(C(mu), D(mu)) from one spectrum of each kernel: the values of
         tadpole and tadpole_derivative_half at a node of the flow."""
-        (H, H_dot), n_pad = self._spectra(mu, dot=True)
+        (H, H_dot), n_pad = self._smoothed(mu, dot=True)
         return self._parseval(H, H, n_pad), self._parseval(H, H_dot, n_pad)
 
     def covariance_kernel(self, n_lags: int) -> np.ndarray:
         """P(t_lag, x) = < (Ghat_1 * Xi)(0) (Ghat_1 * Xi)(t_lag, x) > for
         t_lag = 0..n_lags-1, as real-space slices (used by the sunset
         integrals)."""
-        t, heat = self._heat(1.0)
-        n_pad = 1 << int(np.ceil(np.log2(2 * (len(t) + len(self.taps) + n_lags))))
-        H = self._tap_smoothed((1.0 - chi(t))[:, None] * heat, 0, n_pad)
+        hi = int(np.ceil(2.0 / self.spec.dt))
+        n_pad = 1 << int(np.ceil(np.log2(2 * (hi + 1 + len(self.taps) + n_lags))))
+        (H,), _ = self._smoothed(1.0, False, n_pad)
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
-        out_hat = auto[:n_lags] * (self.prefactor * self.mhat2[None])
+        # np.take keeps P in C order, the order the sunset integrals sum in
+        auto = np.take(auto[:n_lags], self.kernels.inverse, axis=1)
+        out_hat = auto * (self.prefactor * self.mhat2[None])
         # back to real space per time lag
         shape = (n_lags, *self.spec.space_shape())
         field_hat = (out_hat * self.spec.n**self.spec.d).reshape(shape).astype(complex)
@@ -288,26 +314,50 @@ def flow_expected(
           m - m0 even, each contracted (m - m0)/2 times.
       (2, 1, 0): closed sunset form for the cubic-plus-linear Z2 class.
     Anything else faults: the stored-kernel truncation (m <= 2 translation
-    invariant) does not determine it.
+    invariant) does not determine it.  The one-cell caller of flow_stack.
     """
-    noise_model = (model.noise or NoiseModel("mollified_white", 1.0, 0)).with_nu(nu)
-    wick = WickCalculator(spec, noise_model)
-    anchors = scheme.as_dict()
-    relevant = relevant_filtered(model)
-    for key in anchors:
-        if key not in relevant:
-            raise ValidationFault(f"anchor for non-relevant index {key}")
-    over = [key for key in relevant if key[0] > i_max]
-    if over:
-        raise ValidationFault(
-            f"truncation order {i_max} cannot determine relevant indices {over}"
-        )
+    return flow_stack(spec, [(model, nu, scheme)], j_levels, nodes_per_octave, i_max)[0]
+
+
+def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max=2) -> list:
+    """flow_expected's (coefficients, counterterms) for each (model, nu,
+    scheme) cell on one lattice, every cell checked before any flow runs.
+    The mu-node loop is outermost and all cells share one KernelSpectra."""
+    for name, value in (("j_levels", j_levels), ("nodes_per_octave", nodes_per_octave)):
+        if value < 1:
+            raise ValidationFault(f"flow {name} must be at least 1, got {value}")
+    kernels = KernelSpectra(spec)
+    checked, wicks = [], []
+    for model, nu, scheme in cells:
+        noise_model = (model.noise or NoiseModel("mollified_white", 1.0, 0)).with_nu(nu)
+        wicks.append(WickCalculator(spec, noise_model, kernels))
+        anchors = scheme.as_dict()
+        relevant = relevant_filtered(model)
+        for key in anchors:
+            if key not in relevant:
+                raise ValidationFault(f"anchor for non-relevant index {key}")
+        over = [key for key in relevant if key[0] > i_max]
+        if over:
+            raise ValidationFault(
+                f"truncation order {i_max} cannot determine relevant indices {over}"
+            )
+        checked.append((model, nu, anchors, relevant))
 
     nodes, weights = _octave_nodes(j_levels, nodes_per_octave)
-    mu_min = 2.0**-j_levels
-    C_nodes, D_nodes = np.array([wick.flow_node(mu) for mu in nodes]).T
-    C_min = wick.tadpole(mu_min)
-    C_one = wick.tadpole(1.0)
+    quadrature = (nodes, weights, j_levels, nodes_per_octave)
+    C_D = [[wick.flow_node(mu) for wick in wicks] for mu in nodes]
+    ends = [[wick.tadpole(mu) for wick in wicks] for mu in (2.0**-j_levels, 1.0)]
+    return [
+        _flow_counterterms(spec, *cell, wick, quadrature, np.array(c_d).T, C_min, C_one)
+        for cell, wick, c_d, C_min, C_one in zip(checked, wicks, zip(*C_D), *ends)
+    ]
+
+
+def _flow_counterterms(spec, model, nu, anchors, relevant, wick, quadrature, C_D, C_min, C_one):
+    """One cell's curves and counterterms from C, D at the nodes (rows of
+    C_D), C(mu_min) and C(1)."""
+    nodes, weights, j_levels, nodes_per_octave = quadrature
+    C_nodes, D_nodes = C_D
 
     # bare (mu = 0) values of the declared monomials
     def bare(i, m):
@@ -318,8 +368,7 @@ def flow_expected(
 
     entries, provenance, curves = {}, {}, {}
     arities = sorted({mo.m for mo in model.monomials if mo.i == 1 and mo.degree() == 0})
-    quad_errors = {}
-    sunset_diag = {}
+    quad_errors, sunset_diag = {}, {}
 
     for key in relevant:
         i, m, a = key
@@ -344,9 +393,7 @@ def flow_expected(
             provenance[key] = "flow_integrated"
             # quadrature error: the mu-integral telescopes exactly to C(1)^k
             # in the discrete Wick calculus, so the defect is pure quadrature
-            exact_int = sum(
-                c_m * pairing_count(mm, k) * C_one**k for mm, c_m, k in sources
-            )
+            exact_int = sum(c_m * pairing_count(mm, k) * C_one**k for mm, c_m, k in sources)
             quad_errors[key] = abs(flow_int - exact_int)
             # stored curve <f_mu> = f_nu + sum kappa c C(mu)^k
             curve = entries[key] + sum(
@@ -360,9 +407,7 @@ def flow_expected(
             provenance[key] = "oracle"
             curves[key] = (np.array([1.0]), np.array([anchors.get(key, 0.0)]))
         else:
-            raise ValidationFault(
-                f"effective flow truncation does not cover relevant index {key}"
-            )
+            raise ValidationFault(f"effective flow truncation does not cover relevant index {key}")
 
     diagnostics = {
         "tadpole_C1": C_one,

@@ -14,18 +14,24 @@ master seed (noise.white_spectrum), and each cell takes its solve window
 from that spectrum through its own multiplier (noise.SpectralDriver).
 Shot noise and shifts of order i_rhd >= 1 sample, shift and cut each
 cell's window on their own.
+
+A run builds every cell's driver first (a history too short for the shift
+faults before any flow runs), then one flow.flow_stack for the counterterms
+of all cells without counterterm_overrides, then solves block by block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationFault
-from .flow import flow_expected
+from .flow import flow_stack
+from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, relevant_filtered
 from .noise import SpectralDriver, sample_macroscopic_noise, spectral_driver
@@ -89,6 +95,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if len(self.variants) < 1:
             raise ValidationFault("plan needs at least one variant")
+        for name in ("samples", "flow_j_levels", "flow_nodes_per_octave"):
+            if getattr(self, name) < 1:
+                raise ValidationFault(f"plan.{name} must be at least 1, got {getattr(self, name)}")
         if any(b >= a for a, b in zip(self.nu_schedule, self.nu_schedule[1:])):
             raise ValidationFault("nu schedule must be strictly decreasing")
         base = self.variants[0][1]
@@ -116,10 +125,7 @@ class ExperimentReport:
     def rows(self):
         out = []
         for (label, nu, obs), cell in sorted(self.cells.items()):
-            key = None
-            for (o, n), g in self.gaps.items():
-                if o == obs and n == nu:
-                    key = g
+            key = self.gaps.get((obs, nu))
             out.append(
                 {
                     "variant": label,
@@ -161,23 +167,6 @@ def _smearing_function(spec: LatticeSpec) -> Field:
     return Field(spec, data, SPACE_ONLY)
 
 
-def _cell_counterterms(plan: ExperimentPlan, label: str, model: ModelSpec, nu: float):
-    for lab, entries in plan.counterterm_overrides:
-        if lab == label:
-            return {tuple(k): v for k, v in entries}
-    scheme = RenormScheme.for_model(model, dict(plan.scheme_values))
-    wick_spec = plan.lattice()
-    _, ct = flow_expected(
-        model,
-        wick_spec,
-        nu,
-        scheme,
-        j_levels=plan.flow_j_levels,
-        nodes_per_octave=plan.flow_nodes_per_octave,
-    )
-    return ct.as_dict()
-
-
 class _Cell(NamedTuple):
     """One (variant, nu) cell: its model at nu, its counterterms and, when
     its drive is linear in the white noise, its SpectralDriver (None: the
@@ -190,14 +179,24 @@ class _Cell(NamedTuple):
     driver: SpectralDriver | None
 
 
-def _make_cell(plan: ExperimentPlan, label: str, model: ModelSpec, nu: float) -> _Cell:
-    """The driver is built before the counterterms, so a history too short
-    for the shift faults before the flow runs."""
-    model = dataclasses.replace(model, noise=model.noise.with_nu(nu))
-    driver = None
-    if model.noise.kind == "mollified_white" and not (plan.use_shift and model.i_rhd > 0):
-        driver = spectral_driver(model.noise, plan.lattice(), plan.history, shift=plan.use_shift)
-    return _Cell(label, nu, model, _cell_counterterms(plan, label, model, nu), driver)
+def _make_cells(plan: ExperimentPlan) -> list:
+    """The plan's (variant, nu) cells, variant-major: all drivers first,
+    then one flow_stack for the cells without counterterm_overrides."""
+    pairs = reversed(plan.counterterm_overrides)  # the first override of a label wins
+    overrides = {lab: {tuple(k): v for k, v in entries} for lab, entries in pairs}
+    made = []
+    for (label, base), nu in itertools.product(plan.variants, plan.nu_schedule):
+        model = dataclasses.replace(base, noise=base.noise.with_nu(nu))
+        driver = None
+        if model.noise.kind == "mollified_white" and not (plan.use_shift and model.i_rhd > 0):
+            driver = spectral_driver(model.noise, plan.lattice(), plan.history, shift=plan.use_shift)
+        made.append(_Cell(label, nu, model, overrides.get(label), driver))
+    anchors = dict(plan.scheme_values)
+    flowed = [c for c in made if c.cterms is None]
+    cells = [(c.model, c.nu, RenormScheme.for_model(c.model, anchors)) for c in flowed]
+    results = flow_stack(plan.lattice(), cells, plan.flow_j_levels, plan.flow_nodes_per_octave)
+    cterms = iter(ct.as_dict() for _, ct in results)
+    return [c if c.cterms is not None else c._replace(cterms=next(cterms)) for c in made]
 
 
 def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict) -> np.ndarray:
@@ -275,11 +274,7 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     """
     raw = {}
     cells = {}
-    runs = [
-        _make_cell(plan, label, model, nu)
-        for label, model in plan.variants
-        for nu in plan.nu_schedule
-    ]
+    runs = _make_cells(plan)
     for cell, (values, blowups) in zip(runs, _run_cells(plan, runs)):
         for o in plan.observables:
             v = values[o.name]

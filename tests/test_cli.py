@@ -295,3 +295,56 @@ def test_bad_solve_horizon_exits_with_validation_code(tmp_path, capsys, horizon)
     assert err.startswith("validation fault: max_horizon") and "Traceback" not in err, err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out" / "trajectory.fld").exists()
+
+
+def _universality_argv(tmp_path, key, value, block=None):
+    """`flowpde universality` on the smoke plan with one value changed."""
+    plan = json.loads(Path(PLAN).read_text())
+    (plan[block] if block else plan)[key] = value
+    path = _write(tmp_path, json.dumps(plan), "plan.json")
+    return ["universality", "--plan", str(path), "--out", str(tmp_path / "out")]
+
+
+def _truncated_field_argv(tmp_path):
+    spec = LatticeSpec(1, 64, 0.05, 0.0, 0.5, 0.5)
+    fld = tmp_path / "f.fld"
+    write_fld1(fld, Field(spec, np.ones(spec.n), SPACE_ONLY))
+    fld.write_bytes(fld.read_bytes()[:-16])
+    return ["norms", "--field", str(fld), "--alpha", "-0.5", "--out", str(tmp_path / "out")]
+
+
+CLI_FAULTS = {
+    "unknown-plan-key": (lambda p: _universality_argv(p, "flow_nodes_per_octvae", 4), "flow_nodes_per_octvae"),
+    "wrongly-typed-value": (lambda p: _universality_argv(p, "n", "sixty"), "plan.n must be of type int"),
+    "samples-0": (lambda p: _universality_argv(p, "samples", 0), "plan.samples must be at least 1"),
+    "samples-negative": (lambda p: _universality_argv(p, "samples", -3), "plan.samples must be at least 1"),
+    "flow_j_levels-0": (lambda p: _universality_argv(p, "flow_j_levels", 0), "plan.flow_j_levels"),
+    "flow_j_levels-negative": (lambda p: _universality_argv(p, "flow_j_levels", -1), "plan.flow_j_levels"),
+    "flow_nodes_per_octave-0": (
+        lambda p: _universality_argv(p, "flow_nodes_per_octave", 0),
+        "plan.flow_nodes_per_octave",
+    ),
+    "flow_nodes_per_octave-negative": (
+        lambda p: _universality_argv(p, "flow_nodes_per_octave", -2),
+        "plan.flow_nodes_per_octave",
+    ),
+    "truncated-fld1": (_truncated_field_argv, ""),
+    "nan-blow_up_radius": (
+        lambda p: _universality_argv(p, "blow_up_radius", float("nan"), "solve"),
+        "blow-up radius",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(CLI_FAULTS))
+def test_every_kind_of_fault_exits_with_validation_code(tmp_path, capsys, fault):
+    """Each kind of input fault ends the CLI with exit code 1 and one
+    `validation fault:` line on stderr naming it: no traceback, no run on a
+    silently empty or defaulted plan, and no output directory."""
+    argv, names = CLI_FAULTS[fault]
+    rc = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("validation fault:") and err.count("\n") == 1, err
+    assert "Traceback" not in err and names in err, err
+    assert not (tmp_path / "out").exists()

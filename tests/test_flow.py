@@ -5,6 +5,7 @@ from dataclasses import replace
 from flowpde.errors import ValidationFault
 from flowpde.flow import (
     CoefKernel,
+    KernelSpectra,
     WickCalculator,
     apply_moment,
     effective_force_series,
@@ -37,24 +38,88 @@ def test_tadpole_monotone_in_mu(desk_spec, desk_noise):
     assert 0.0 < vals[0] < vals[1] < vals[2]
 
 
+def _reference_spectrum(wick, mult, lo, n_pad):
+    """Full-column reference: rfft along time of the quadrature-weighted
+    kernel slices (half weight at a t = 0 tap), one column per mode, placed
+    at their absolute positions and convolved with the mollifier taps."""
+    w = np.full(len(mult), wick.spec.dt)
+    if lo == 0:
+        w[0] = 0.5 * wick.spec.dt
+    arr = np.zeros((lo + len(mult), mult.shape[1]))
+    arr[lo:] = w[:, None] * mult
+    return np.fft.rfft(arr, n=n_pad, axis=0) * np.fft.rfft(wick.taps, n=n_pad)[:, None]
+
+
+def _reference_pairing(wick, H1, H2, n_pad):
+    """< (K1 * Xi) (K2 * Xi) > by Parseval over time, then the mhat2-weighted
+    sum over every mode."""
+    prod = (H1.conj() * H2).real
+    val = 2.0 * prod.sum(axis=0) - prod[0]
+    if n_pad % 2 == 0:
+        val -= prod[-1]
+    val /= n_pad
+    return float(wick.prefactor * np.sum(wick.mhat2 * val))
+
+
+def _reference_fluct(wick, mu):
+    dt = wick.spec.dt
+    t = dt * np.arange(int(np.ceil(2.0 * mu / dt)) + 1)
+    return (1.0 - chi(t / mu))[:, None] * np.exp(-np.outer(t, wick.k_sigma))
+
+
 def _reference_node(wick, mu):
-    """C(mu) and D(mu) with each kernel built on its own slices, each side
-    of each pairing transformed separately (the two-sided cross sum)."""
+    """C(mu) and D(mu) with each kernel built on its own slices and one
+    column per mode, each side of each pairing transformed separately (the
+    two-sided cross sum)."""
     dt = wick.spec.dt
     hi = int(np.ceil(2.0 * mu / dt))
     lo = int(np.floor(mu / dt))
-    t = dt * np.arange(hi + 1)
-    fluct = (1.0 - chi(t / mu))[:, None] * np.exp(-np.outer(t, wick.k_sigma))
+    fluct = _reference_fluct(wick, mu)
     t_dot = dt * np.arange(lo, hi + 1)
     dot = (-(t_dot / mu**2) * chi_prime(t_dot / mu))[:, None] * np.exp(-np.outer(t_dot, wick.k_sigma))
     n_pad = 1 << int(np.ceil(np.log2(hi + 1 + len(wick.taps) + 1)))
 
     def cross(m1, lo1, m2, lo2):
-        H1 = wick._tap_smoothed(m1, lo1, n_pad)
-        H2 = wick._tap_smoothed(m2, lo2, n_pad)
-        return wick._parseval(H1, H2, n_pad)
+        H1 = _reference_spectrum(wick, m1, lo1, n_pad)
+        H2 = _reference_spectrum(wick, m2, lo2, n_pad)
+        return _reference_pairing(wick, H1, H2, n_pad)
 
     return cross(fluct, 0, fluct, 0), cross(fluct, 0, dot, lo)
+
+
+def _reference_covariance(wick, n_lags):
+    """covariance_kernel with one column per mode."""
+    fluct = _reference_fluct(wick, 1.0)
+    n_pad = 1 << int(np.ceil(np.log2(2 * (len(fluct) + len(wick.taps) + n_lags))))
+    H = _reference_spectrum(wick, fluct, 0, n_pad)
+    auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
+    out_hat = auto[:n_lags] * (wick.prefactor * wick.mhat2[None])
+    spec = wick.spec
+    field_hat = (out_hat * spec.n**spec.d).reshape((n_lags, *spec.space_shape())).astype(complex)
+    return np.fft.ifftn(field_hat, axes=tuple(range(1, spec.d + 1))).real
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5), LatticeSpec(2, 16, 0.01, 0.0, 0.5, 0.5)],
+    ids=["criterion7-d1", "d2"],
+)
+@pytest.mark.parametrize("family", ["bump", "skew"])
+def test_distinct_k_layout_equals_full_column_reference(spec, family):
+    """The Wick sums run on the distinct values of |k|^sigma (129 of 256
+    modes on criterion 7's lattice; in d = 2 several k share one |k| off
+    the axes too) and equal the one-column-per-mode formula bit for bit."""
+    kernels = KernelSpectra(spec)
+    assert len(kernels.k_sigma) < spec.n**spec.d
+    for nu in (0.2, 0.1, 0.05):
+        wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family), kernels)
+        for mu in (2.0**-8, 0.013, 0.37, 1.0):
+            assert wick.flow_node(mu) == _reference_node(wick, mu)
+            assert wick.tadpole(mu) == _reference_node(wick, mu)[0]
+        n_lags = min(int(np.ceil(2.0 / spec.dt)) + 1, spec.nt)
+        P, P_ref = wick.covariance_kernel(n_lags), _reference_covariance(wick, n_lags)
+        # the memory order too: the sunset integrals sum over P in it
+        assert np.array_equal(P, P_ref) and P.strides == P_ref.strides
 
 
 @pytest.mark.parametrize("n, dt", [(64, 0.02), (256, 0.0025)])
@@ -144,6 +209,16 @@ def test_flow_expected_validations(desk_model, desk_spec):
             RenormScheme(values=(((7, 1, ((0,),)), 0.0),)),
             j_levels=4,
         )
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [dict(j_levels=0), dict(j_levels=-1), dict(nodes_per_octave=0), dict(nodes_per_octave=-2)],
+)
+def test_flow_expected_rejects_an_empty_quadrature(desk_model, desk_spec, levels):
+    scheme = RenormScheme.for_model(desk_model)
+    with pytest.raises(ValidationFault, match="must be at least 1"):
+        flow_expected(desk_model, desk_spec, 0.1, scheme, **levels)
 
 
 def test_flow_expected_desk_counterterm(desk_model, desk_spec):

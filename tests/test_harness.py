@@ -1,16 +1,18 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flowpde import harness, noise
+from flowpde import flow, harness, noise
 from flowpde.errors import ValidationFault
 from flowpde.harness import (
     ExperimentPlan,
     Observable,
     run_universality,
 )
-from flowpde.model import preset, relevant_filtered
+from flowpde.flow import flow_expected
+from flowpde.model import RenormScheme, preset, relevant_filtered
 from flowpde.lattice import SPACE_ONLY, Field
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, window_slices
@@ -123,8 +125,7 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     monkeypatch.setattr(harness, "STACK_SIZE", 2)
     cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
     plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg)
-    label, model = plan.variants[0]
-    cell = harness._make_cell(plan, label, model, 0.1)
+    [cell] = harness._make_cells(replace(plan, variants=plan.variants[:1], nu_schedule=(0.1,)))
     [(values, blowups)] = harness._run_cells(plan, [cell])
 
     spec = plan.lattice()
@@ -200,8 +201,7 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
     spec = plan.lattice()
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    for nu in nu_schedule:
-        cell = harness._make_cell(plan, label, model, nu)
+    for cell in harness._make_cells(plan):
         assert cell.driver is None
         [(values, _)] = harness._run_cells(plan, [cell])
         expected = []
@@ -212,14 +212,30 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
         np.testing.assert_array_equal(values[plan.observables[0].name], expected)
 
 
+def _record_flow_nodes(monkeypatch) -> list:
+    """(family, nu, mu) of every flow node that runs from here on."""
+    calls = []
+    flow_node = flow.WickCalculator.flow_node
+
+    def recorded(self, mu):
+        calls.append((self.model.family, self.model.nu, mu))
+        return flow_node(self, mu)
+
+    monkeypatch.setattr(flow.WickCalculator, "flow_node", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("use_shift", [True, False], ids=["shift", "direct"])
-def test_short_history_faults_on_the_shift_path_only(use_shift):
+def test_short_history_faults_on_the_shift_path_only(monkeypatch, use_shift):
     """A history too short for the support of G - G_1 is a ValidationFault
-    on the shift path; the direct path needs no history."""
+    on the shift path, raised before any flow node runs; the direct path
+    needs no history."""
+    calls = _record_flow_nodes(monkeypatch)
     plan = _small_plan(samples=1, history=1.0, use_shift=use_shift)
     if use_shift:
         with pytest.raises(ValidationFault, match="too short"):
             run_universality(plan)
+        assert calls == []
     else:
         assert run_universality(plan).verdict["label"] in ("universal", "distinct")
 
@@ -252,3 +268,60 @@ def test_mean_se_is_nan_without_enough_samples():
     assert mean == 2.5 and np.isnan(se)
     mean, se = harness._mean_se(np.array([1.0, 3.0]))
     assert mean == 2.0 and se == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("samples", 0), ("samples", -3), ("flow_j_levels", 0), ("flow_j_levels", -1),
+     ("flow_nodes_per_octave", 0), ("flow_nodes_per_octave", -2)],
+)
+def test_plan_rejects_sizes_below_one(key, value):
+    with pytest.raises(ValidationFault, match=f"plan.{key} must be at least 1, got {value}"):
+        _small_plan(**{key: value})
+
+
+def test_stacked_flow_equals_each_cells_own_flow(monkeypatch):
+    """The six cells of a 2 family x 3 nu plan, integrated as one flow_stack,
+    get the counterterms of each cell's own flow_expected exactly.  At each
+    node both kernel spectra are built once per distinct padded length, and
+    at some nodes the cells' lengths differ (the taps' length depends on nu)."""
+    plan = _small_plan(nu_schedule=(0.2, 0.1, 0.05))
+    built = []
+    rfft = flow.KernelSpectra._rfft
+
+    def recorded(self, mult, lo, n_pad):
+        built.append((self._mu, n_pad))
+        return rfft(self, mult, lo, n_pad)
+
+    monkeypatch.setattr(flow.KernelSpectra, "_rfft", recorded)
+    cells = harness._make_cells(plan)
+    monkeypatch.undo()
+    assert len(cells) == 6
+    nodes, _ = flow._octave_nodes(plan.flow_j_levels, plan.flow_nodes_per_octave)
+    pads = {mu: {n for m, n in built if m == mu} for mu in nodes}
+    per_node = Counter(mu for mu, _ in built)
+    assert all(per_node[mu] == 2 * len(pads[mu]) for mu in nodes)
+    assert max(len(p) for p in pads.values()) > 1
+    for cell in cells:
+        scheme = RenormScheme.for_model(cell.model, dict(plan.scheme_values))
+        _, ct = flow_expected(
+            cell.model,
+            plan.lattice(),
+            cell.nu,
+            scheme,
+            j_levels=plan.flow_j_levels,
+            nodes_per_octave=plan.flow_nodes_per_octave,
+        )
+        assert cell.cterms == ct.as_dict()
+
+
+def test_override_cells_run_no_flow(monkeypatch):
+    calls = _record_flow_nodes(monkeypatch)
+    zero = (((1, 1, ((0,),)), 0.0),)
+    plan = _small_plan(counterterm_overrides=(("bump", zero),))
+    cells = harness._make_cells(plan)
+    assert {family for family, _, _ in calls} == {"skew"}
+    assert [c.cterms for c in cells if c.label == "bump"] == [dict(zero)] * 2
+    calls.clear()
+    harness._make_cells(replace(plan, counterterm_overrides=(("bump", zero), ("skew", zero))))
+    assert calls == []
