@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -84,6 +85,16 @@ def _get(cfg: dict, key: str, kind, where: str, default=_REQUIRED):
     return kind(value)
 
 
+def _scalars(cfg: dict, where: str, cls, kinds: dict, **defaults) -> dict:
+    """The keys of `kinds`, each read by _get as its kind.  An absent key
+    takes its value in `defaults`, else the default of the dataclass `cls`,
+    and is required where neither has one."""
+    return {
+        key: _get(cfg, key, kind, where, defaults.get(key, getattr(cls, key, _REQUIRED)))
+        for key, kind in kinds.items()
+    }
+
+
 def _multi_index(cfg: dict, where: str):
     """A monomial's derivative list: 0, or a list of lists of integers."""
     a = cfg.get("a", 0)
@@ -104,26 +115,19 @@ def _entry(cfg, d: int, where: str) -> tuple:
 
 
 def noise_from_config(cfg: dict, where: str = "noise") -> NoiseModel:
-    _keys(cfg, where, ("kind", "nu", "master_seed", "family", "rate", "resolution_policy"))
-    return NoiseModel(
-        kind=_get(cfg, "kind", str, where, "mollified_white"),
-        nu=_get(cfg, "nu", float, where, 0.1),
-        master_seed=_get(cfg, "master_seed", int, where, 0),
-        family=_get(cfg, "family", str, where, "bump"),
-        rate=_get(cfg, "rate", float, where, 40.0),
-        resolution_policy=_get(cfg, "resolution_policy", str, where, "strict"),
-    )
+    kinds = {
+        "kind": str, "nu": float, "master_seed": int, "family": str, "rate": float,
+        "resolution_policy": str,
+    }
+    _keys(cfg, where, tuple(kinds))
+    defaults = dict(kind="mollified_white", nu=0.1, master_seed=0)
+    return NoiseModel(**_scalars(cfg, where, NoiseModel, kinds, **defaults))
 
 
 def _monomial(cfg, where: str) -> Monomial:
     _keys(cfg, where, ("i", "m", "a", "base", "extra_exponent"))
-    return Monomial(
-        i=_get(cfg, "i", int, where),
-        m=_get(cfg, "m", int, where),
-        a=_multi_index(cfg, where),
-        base=_get(cfg, "base", float, where, 0.0),
-        extra_exponent=_get(cfg, "extra_exponent", float, where, 0.0),
-    )
+    kinds = {"i": int, "m": int, "base": float, "extra_exponent": float}
+    return Monomial(a=_multi_index(cfg, where), **_scalars(cfg, where, Monomial, kinds))
 
 
 def model_from_config(cfg: dict, where: str = "model") -> ModelSpec:
@@ -139,28 +143,17 @@ def model_from_config(cfg: dict, where: str = "model") -> ModelSpec:
         for k, m in enumerate(_get(cfg, "monomials", list, where, []))
     )
     noise = noise_from_config(cfg["noise"], f"{where}.noise") if "noise" in cfg else None
-    return ModelSpec(
-        d=_get(cfg, "d", int, where),
-        sigma=_get(cfg, "sigma", float, where),
-        dim_lambda=_get(cfg, "dim_lambda", float, where),
-        lam=_get(cfg, "lam", float, where, 1.0),
-        monomials=monomials,
-        symmetry=_get(cfg, "symmetry", str, where, "none"),
-        noise=noise,
-    )
+    kinds = {"d": int, "sigma": float, "dim_lambda": float, "lam": float, "symmetry": str}
+    scalars = _scalars(cfg, where, ModelSpec, kinds, lam=1.0)
+    return ModelSpec(monomials=monomials, noise=noise, **scalars)
 
 
 def lattice_from_config(model: ModelSpec, cfg: dict) -> LatticeSpec:
-    where = "lattice"
-    lat = _keys(cfg.get("lattice", {}), where, ("n", "dt", "t_min", "t_max"))
-    return LatticeSpec(
-        model.d,
-        _get(lat, "n", int, where, 64),
-        _get(lat, "dt", float, where, 0.01),
-        _get(lat, "t_min", float, where, 0.0),
-        _get(lat, "t_max", float, where, 1.0),
-        model.sigma,
-    )
+    kinds = {"n": int, "dt": float, "t_min": float, "t_max": float}
+    lat = _keys(cfg.get("lattice", {}), "lattice", tuple(kinds))
+    defaults = dict(n=64, dt=0.01, t_min=0.0, t_max=1.0)
+    scalars = _scalars(lat, "lattice", LatticeSpec, kinds, **defaults)
+    return LatticeSpec(d=model.d, sigma=model.sigma, **scalars)
 
 
 def _entries(entries, d: int, where: str) -> tuple:
@@ -174,16 +167,12 @@ def scheme_from_config(model: ModelSpec, entries) -> RenormScheme:
 
 
 def solve_from_config(cfg: dict) -> SolveConfig:
-    where = "solve"
-    s = _keys(cfg.get("solve", {}), where, ("scheme", "t_local", "blow_up_radius", "max_horizon", "dealias", "gamma"))
-    return SolveConfig(
-        scheme=_get(s, "scheme", str, where, "etd_rk2"),
-        t_local=_get(s, "t_local", float, where, 0.25),
-        blow_up_radius=_get(s, "blow_up_radius", float, where, 50.0),
-        max_horizon=_get(s, "max_horizon", float, where, 1.0),
-        dealias=_get(s, "dealias", bool, where, True),
-        gamma=_get(s, "gamma", float, where, None),
-    )
+    kinds = {
+        "scheme": str, "t_local": float, "blow_up_radius": float, "max_horizon": float,
+        "dealias": bool, "gamma": float,
+    }
+    s = _keys(cfg.get("solve", {}), "solve", tuple(kinds))
+    return SolveConfig(**_scalars(s, "solve", SolveConfig, kinds))
 
 
 def _observable(cfg, where: str) -> Observable:
@@ -191,12 +180,8 @@ def _observable(cfg, where: str) -> Observable:
     lag = _get(cfg, "lag", list, where, [])
     if not all(_KINDS[int](x) for x in lag):
         raise ValidationFault(f"{where}.lag must be a list of integers, got {lag!r}")
-    return Observable(
-        kind=_get(cfg, "kind", str, where, "slice_moment"),
-        p=_get(cfg, "p", int, where, 2),
-        time=_get(cfg, "time", float, where, 0.5),
-        lag=tuple(lag),
-    )
+    kinds = {"kind": str, "p": int, "time": float}
+    return Observable(lag=tuple(lag), **_scalars(cfg, where, Observable, kinds))
 
 
 def _variant(cfg, where: str) -> tuple:
@@ -208,7 +193,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     where = "plan"
     allowed = (
         "variants", "nu_schedule", "samples", "n", "dt", "t_max", "observables", "scheme",
-        "counterterm_overrides", "solve", "history", "use_shift", "coupling", "flow_j_levels",
+        "counterterm_overrides", "solve", "history", "use_shift", "flow_j_levels",
         "flow_nodes_per_octave",
     )
     _keys(cfg, where, allowed)
@@ -230,22 +215,18 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         at = f"plan.counterterm_overrides[{k}]"
         _keys(o, at, ("label", "entries"))
         overrides.append((_get(o, "label", str, at), _entries(o.get("entries"), d, f"{at}.entries")))
+    kinds = {
+        "samples": int, "n": int, "dt": float, "t_max": float, "history": float, "use_shift": bool,
+        "flow_j_levels": int, "flow_nodes_per_octave": int,
+    }
     return ExperimentPlan(
         variants=variants,
         nu_schedule=tuple(float(x) for x in nus),
-        samples=_get(cfg, "samples", int, where),
-        n=_get(cfg, "n", int, where),
-        dt=_get(cfg, "dt", float, where),
-        t_max=_get(cfg, "t_max", float, where),
         observables=observables,
         scheme_values=_entries(cfg.get("scheme", []), d, "plan.scheme"),
         counterterm_overrides=tuple(overrides),
         solve=solve_from_config(cfg),
-        history=_get(cfg, "history", float, where, 2.0),
-        use_shift=_get(cfg, "use_shift", bool, where, True),
-        coupling=_get(cfg, "coupling", bool, where, True),
-        flow_j_levels=_get(cfg, "flow_j_levels", int, where, 8),
-        flow_nodes_per_octave=_get(cfg, "flow_nodes_per_octave", int, where, 8),
+        **_scalars(cfg, where, ExperimentPlan, kinds),
     )
 
 
@@ -320,16 +301,25 @@ def cmd_kernels(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def cmd_noise(args) -> int:
+def _noisy_model(args) -> tuple:
+    """(config, model, lattice) of the --model file, which must have a noise
+    block, with --nu and, where the command has it, --seed applied to it."""
     cfg = _load_config(args.model)
     model = model_from_config(cfg)
     if model.noise is None:
         raise ValidationFault("model config lacks a noise block")
     nm = model.noise if args.nu is None else model.noise.with_nu(args.nu)
-    spec = lattice_from_config(model, cfg)
+    if getattr(args, "seed", None) is not None:
+        nm = dataclasses.replace(nm, master_seed=args.seed)
+    model = dataclasses.replace(model, noise=nm)
+    return cfg, model, lattice_from_config(model, cfg)
+
+
+def cmd_noise(args) -> int:
+    cfg, model, spec = _noisy_model(args)
     out = _outdir(args)
     fields = [
-        sample_macroscopic_noise(nm, spec, s, history=0.0) for s in range(args.samples)
+        sample_macroscopic_noise(model.noise, spec, s, history=0.0) for s in range(args.samples)
     ]
     write_fld1(out / "sample0.fld", fields[0])
     lags = [(0,) * (1 + model.d), (0,) + (1,) + (0,) * (model.d - 1)]
@@ -351,7 +341,7 @@ def cmd_renorm(args) -> int:
     spec = lattice_from_config(model, cfg)
     scheme = scheme_from_config(model, cfg.get("scheme"))
     out = _outdir(args)
-    coeffs, ct = flow_expected(model, spec, nu, scheme, i_max=args.imax)
+    curves, ct = flow_expected(model, spec, nu, scheme, i_max=args.imax)
     payload = {
         "nu": nu,
         "entries": [
@@ -374,7 +364,7 @@ def cmd_renorm(args) -> int:
     payload["diagnostics"]["sunset"] = {k: float(v) for k, v in ct.diagnostics["sunset"].items()}
     _write_json(out / "ct.json", payload)
     rows = []
-    for k, (mus, vals) in sorted(coeffs.expected.items()):
+    for k, (mus, vals) in sorted(curves.items()):
         for mu, val in zip(mus, vals):
             rows.append([_key_str(k), repr(float(mu)), repr(float(val))])
     _write_csv(out / "flow_curves.csv", ["index", "mu", "value"], rows)
@@ -385,15 +375,10 @@ def cmd_renorm(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    cfg = _load_config(args.model)
-    model = model_from_config(cfg)
-    if model.noise is None:
-        raise ValidationFault("model config lacks a noise block")
-    nm = model.noise if args.nu is None else model.noise.with_nu(args.nu)
-    spec = lattice_from_config(model, cfg)
+    cfg, model, spec = _noisy_model(args)
     scheme = scheme_from_config(model, cfg.get("scheme"))
-    _, ct = flow_expected(model, spec, nm.nu, scheme)
-    noise = sample_macroscopic_noise(nm, spec, args.sample, history=2.0)
+    _, ct = flow_expected(model, spec, model.noise.nu, scheme)
+    noise = sample_macroscopic_noise(model.noise, spec, args.sample, history=2.0)
     expansion = expand_pathwise(model, ct, noise, args.order)
     out = _outdir(args)
     for i in range(args.order + 1):
@@ -405,21 +390,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.model)
-    model = model_from_config(cfg)
-    if model.noise is None:
-        raise ValidationFault("model config lacks a noise block")
-    nm = model.noise if args.nu is None else model.noise.with_nu(args.nu)
-    if args.seed is not None:
-        nm = NoiseModel(nm.kind, nm.nu, args.seed, nm.family, nm.rate, nm.resolution_policy)
-    import dataclasses
-
-    model = dataclasses.replace(model, noise=nm)
-    spec = lattice_from_config(model, cfg)
+    cfg, model, spec = _noisy_model(args)
     scheme = scheme_from_config(model, cfg.get("scheme"))
     solve_cfg = solve_from_config(cfg)
-    _, ct = flow_expected(model, spec, nm.nu, scheme)
-    noise = sample_macroscopic_noise(nm, spec, args.sample, history=2.0)
+    _, ct = flow_expected(model, spec, model.noise.nu, scheme)
+    noise = sample_macroscopic_noise(model.noise, spec, args.sample, history=2.0)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     if args.shift:
         res = solve_decomposed(model, ct, noise, zero, solve_cfg)

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationFault
-from .kernels import chi, chi_prime, convolve, fluctuation_kernel
-from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec
+from .kernels import convolve, dot_weight, fluctuation_kernel, fluctuation_weight
+from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec, padded_length
 from .model import ModelSpec, RenormScheme, coefficient_value, compile_force, relevant_filtered
 from .noise import NoiseModel, _spatial_multiplier, _temporal_taps
 
@@ -177,11 +177,10 @@ class KernelSpectra:
                 self._t = self.spec.dt * np.arange(max(hi, int(np.ceil(2.0 / self.spec.dt))) + 1)
                 self._heat = np.exp(-np.outer(self._t, self.k_sigma))
             t, heat = self._t[: hi + 1], self._heat[: hi + 1]
-            spectra = [self._rfft((1.0 - chi(t / mu))[:, None] * heat, 0, n_pad)]
+            spectra = [self._rfft(fluctuation_weight(t, mu)[:, None] * heat, 0, n_pad)]
             if dot:
                 lo = int(np.floor(mu / self.spec.dt))
-                w = -(t[lo:] / mu**2) * chi_prime(t[lo:] / mu)
-                spectra.append(self._rfft(w[:, None] * heat[lo:], lo, n_pad))
+                spectra.append(self._rfft(dot_weight(t[lo:], mu)[:, None] * heat[lo:], lo, n_pad))
             self._memo[(n_pad, dot)] = spectra
         return self._memo[(n_pad, dot)]
 
@@ -209,7 +208,7 @@ class WickCalculator:
     def _smoothed(self, mu: float, dot: bool, n_pad: int | None = None) -> tuple:
         """(spectra at mu times the taps' rfft, n_pad); n_pad defaults to fit both kernels."""
         if n_pad is None:  # both kernels end at slice ceil(2 mu / dt)
-            n_pad = 1 << int(np.ceil(np.log2(np.ceil(2 * mu / self.spec.dt) + len(self.taps) + 2)))
+            n_pad = padded_length(np.ceil(2 * mu / self.spec.dt) + len(self.taps) + 2)
         if n_pad not in self._taps_hat:
             self._taps_hat[n_pad] = np.fft.rfft(self.taps, n=n_pad)[:, None]
         return [S * self._taps_hat[n_pad] for S in self.kernels.at(mu, n_pad, dot)], n_pad
@@ -246,7 +245,7 @@ class WickCalculator:
         t_lag = 0..n_lags-1, as real-space slices (used by the sunset
         integrals)."""
         hi = int(np.ceil(2.0 / self.spec.dt))
-        n_pad = 1 << int(np.ceil(np.log2(2 * (hi + 1 + len(self.taps) + n_lags))))
+        n_pad = padded_length(2 * (hi + 1 + len(self.taps) + n_lags))
         (H,), _ = self._smoothed(1.0, False, n_pad)
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
         # np.take keeps P in C order, the order the sunset integrals sum in
@@ -265,11 +264,6 @@ def pairing_count(m: int, k: int) -> int:
 
 
 # -- expectation flow and renormalization ---------------------------------
-
-
-@dataclass
-class EffectiveCoefficients:
-    expected: dict = field(default_factory=dict)  # (i,m,a) -> (mu_nodes, values)
 
 
 @dataclass
@@ -320,7 +314,7 @@ def flow_expected(
 
 
 def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max=2) -> list:
-    """flow_expected's (coefficients, counterterms) for each (model, nu,
+    """flow_expected's (curves, counterterms) for each (model, nu,
     scheme) cell on one lattice, every cell checked before any flow runs.
     The mu-node loop is outermost and all cells share one KernelSpectra."""
     for name, value in (("j_levels", j_levels), ("nodes_per_octave", nodes_per_octave)):
@@ -417,9 +411,8 @@ def _flow_counterterms(spec, model, nu, anchors, relevant, wick, quadrature, C_D
         "nodes_per_octave": nodes_per_octave,
         "quad_error": quad_errors,
     }
-    coeffs = EffectiveCoefficients(expected=curves)
     result = CounterTermResult(nu=nu, entries=entries, provenance=provenance, diagnostics=diagnostics)
-    return coeffs, result
+    return curves, result
 
 
 def _sunset_counterterm(model, spec, nu, anchors, wick, key):
@@ -456,13 +449,9 @@ def _sunset_counterterm(model, spec, nu, anchors, wick, key):
 
     n_lags = min(int(np.ceil(2.0 / spec.dt)) + 1, spec.nt)
     P = wick.covariance_kernel(n_lags)
-    t = spec.dt * np.arange(n_lags)
-    w_np = 1.0 - chi(t)
-    ghat_hat = w_np[:, None] * np.exp(-np.outer(t, wick.k_sigma))
-    shape = (n_lags, *spec.space_shape())
-    ghat = np.fft.ifftn(
-        ghat_hat.reshape(shape).astype(complex) * 1.0, axes=tuple(range(1, spec.d + 1))
-    ).real * (1.0 / spec.dx**spec.d)
+    ghat_hat = fluctuation_kernel(spec, 1.0).mult[:n_lags]
+    axes = tuple(range(1, spec.d + 1))
+    ghat = np.fft.ifftn(ghat_hat.astype(complex), axes=axes).real * (1.0 / spec.dx**spec.d)
     w_t = np.full(n_lags, spec.dt)
     w_t[0] *= 0.5
     vol = spec.dx**spec.d

@@ -88,7 +88,6 @@ class ExperimentPlan:
     solve: SolveConfig = field(default_factory=SolveConfig)
     history: float = 2.0
     use_shift: bool = True
-    coupling: bool = True
     flow_j_levels: int = 8
     flow_nodes_per_octave: int = 8
 
@@ -265,6 +264,12 @@ def _mean_se(values: np.ndarray) -> tuple:
     return mean, se
 
 
+def _paired(a: np.ndarray, b: np.ndarray) -> tuple:
+    """_mean_se of a - b over the samples finite in both, and their count."""
+    ok = np.isfinite(a) & np.isfinite(b)
+    return (*_mean_se(a[ok] - b[ok]), int(ok.sum()))
+
+
 def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     """Run every (variant, nu) cell, aggregate, and issue the verdict.
 
@@ -294,19 +299,16 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
         a, b = labels[0], labels[1]
         for o in plan.observables:
             for nu in plan.nu_schedule:
-                va, vb = raw[(a, nu, o.name)], raw[(b, nu, o.name)]
-                ok = np.isfinite(va) & np.isfinite(vb)
-                gap, se = _mean_se(va[ok] - vb[ok])
-                gaps[(o.name, nu)] = {"labels": (a, b), "gap": gap, "se": se, "samples": int(ok.sum())}
+                gap, se, k = _paired(raw[(a, nu, o.name)], raw[(b, nu, o.name)])
+                gaps[(o.name, nu)] = {"labels": (a, b), "gap": gap, "se": se, "samples": k}
 
     drifts = {}
     for label in labels:
         for o in plan.observables:
             seq = []
             for nu_hi, nu_lo in zip(plan.nu_schedule, plan.nu_schedule[1:]):
-                vh, vl = raw[(label, nu_hi, o.name)], raw[(label, nu_lo, o.name)]
-                ok = np.isfinite(vh) & np.isfinite(vl)
-                seq.append((nu_hi, nu_lo, *_mean_se(vl[ok] - vh[ok])))
+                drift, se, _ = _paired(raw[(label, nu_lo, o.name)], raw[(label, nu_hi, o.name)])
+                seq.append((nu_hi, nu_lo, drift, se))
             drifts[(label, o.name)] = seq
 
     verdict = {"label": "no_comparison", "universal": False}

@@ -36,6 +36,7 @@ from .lattice import (
     fft_time,
     forward_transform,
     inverse_transform,
+    padded_length,
 )
 
 DEFAULT_EPS = 0.05
@@ -84,14 +85,12 @@ class SpectralKernel:
     """Causal space-time kernel as per-slice spatial multipliers.
 
     mult[j] is the spatial multiplier at time offset j*dt, j = 0..nt-1.
-    Slices outside [support_lo, support_hi] (inclusive index range) vanish;
-    causality (zero for t < 0) is implicit in the storage.
+    Slices after support_hi vanish; causality (zero for t < 0) is implicit
+    in the storage.
     """
 
     spec: LatticeSpec
     mult: np.ndarray
-    kind: str = "custom"
-    support_lo: int = 0
     support_hi: int = -1
     _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -125,16 +124,30 @@ def heat_multiplier(spec: LatticeSpec, t) -> np.ndarray:
     return prof
 
 
-def cutoff_heat(spec: LatticeSpec, mu: float) -> SpectralKernel:
-    """G_mu = chi(t/mu) G: vanishes for t <= mu, equals G for t >= 2mu."""
+def fluctuation_weight(t, mu: float):
+    """1 - chi(t/mu): G - G_mu = fluctuation_weight(t, mu) G."""
+    return 1.0 - chi(t / mu)
+
+
+def dot_weight(t, mu: float):
+    """-(t/mu^2) chi'(t/mu): dG_mu = d/dmu G_mu = dot_weight(t, mu) G."""
+    return -(t / mu**2) * chi_prime(t / mu)
+
+
+def _scale_kernel(spec: LatticeSpec, mu: float, weight, cut: bool) -> SpectralKernel:
+    """weight(t, mu) G on the lattice's slices; with `cut` its support ends
+    at the first slice with t >= 2 mu, where weight vanishes."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
-    nt = spec.nt
-    t = spec.dt * np.arange(nt)
-    w = chi(t / mu)
-    mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
-    lo = int(np.searchsorted(t, mu, side="right"))
-    return SpectralKernel(spec, mult, kind=f"cutoff_heat({mu})", support_lo=min(lo, nt - 1))
+    t = spec.dt * np.arange(spec.nt)
+    mult = weight(t, mu)[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
+    hi = min(int(np.searchsorted(t, 2.0 * mu, side="left")), spec.nt - 1) if cut else -1
+    return SpectralKernel(spec, mult, hi)
+
+
+def cutoff_heat(spec: LatticeSpec, mu: float) -> SpectralKernel:
+    """G_mu = chi(t/mu) G: vanishes for t <= mu, equals G for t >= 2mu."""
+    return _scale_kernel(spec, mu, lambda t, mu: chi(t / mu), cut=False)
 
 
 def check_fluctuation_window(spec: LatticeSpec) -> None:
@@ -151,30 +164,14 @@ def fluctuation_kernel(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu].  Cached and
     read-only: every shift on one lattice convolves with the same kernel,
     whose time spectrum then stays on it."""
-    if mu <= 0:
-        raise ValidationFault("mu must be positive")
-    nt = spec.nt
-    t = spec.dt * np.arange(nt)
-    w = 1.0 - chi(t / mu)
-    mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
-    mult.setflags(write=False)
-    hi = int(np.searchsorted(t, 2.0 * mu, side="left"))
-    return SpectralKernel(spec, mult, kind=f"fluct({mu})", support_hi=min(hi, nt - 1))
+    kernel = _scale_kernel(spec, mu, fluctuation_weight, cut=True)
+    kernel.mult.setflags(write=False)
+    return kernel
 
 
 def dot_G(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """dG_mu = d/dmu [chi(t/mu) G] = -(t/mu^2) chi'(t/mu) G, support (mu, 2mu)."""
-    if mu <= 0:
-        raise ValidationFault("mu must be positive")
-    nt = spec.nt
-    t = spec.dt * np.arange(nt)
-    w = -(t / mu**2) * chi_prime(t / mu)
-    mult = w[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
-    lo = int(np.searchsorted(t, mu, side="right"))
-    hi = int(np.searchsorted(t, 2.0 * mu, side="left"))
-    return SpectralKernel(
-        spec, mult, kind=f"dot_G({mu})", support_lo=min(lo, nt - 1), support_hi=min(hi, nt - 1)
-    )
+    return _scale_kernel(spec, mu, dot_weight, cut=True)
 
 
 def K_multiplier(spec: LatticeSpec, mu: float, g: int = 1) -> np.ndarray:
@@ -219,9 +216,7 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
     # not bitwise commutative), and the copy gives the arithmetic below
     # contiguous operands, as numpy may pick another loop (and other
     # roundings) for strided ones
-    m = 1
-    while m < nt + hi + 1:
-        m *= 2
+    m = padded_length(nt + hi + 1)
     buf = fft_time(fhat, m)
     np.multiply(kernel.time_spectrum(hi, m), buf, out=buf)
     np.fft.ifft(buf, axis=-1, out=buf)
@@ -365,10 +360,7 @@ def dot_G_moment_norms(
         lam = spec.scale_of(mu)
         t = np.linspace(mu, 2.0 * mu, nt_local)
         dtl = t[1] - t[0]
-        w = -(t / mu**2) * chi_prime(t / mu)
-        slices_k = w[(...,) + (None,) * spec.d] * np.exp(
-            -t[(...,) + (None,) * spec.d] * ks[None] ** spec.sigma
-        )
+        slices_k = dot_weight(t, mu)[(...,) + (None,) * spec.d] * heat_multiplier(spec, t)
         # moment weight X^a = t^{a0}/a0! * prod sin(x_c)^{a_c}/a_c!
         slices_k = slices_k * t[(...,) + (None,) * spec.d] ** a0 / factorial(a0)
         weighted = apply_sin_weight(slices_k)

@@ -174,6 +174,12 @@ def ifft_space(coeffs: np.ndarray, d: int) -> np.ndarray:
     return coeffs
 
 
+def padded_length(size) -> int:
+    """The smallest power of two >= size: the length every zero-padded
+    time transform of the package uses."""
+    return 1 << (int(size) - 1).bit_length()
+
+
 def fft_time(data: np.ndarray, m: int) -> np.ndarray:
     """DFT along the leading (time) axis of data, zero-padded to m points,
     returned time-last (space..., m): a contiguous transform, in place."""

@@ -355,8 +355,8 @@ def preset(name: str, lam: float = 1.0, base: float = -1.0, noise=None) -> Model
     """Model configurations used as regression fixtures.
 
     phi4_3d: d=3, sigma=2, dim(lambda)=1 (the dynamic phi^4_3 equation);
-    frac_phi4_4d: d=4 is out of lattice range, kept for classification only;
-    phi4_desk: d=1, sigma=1/2 cubic -- the desk-scale workhorse.
+    phi4_desk: d=1, sigma=1/2 cubic -- the desk-scale workhorse;
+    linear_desk: phi4_desk's lattice without a force term.
     """
     if name == "phi4_3d":
         return ModelSpec(

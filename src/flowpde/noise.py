@@ -26,6 +26,7 @@ across nu share the leading uniform points of the substream (a thinning).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationFault
 from .kernels import check_fluctuation_window, fluctuation_kernel
-from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time
+from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
 HAT_BLOCK = 64  # frequencies per phase-matrix block in spatial_hat
@@ -132,9 +133,7 @@ class NoiseModel:
         return MollifierProfile(self.family)
 
     def with_nu(self, nu: float) -> "NoiseModel":
-        return NoiseModel(
-            self.kind, nu, self.master_seed, self.family, self.rate, self.resolution_policy
-        )
+        return dataclasses.replace(self, nu=nu)
 
 
 def _check_resolution(model: NoiseModel, spec: LatticeSpec):
@@ -300,7 +299,7 @@ def spectral_driver(
     if shift:
         check_fluctuation_window(ext)
         size += _fluctuation_hi(ext)
-    m = 1 << int(np.ceil(np.log2(size)))
+    m = padded_length(size)
     space = _rfft_layout(_spatial_multiplier(model, ext))
     kernel = _fluctuation_symbol(ext, m) if shift else None
     return SpectralDriver(model.master_seed, ext, space, ext.dt * np.fft.fft(taps, n=m), kernel)

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationFault
-from .kernels import K_multiplier, apply_K, fit_loglog_slope
+from .kernels import apply_K, fit_loglog_slope
 from .lattice import (
     SPACE_ONLY,
     Field,
     LatticeSpec,
     fft_space,
-    forward_transform,
     ifft_space,
-    inverse_transform,
 )
 
 
@@ -44,10 +42,6 @@ class ScaleNormReport:
 def smoothed_sup(f: Field, mu: float, g: int) -> float:
     """||K_mu^(*g) * f||_inf; for a space_only slice only the spatial part
     of the kernel acts."""
-    if f.domain == SPACE_ONLY:
-        mult = K_multiplier(f.spec, mu, g=g)
-        sm = inverse_transform(f.spec, mult * forward_transform(f), SPACE_ONLY)
-        return float(np.max(np.abs(sm.data)))
     return float(np.max(np.abs(apply_K(f, mu, g=g).data)))
 
 

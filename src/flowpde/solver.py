@@ -27,7 +27,7 @@ is the general shift, for every stationary order and noise kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SolveResult:
     breve_T: float
     status: str
     slice_norms: np.ndarray
-    parts: dict = field(default_factory=dict)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def solve_stack(
     force.  With `shift`, the decomposed path: the remainder starts at
     phi_init - shift[:, 0] and solves the shifted force
     F[phi + shift] - f_shift, in which the noise cancels; each result holds
-    the total remainder + shift and keeps the remainder in parts."""
+    the total remainder + shift."""
     spec = phi_init.spec
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
@@ -249,7 +248,6 @@ def solve_stack(
         for res, sh in zip(results, shift):
             rem = res.trajectory
             res.trajectory = Field(rem.spec, rem.data + sh[: rem.data.shape[0]], SPACE_TIME)
-            res.parts = {"remainder": rem}
     return results
 
 
@@ -297,10 +295,7 @@ def solve_decomposed(
     cfg: SolveConfig,
 ) -> SolveResult:
     """The decomposed path for one sample: Phi = Phi_shift + remainder, by
-    solve_stack on the solve_window of the sample's stationary shift; parts
-    hold the shift and the remainder."""
+    solve_stack on the solve_window of the sample's stationary shift."""
     shift = build_stationary_shift(model, counterterms, noise)
     window = solve_window(shift, phi_init.spec, cfg)[None]
-    res = solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]
-    res.parts["shift"] = shift
-    return res
+    return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]

@@ -232,7 +232,6 @@ def test_criterion_4_effective_force_semigroup():
     dker = SpectralKernel(
         spec,
         fluctuation_kernel(spec, mu).mult - fluctuation_kernel(spec, eta).mult,
-        kind="difference",
     )
     shifts = {k: convolve(dker, fm[k]) for k in fm}
     phi_eta = {0: Field(spec, phi.data + shifts[0].data, SPACE_TIME), 1: shifts[1], 2: shifts[2]}
@@ -335,7 +334,6 @@ def _universality_plan(samples, overrides=()):
         solve=SolveConfig(scheme="etd1", blow_up_radius=50.0, max_horizon=0.5, t_local=0.5),
         history=2.0,
         use_shift=True,
-        coupling=True,
         flow_j_levels=8,
         flow_nodes_per_octave=8,
     )

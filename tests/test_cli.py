@@ -315,6 +315,8 @@ def _truncated_field_argv(tmp_path):
 
 CLI_FAULTS = {
     "unknown-plan-key": (lambda p: _universality_argv(p, "flow_nodes_per_octvae", 4), "flow_nodes_per_octvae"),
+    # a key that no longer does anything is refused, not silently ignored
+    "removed-coupling-key": (lambda p: _universality_argv(p, "coupling", False), "['coupling']"),
     "wrongly-typed-value": (lambda p: _universality_argv(p, "n", "sixty"), "plan.n must be of type int"),
     "samples-0": (lambda p: _universality_argv(p, "samples", 0), "plan.samples must be at least 1"),
     "samples-negative": (lambda p: _universality_argv(p, "samples", -3), "plan.samples must be at least 1"),

@@ -164,7 +164,6 @@ def test_effective_force_semigroup_identity(desk_model, rng):
     dker = SpectralKernel(
         spec,
         fluctuation_kernel(spec, mu).mult - fluctuation_kernel(spec, eta).mult,
-        kind="difference",
     )
     shifts = {k: convolve(dker, fm[k]) for k in fm}
     phi_eta = {0: Field(spec, phi.data + shifts[0].data, SPACE_TIME)}
@@ -223,7 +222,7 @@ def test_flow_expected_rejects_an_empty_quadrature(desk_model, desk_spec, levels
 
 def test_flow_expected_desk_counterterm(desk_model, desk_spec):
     scheme = RenormScheme.for_model(desk_model)
-    coeffs, ct = flow_expected(
+    curves, ct = flow_expected(
         desk_model, desk_spec, 0.1, scheme, j_levels=6, nodes_per_octave=8
     )
     key = (1, 1, ((0,),))
@@ -234,8 +233,8 @@ def test_flow_expected_desk_counterterm(desk_model, desk_spec):
     # the stored tadpole anchor must agree with the direct Wick value
     wick = WickCalculator(desk_spec, desk_model.noise.with_nu(0.1))
     assert ct.diagnostics["tadpole_C1"] == pytest.approx(wick.tadpole(1.0), rel=1e-10)
-    assert key in coeffs.expected
-    mus, vals = coeffs.expected[key]
+    assert key in curves
+    mus, vals = curves[key]
     assert len(mus) == len(vals) > 0
 
 

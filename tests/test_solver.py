@@ -122,15 +122,13 @@ def test_decomposed_solution_structure(desk_noise):
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
     res = solve_decomposed(model, CT_DESK, xi, phi0, cfg)
     assert res.status == STATUS_COMPLETED
-    assert set(res.parts) == {"shift", "remainder"}
     assert np.all(np.isfinite(res.trajectory.data))
-    # the decomposition is exact: shift + remainder = total on the window
-    shift = res.parts["shift"]
-    remainder = res.parts["remainder"].data
-    nt = remainder.shape[0]
-    assert res.trajectory.data.shape[0] == nt
-    j0 = int(round((0.0 - shift.spec.t_min) / shift.spec.dt))
-    np.testing.assert_array_equal(res.trajectory.data, shift.data[j0 : j0 + nt] + remainder)
+    # solve_decomposed is solve_stack on the solve window of the sample's shift
+    window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
+    assert res.trajectory.data.shape[0] == window.shape[0]
+    [stacked] = solve_stack(model, CT_DESK, phi0, cfg, shift=window[None])
+    np.testing.assert_array_equal(res.trajectory.data, stacked.trajectory.data)
+    np.testing.assert_array_equal(res.slice_norms, stacked.slice_norms)
 
 
 def test_initial_data_must_be_slice(desk_noise):
