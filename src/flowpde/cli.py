@@ -447,10 +447,8 @@ def cmd_norms(args) -> int:
     g = args.g if args.g is not None else default_g(f.spec.sigma)
     report = scale_norm(f, args.alpha, g)
     rows = [
-        [repr(float(mu)), repr(float(raw)), repr(float(wt)), rel]
-        for mu, raw, wt, rel in zip(
-            report.mu_values, report.raw_norms, report.weighted, report.reliable
-        )
+        [repr(float(r[key])) for key in ("mu", "raw_norm", "weighted")] + [r["reliable"]]
+        for r in report.rows()
     ]
     rows.append(["sup", repr(float(report.sup)), repr(float(report.slope)), True])
     _write_csv(out / "scale_norm.csv", ["mu", "raw_norm", "weighted", "reliable"], rows)

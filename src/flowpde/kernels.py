@@ -202,13 +202,12 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
     if kernel.spec.dt != spec.dt:
         raise ValidationFault(f"kernel sampled at dt = {kernel.spec.dt:g}, field at dt = {spec.dt:g}")
     fhat = forward_transform(f)
+    nt = spec.nt
     if f.domain == SPACE_ONLY:
-        nt = spec.nt
         if kernel.n_slices() < nt:
             raise ValidationFault("insufficient time padding: kernel shorter than window")
         out = kernel.mult[:nt] * fhat[None]
         return inverse_transform(spec, out, SPACE_TIME)
-    nt = spec.nt
     hi = min(kernel.support_hi, nt - 1)
     dt = spec.dt
     # causal convolution along the time axis via zero-padded FFT, time-last

@@ -147,9 +147,6 @@ class Field:
             )
         check_finite(self.data)
 
-    def copy(self) -> "Field":
-        return Field(self.spec, self.data.copy(), self.domain)
-
 
 def check_finite(data: np.ndarray) -> None:
     bad = ~np.isfinite(data)

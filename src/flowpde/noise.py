@@ -298,7 +298,7 @@ def spectral_driver(
     size = ext.nt + len(taps)
     if shift:
         check_fluctuation_window(ext)
-        size += _fluctuation_hi(ext)
+        size += fluctuation_kernel(ext, 1.0).support_hi
     m = padded_length(size)
     space = _rfft_layout(_spatial_multiplier(model, ext))
     kernel = _fluctuation_symbol(ext, m) if shift else None
@@ -321,17 +321,13 @@ def _rfft_layout(mult: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fluctuation_hi(spec: LatticeSpec) -> int:
-    """The last slice of K = G - G_1 inside the window, as convolve cuts it."""
-    return min(fluctuation_kernel(spec, 1.0).support_hi, spec.nt - 1)
-
-
 @functools.lru_cache(maxsize=2)
 def _fluctuation_symbol(spec: LatticeSpec, m: int) -> np.ndarray:
     """dt (K_hat - K_0 / 2) for K = G - G_1 on the rfft layout of `spec`,
     m time frequencies; cached and read-only (one per lattice)."""
-    half = fluctuation_kernel(spec, 1.0).mult[..., : spec.n // 2 + 1]
-    sym = fft_time(half[: _fluctuation_hi(spec) + 1], m)
+    kernel = fluctuation_kernel(spec, 1.0)
+    half = kernel.mult[..., : spec.n // 2 + 1]
+    sym = fft_time(half[: kernel.support_hi + 1], m)
     sym -= 0.5 * half[0][..., None]
     sym *= spec.dt
     sym.setflags(write=False)
