@@ -499,7 +499,8 @@ def build_parser() -> _Parser:
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--sample", type=int, default=0)
-    s.add_argument("--shift", action="store_true", help="use the stationary-shift split")
+    shift_help = "use the stationary-shift split; norms.csv then monitors its remainder R"
+    s.add_argument("--shift", action="store_true", help=shift_help)
     s.add_argument("--out", default="out")
     s.set_defaults(func=cmd_simulate)
 

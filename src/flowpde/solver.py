@@ -11,10 +11,13 @@ solve_stack is the one solve: it compiles the force, runs the stepping loop
 for a stack of samples along a leading axis (each sample matches its own
 solve bit for bit) and owns the decomposition rule.  A sample is driven
 either directly, by its noise as the additive term of the force, or through
-the Da Prato-Debussche split Phi = Phi_shift + remainder, where
-Phi_shift = (G - G_1) * f_shift is built from the pathwise hierarchy and the
-remainder starts at phi - Phi_shift(0) and solves the shifted force
-F_nu[phi + Phi_shift] - f_shift, in which the noise cancels.  solve_mild,
+the Da Prato-Debussche split Phi = D + R.  There Phi_shift = (G - G_1) *
+f_shift is built from the pathwise hierarchy, the driver
+D = Phi_shift - e^(-t|k|^sigma) Phi_shift(0) is zero at t = 0, and the
+remainder R starts at phi and solves the shifted force F_nu[R + D] - f_shift,
+in which the noise cancels.  The linear part is exact, so Phi is the one
+of a remainder started at phi - Phi_shift(0) up to round-off, but the
+blow-up monitor, which measures R, starts at the norm of phi.  solve_mild,
 solve_with_patching and solve_decomposed are its one-sample callers.
 
 The solver never transforms white noise: it reads each sample's driving
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS, check_fluctuation_window
+from .kernels import DEFAULT_EPS, check_fluctuation_window, heat_multiplier
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, fft_space, ifft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -229,10 +232,10 @@ def solve_stack(
     (one sample, undriven, when neither is given).
 
     With `noise`, the direct path: the noise is the additive term of the
-    force.  With `shift`, the decomposed path: the remainder starts at
-    phi_init - shift[:, 0] and solves the shifted force
-    F[phi + shift] - f_shift, in which the noise cancels; each result holds
-    the total remainder + shift."""
+    force.  With `shift`, the decomposed path (module docstring): the
+    remainder R starts at phi_init and solves F[R + D] - f_shift with the
+    driver D = shift - e^(-t|k|^sigma) shift[:, 0], set to zero at t = 0;
+    each result holds the total R + D, and its slice_norms are those of R."""
     spec = phi_init.spec
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
@@ -242,7 +245,12 @@ def solve_stack(
     samples = 1 if drive is None else drive.shape[0]
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
     if shift is not None:
-        phi = phi - shift[:, 0]
+        # the free decay of shift[:, 0], on the rfft half of the modes
+        axes = tuple(range(2, spec.d + 2))
+        heat = heat_multiplier(spec, spec.dt * np.arange(shift.shape[1]))[..., : spec.n // 2 + 1]
+        free = np.fft.irfftn(heat * np.fft.rfftn(shift[:, :1], axes=axes), spec.space_shape(), axes)
+        shift = np.subtract(shift, free, out=free)
+        shift[:, 0] = 0.0
     results = _march(force, phi, noise, shift, cfg, spec)
     if shift is not None:
         for res, sh in zip(results, shift):

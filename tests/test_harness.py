@@ -18,9 +18,15 @@ from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, window_slices
 
 
-def _variant(family, nu=0.2, seed=7):
+def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
     nm = NoiseModel("mollified_white", nu, seed, family, resolution_policy="spectral")
-    return (family, preset("phi4_desk", lam=0.3, noise=nm))
+    return (family, preset("phi4_desk", lam=lam, base=base, noise=nm))
+
+
+# a cubic of the growing sign at strong coupling: its remainders peak at
+# norms 3.8-6.2 by t = 0.25 (bump, nu = 0.1, seed 7, samples 0-4), so a
+# radius in that range stops some samples mid-run and lets others complete
+UNSTABLE = dict(lam=10.0, base=1.0)
 
 
 def _small_plan(**kw):
@@ -112,19 +118,20 @@ def test_counterterm_override_changes_cells():
 
 
 @pytest.mark.parametrize(
-    "use_shift, scheme, t_local, radius",
-    [(True, "etd1", 0.25, 11.0), (False, "etd_rk2", 0.07, 9.8)],
+    "use_shift, scheme, t_local, radius, strength",
+    [(True, "etd1", 0.25, 5.0, UNSTABLE), (False, "etd_rk2", 0.07, 9.8, {})],
     ids=["shift-etd1", "direct-etd_rk2-windows"],
 )
-def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius):
+def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius, strength):
     """A cell solved in stacks (of two here, so five samples make three
     blocks) gives the values and blow-up count of the per-sample loop, bit
     for bit: each sample's window taken from the cell's driver on its own
-    and solved alone.  The radii make some samples blow up and others
-    complete."""
+    and solved alone.  The radii make some samples blow up after t = 0 and
+    others complete."""
     monkeypatch.setattr(harness, "STACK_SIZE", 2)
     cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
-    plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg)
+    variants = (_variant("bump", **strength),)
+    plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg, variants=variants)
     [cell] = harness._make_cells(replace(plan, variants=plan.variants[:1], nu_schedule=(0.1,)))
     [(values, blowups)] = harness._run_cells(plan, [cell])
 
@@ -137,6 +144,7 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     for s in range(plan.samples):
         window = cell.driver.window(cell.driver.spectrum(s), slices)
         res = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: window[None]})[0]
+        assert res.breve_T > plan.dt
         expected_blowups += res.status == STATUS_BLEW_UP
         expected.append(harness._observable_value(plan.observables[0], res, psi))
     assert 0 < expected_blowups < plan.samples
@@ -242,10 +250,12 @@ def test_short_history_faults_on_the_shift_path_only(monkeypatch, use_shift):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verdict_reports_compared_variants_and_dropped_samples():
-    plan = _small_plan(samples=3, solve=SolveConfig(scheme="etd1", max_horizon=0.25, blow_up_radius=11.0))
+    variants = (_variant("bump", **UNSTABLE), _variant("skew", **UNSTABLE))
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.25, blow_up_radius=4.55)
+    plan = _small_plan(samples=3, solve=cfg, variants=variants)
     report = run_universality(plan)
-    # one sample is finite in both variants: no standard error, and the
-    # verdict says so instead of failing silently on a NaN
+    # one sample (of peak norm 4.3) is finite in both variants: no standard
+    # error, and the verdict says so instead of failing silently on a NaN
     final = report.gaps[("moment2@t0.25", 0.1)]
     assert final["samples"] == 1 and np.isnan(final["se"]) and np.isfinite(final["gap"])
     assert report.verdict["label"] == "distinct"

@@ -114,11 +114,21 @@ def test_shift_requires_long_window(desk_noise):
         build_stationary_shift(model, CT_DESK, xi)
 
 
-def test_decomposed_solution_structure(desk_noise):
+def _free_decay(spec, slices, start):
+    """e^(-t|k|^sigma) start at t = 0, dt, ... for `slices` slices of a
+    d = 1 lattice, by full complex transforms."""
+    t = spec.dt * np.arange(slices)
+    return np.fft.ifft(np.exp(-np.outer(t, spec.k_norm() ** spec.sigma)) * np.fft.fft(start)).real
+
+
+def test_decomposed_solution_structure(desk_noise, rng):
+    """Phi = D + R with the driver D = shift - e^(-t|k|^sigma) shift(0),
+    zero at t = 0: Phi starts at phi0 exactly, and the monitor reads the
+    norms of R = Phi - D."""
     spec = LatticeSpec(1, 32, 0.005, -2.5, 1.0, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     xi = sample_macroscopic_noise(desk_noise, spec, 1)
-    phi0 = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
     res = solve_decomposed(model, CT_DESK, xi, phi0, cfg)
     assert res.status == STATUS_COMPLETED
@@ -129,6 +139,32 @@ def test_decomposed_solution_structure(desk_noise):
     [stacked] = solve_stack(model, CT_DESK, phi0, cfg, shift=window[None])
     np.testing.assert_array_equal(res.trajectory.data, stacked.trajectory.data)
     np.testing.assert_array_equal(res.slice_norms, stacked.slice_norms)
+    np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
+    remainder = res.trajectory.data - (window - _free_decay(spec, len(window), window[0]))
+    gamma = spec.sigma - DEFAULT_EPS
+    norms = [c_gamma_norm(Field(spec, r, SPACE_ONLY), gamma) for r in remainder]
+    np.testing.assert_allclose(res.slice_norms, norms, rtol=1e-12)
+
+
+def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
+    """A shift whose t = 0 slice alone is far above the blow-up radius does
+    not stop the solve: the monitor measures the remainder, which starts at
+    phi0.  Here the shift is the free decay of its t = 0 slice, so the
+    driver is zero up to round-off and the remainder stays small."""
+    spec = LatticeSpec(1, 32, 0.005, 0.0, 0.3, 0.5)
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.3, blow_up_radius=10.0)
+    phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
+    start = 30.0 * np.cos(spec.coords()[0])
+    gamma = spec.sigma - DEFAULT_EPS
+    assert c_gamma_norm(Field(spec, start, SPACE_ONLY), gamma) > 5 * cfg.blow_up_radius
+    shift = _free_decay(spec, spec.nt, start)
+    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=shift[None])
+    assert res.status == STATUS_COMPLETED
+    assert res.breve_T == pytest.approx(spec.t_max)
+    np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
+    assert res.slice_norms[0] == c_gamma_norm(phi0, gamma)
+    assert np.max(res.slice_norms) < 1.0
 
 
 def test_initial_data_must_be_slice(desk_noise):
@@ -154,7 +190,9 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
     """The per-sample solver: the force evaluated afresh by evaluate_force
     at every stage, a restart from the real slice at every seam of t_local,
     a stop at the blow-up radius.  noise / shift are the sample's
-    solve_window slices; with shift the decomposed total is returned.
+    solve_window slices; with shift the remainder starts at phi0, is driven
+    by the shift less the free decay of its t = 0 slice, and the total is
+    returned.
     The reference for the compiled force and the stacked loop."""
     spec = phi0.spec
     dt = spec.dt
@@ -174,7 +212,13 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
         f = np.fft.fft(f)
         return f * _dealias_mask(spec) if cfg.dealias else f
 
-    traj = [phi0.data if shift is None else phi0.data - shift[0]]
+    if shift is not None:
+        # the driver: the shift less the free decay of its t = 0 slice
+        t = dt * np.arange(len(shift))
+        heat = np.exp(-np.outer(t, spec.k_norm() ** spec.sigma))[:, : spec.n // 2 + 1]
+        shift = shift - np.fft.irfft(heat * np.fft.rfft(shift[0]), spec.n)
+        shift[0] = 0.0
+    traj = [phi0.data]
     norms = [c_gamma_norm(Field(spec, traj[0], SPACE_ONLY), gamma)]
     status = STATUS_COMPLETED
     for j in range(n_steps):
