@@ -15,9 +15,9 @@ the Da Prato-Debussche split Phi = D + R.  There Phi_shift = (G - G_1) *
 f_shift is built from the pathwise hierarchy, the driver
 D = Phi_shift - e^(-t|k|^sigma) Phi_shift(0) is zero at t = 0, and the
 remainder R starts at phi and solves the shifted force F_nu[R + D] - f_shift,
-in which the noise cancels.  The linear part is exact, so Phi is the one
-of a remainder started at phi - Phi_shift(0) up to round-off, but the
-blow-up monitor, which measures R, starts at the norm of phi.  solve_mild,
+in which the noise cancels.  The linear part is exact, so D + R equals
+Phi_shift plus a remainder started at phi - Phi_shift(0), up to round-off;
+the blow-up monitor measures R, which starts at phi.  solve_mild,
 solve_with_patching and solve_decomposed are its one-sample callers.
 
 The solver never transforms white noise: it reads each sample's driving
