@@ -92,8 +92,9 @@ class ExperimentPlan:
     flow_nodes_per_octave: int = 8
 
     def __post_init__(self):
-        if len(self.variants) < 1:
-            raise ValidationFault("plan needs at least one variant")
+        for name in ("variants", "observables"):
+            if not getattr(self, name):
+                raise ValidationFault(f"plan needs at least one entry in plan.{name}")
         for name in ("samples", "flow_j_levels", "flow_nodes_per_octave"):
             if getattr(self, name) < 1:
                 raise ValidationFault(f"plan.{name} must be at least 1, got {getattr(self, name)}")
@@ -105,9 +106,12 @@ class ExperimentPlan:
                 raise ValidationFault("variants must share (d, sigma, dim_lambda)")
             if relevant_filtered(m) != relevant_filtered(base):
                 raise ValidationFault("variants must share the relevant index set")
-        t_need = max(o.time for o in self.observables)
-        if t_need > self.t_max:
-            raise ValidationFault("observable time exceeds the solve horizon")
+        horizon = min(self.t_max, self.solve.max_horizon)
+        for o in self.observables:
+            if not 0.0 <= o.time <= horizon:
+                raise ValidationFault(f"observable time {o.time:g} not in the horizon [0, {horizon:g}]")
+            if len(o.lag) > base.d:
+                raise ValidationFault(f"two_point lag {list(o.lag)} has more entries than d = {base.d}")
 
     def lattice(self) -> LatticeSpec:
         base = self.variants[0][1]

@@ -274,7 +274,8 @@ def _apply_multiplier(mult: np.ndarray | None, data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompiledForce:
-    """F_nu of one (model, counterterms, nu) on one lattice, built once.
+    """N = F_nu - Xi_nu, the polynomial part of the force, of one (model,
+    counterterms, nu) on one lattice, built once.
 
     `table` maps (i, m, a) to its coefficient without lambda^i: the declared
     monomials, then the relevant_filtered keys, in that order.  `mults` maps
@@ -290,9 +291,9 @@ class CompiledForce:
         parts = (_apply_multiplier(self.mults.get(aq), u) for u, aq in zip(factors, a))
         return functools.reduce(np.multiply, parts, 1.0)
 
-    def __call__(self, phi: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-        """noise + sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi."""
-        out = np.array(noise, dtype=float, copy=True) if noise is not None else np.zeros_like(phi)
+    def __call__(self, phi: np.ndarray) -> np.ndarray:
+        """sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi."""
+        out = np.zeros_like(phi)
         for (i, m, a), coeff in self.table.items():
             if coeff == 0.0:
                 continue
@@ -333,10 +334,12 @@ def evaluate_force(
     noise: Field | None,
     nu: float,
 ) -> Field:
-    """Pointwise evaluation of F_nu[phi] on the lattice (one-shot form of
-    compile_force)."""
+    """Pointwise evaluation of F_nu[phi] = Xi_nu + N[phi] on the lattice
+    (one-shot form of compile_force, plus the noise when given)."""
     force = compile_force(spec, counterterms, nu, phi.spec)
-    out = force(phi.data, noise.data if noise is not None else None)
+    out = force(phi.data)
+    if noise is not None:
+        out += noise.data
     return Field(phi.spec, out, phi.domain)
 
 

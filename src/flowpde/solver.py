@@ -9,16 +9,15 @@ delta.
 
 solve_stack is the one solve: it compiles the force, runs the stepping loop
 for a stack of samples along a leading axis (each sample matches its own
-solve bit for bit) and owns the decomposition rule.  A sample is driven
-either directly, by its noise as the additive term of the force, or through
-the Da Prato-Debussche split Phi = D + R.  There Phi_shift = (G - G_1) *
-f_shift is built from the pathwise hierarchy, the driver
-D = Phi_shift - e^(-t|k|^sigma) Phi_shift(0) is zero at t = 0, and the
-remainder R starts at phi and solves the shifted force F_nu[R + D] - f_shift,
-in which the noise cancels.  The linear part is exact, so D + R equals
-Phi_shift plus a remainder started at phi - Phi_shift(0), up to round-off;
-the blow-up monitor measures R, which starts at phi.  solve_mild,
-solve_with_patching and solve_decomposed are its one-sample callers.
+solve bit for bit) and owns the one solve rule, the Da Prato-Debussche split
+Phi = D + R.  All of the noise sits in the driver D = S - e^(-t|k|^sigma) S(0),
+zero at t = 0: S = G * (1_[0,inf) Xi) on the direct path, by the trapezoid
+rule of kernels.convolve, and Phi_shift = (G - G_1) * f_shift from the
+pathwise hierarchy on the shift path.  The remainder R starts at phi and
+solves Q R = N[R + D], with N = F_nu - Xi_nu the polynomial part of the
+force, so the dealias mask only sees N and the blow-up monitor measures R.
+solve_mild, solve_with_patching and solve_decomposed are its one-sample
+callers.
 
 The solver never transforms white noise: it reads each sample's driving
 field as its window_slices, which come either from a field (solve_window)
@@ -94,13 +93,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 def _dealias_mask(spec: LatticeSpec) -> np.ndarray:
     """2/3-rule mask on the spatial modes."""
-    k = np.abs(spec.axis_freqs())
-    cut = spec.n / 3.0
-    mask1d = k <= cut
-    mask = mask1d
-    for _ in range(spec.d - 1):
-        mask = np.multiply.outer(mask, mask1d)
-    return mask
+    return np.all(np.abs(spec.freq_grids()) <= spec.n / 3.0, axis=0)
 
 
 def _slice_index(fs: LatticeSpec, t: float) -> int:
@@ -135,17 +128,17 @@ def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarra
     return field.data[window_slices(field.spec, spec, cfg)]
 
 
-def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec) -> list:
+def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
-    `phi` holds the initial slices; `noise` or `shift`, when given, each
-    sample's solve_window slices.  The linear part is exact per Fourier
-    mode, the force gets ETD1 / ETD2RK phi-function weights.  At the end of
-    each local window of t_local the state restarts from its real slice, as
-    a fresh solve from that slice would.  A sample whose c_gamma norm
-    reaches the blow-up radius stops there and leaves the stack; a
-    non-finite slice in the stack faults.  Returns one SolveResult per
-    sample.
+    `phi` holds the initial slices of R; `drive`, when given, each sample's
+    driver D on its solve_window slices, and the force is N[R + D].  The
+    linear part is exact per Fourier mode, the force gets ETD1 / ETD2RK
+    phi-function weights.  At the end of each local window of t_local the
+    state restarts from its real slice, as a fresh solve from that slice
+    would.  A sample whose c_gamma norm reaches the blow-up radius stops
+    there and leaves the stack; a non-finite slice in the stack faults.
+    Returns one SolveResult per sample.
     """
     dt = spec.dt
     n_steps = _n_steps(spec, cfg)
@@ -160,13 +153,7 @@ def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec) -> lis
     d = spec.d
 
     def force_hat(data: np.ndarray, j: int) -> np.ndarray:
-        if shift is not None:
-            f = force(data + shift[:, j])
-        elif noise is not None:
-            f = force(data, noise[:, j])
-        else:
-            f = force(data)
-        f = fft_space(f, d)
+        f = fft_space(force(data if drive is None else data + drive[:, j]), d)
         return f if mask is None else f * mask
 
     samples = phi.shape[0]
@@ -201,8 +188,7 @@ def _march(force, phi, noise, shift, cfg: SolveConfig, spec: LatticeSpec) -> lis
             blown[live[stop]] = True
             keep = ~stop
             live, phi_hat, data = live[keep], phi_hat[keep], data[keep]
-            noise = None if noise is None else noise[keep]
-            shift = None if shift is None else shift[keep]
+            drive = None if drive is None else drive[keep]
             if not live.size:
                 break
         if j % per_window == 0 and j < n_steps:
@@ -231,31 +217,38 @@ def solve_stack(
     driving field given as its solve_window slices along the leading axis
     (one sample, undriven, when neither is given).
 
-    With `noise`, the direct path: the noise is the additive term of the
-    force.  With `shift`, the decomposed path (module docstring): the
-    remainder R starts at phi_init and solves F[R + D] - f_shift with the
-    driver D = shift - e^(-t|k|^sigma) shift[:, 0], set to zero at t = 0;
-    each result holds the total R + D, and its slice_norms are those of R."""
+    The one rule of the module docstring, with S = G * (1_[0,inf) noise) or
+    S = shift: R starts at phi_init and solves N[R + D] with the driver
+    D = S - e^(-t|k|^sigma) S[:, 0], set to zero at t = 0; each result holds
+    the total R + D, and its slice_norms are those of R."""
     spec = phi_init.spec
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
     nu = model.noise.nu if model.noise is not None else 1.0
     force = compile_force(model, counterterms, nu, spec)
-    drive = noise if shift is None else shift
+    drive = shift if noise is None else noise
     samples = 1 if drive is None else drive.shape[0]
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
-    if shift is not None:
-        # the free decay of shift[:, 0], on the rfft half of the modes
+    if drive is not None:
+        # S and its free decay, on the rfft half of the modes
         axes = tuple(range(2, spec.d + 2))
-        heat = heat_multiplier(spec, spec.dt * np.arange(shift.shape[1]))[..., : spec.n // 2 + 1]
-        free = np.fft.irfftn(heat * np.fft.rfftn(shift[:, :1], axes=axes), spec.space_shape(), axes)
-        shift = np.subtract(shift, free, out=free)
-        shift[:, 0] = 0.0
-    results = _march(force, phi, noise, shift, cfg, spec)
-    if shift is not None:
-        for res, sh in zip(results, shift):
+        heat = heat_multiplier(spec, spec.dt * np.arange(drive.shape[1]))[..., : spec.n // 2 + 1]
+        if noise is not None:
+            # kernels.convolve's trapezoid rule: dt on every slice of [0, t], half of it at t
+            xi_hat = np.fft.rfftn(noise, axes=axes)
+            acc = xi_hat.copy()
+            for j in range(1, acc.shape[1]):
+                acc[:, j] += heat[1] * acc[:, j - 1]
+            acc -= 0.5 * xi_hat
+            drive = np.fft.irfftn(spec.dt * acc, spec.space_shape(), axes)
+        free = np.fft.irfftn(heat * np.fft.rfftn(drive[:, :1], axes=axes), spec.space_shape(), axes)
+        drive = np.subtract(drive, free, out=free)
+        drive[:, 0] = 0.0
+    results = _march(force, phi, drive, cfg, spec)
+    if drive is not None:
+        for res, dr in zip(results, drive):
             rem = res.trajectory
-            res.trajectory = Field(rem.spec, rem.data + sh[: rem.data.shape[0]], SPACE_TIME)
+            res.trajectory = Field(rem.spec, rem.data + dr[: rem.data.shape[0]], SPACE_TIME)
     return results
 
 
@@ -302,8 +295,8 @@ def solve_decomposed(
     phi_init: Field,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """The decomposed path for one sample: Phi = Phi_shift + remainder, by
-    solve_stack on the solve_window of the sample's stationary shift."""
+    """The shift path for one sample: solve_stack with S the solve_window
+    of the sample's stationary shift Phi_shift."""
     shift = build_stationary_shift(model, counterterms, noise)
     window = solve_window(shift, phi_init.spec, cfg)[None]
     return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]

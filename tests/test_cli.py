@@ -335,6 +335,15 @@ CLI_FAULTS = {
         lambda p: _universality_argv(p, "blow_up_radius", float("nan"), "solve"),
         "blow-up radius",
     ),
+    # the solve stops at max_horizon 0.1, before the observable's time 0.25
+    "observable-after-max_horizon": (
+        lambda p: _universality_argv(p, "max_horizon", 0.1, "solve"),
+        "not in the horizon [0, 0.1]",
+    ),
+    "two_point-lag-longer-than-d": (
+        lambda p: _universality_argv(p, "observables", [{"kind": "two_point", "lag": [1, 2], "time": 0.25}]),
+        "two_point lag [1, 2]",
+    ),
 }
 
 

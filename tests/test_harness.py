@@ -24,8 +24,9 @@ def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
 
 
 # a cubic of the growing sign at strong coupling: its remainders peak at
-# norms 3.8-6.2 by t = 0.25 (bump, nu = 0.1, seed 7, samples 0-4), so a
-# radius in that range stops some samples mid-run and lets others complete
+# norms 3.8-6.2 by t = 0.25 on the shift path and 3.7-11.4 on the direct
+# path (bump, nu = 0.1, seed 7, samples 0-4), so a radius of 5 stops some
+# samples mid-run and lets others complete
 UNSTABLE = dict(lam=10.0, base=1.0)
 
 
@@ -61,6 +62,11 @@ def test_plan_validation():
         _small_plan(nu_schedule=(0.1, 0.2))
     with pytest.raises(ValidationFault, match="horizon"):
         _small_plan(observables=(Observable("slice_moment", p=2, time=0.9),))
+    with pytest.raises(ValidationFault, match="plan.observables"):
+        _small_plan(observables=())
+    # a negative time would index the trajectory from its end
+    with pytest.raises(ValidationFault, match="horizon"):
+        _small_plan(observables=(Observable("slice_moment", p=2, time=-0.1),))
     bad = preset("phi4_desk", lam=0.3, noise=NoiseModel("mollified_white", 0.2, 7))
     from dataclasses import replace
 
@@ -119,7 +125,7 @@ def test_counterterm_override_changes_cells():
 
 @pytest.mark.parametrize(
     "use_shift, scheme, t_local, radius, strength",
-    [(True, "etd1", 0.25, 5.0, UNSTABLE), (False, "etd_rk2", 0.07, 9.8, {})],
+    [(True, "etd1", 0.25, 5.0, UNSTABLE), (False, "etd_rk2", 0.07, 5.0, UNSTABLE)],
     ids=["shift-etd1", "direct-etd_rk2-windows"],
 )
 def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius, strength):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from flowpde.errors import NumericalFault, ValidationFault
-from flowpde.kernels import DEFAULT_EPS
+from flowpde.kernels import DEFAULT_EPS, SpectralKernel, convolve, heat_multiplier
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
-from flowpde.model import evaluate_force, preset
+from flowpde.model import evaluate_force, preset, relevant_filtered
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
 from flowpde.solver import (
@@ -50,8 +50,6 @@ def test_linear_decay_is_exact():
     model = preset("linear_desk")
     x = spec.coords()[0]
     phi0 = Field(spec, np.cos(x), SPACE_ONLY)
-    from flowpde.model import relevant_filtered
-
     ct = {key: 0.0 for key in relevant_filtered(model)}
     res = solve_mild(model, ct, None, phi0, SolveConfig(max_horizon=1.0))
     assert res.status == STATUS_COMPLETED
@@ -167,6 +165,40 @@ def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
     assert np.max(res.slice_norms) < 1.0
 
 
+def _linear_direct(noise, spec, dealias):
+    """The direct path of linear_desk from phi0 = 0 (etd1, one window)."""
+    model = preset("linear_desk", noise=noise)
+    ct = {key: 0.0 for key in relevant_filtered(model)}
+    xi = sample_macroscopic_noise(noise, spec, 0, history=2.0)
+    cfg = SolveConfig(scheme="etd1", dealias=dealias, t_local=1.0, max_horizon=spec.t_max)
+    zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    return solve_mild(model, ct, xi, zero, cfg), solve_window(xi, spec, cfg)
+
+
+def test_direct_path_is_the_trapezoid_heat_convolution_of_the_noise(desk_noise):
+    """With no polynomial force the remainder stays at phi0 = 0, so the
+    direct path is its driver: G * (1_[0,inf) Xi) by kernels.convolve's
+    trapezoid rule, less the free decay of its t = 0 slice."""
+    spec = LatticeSpec(1, 64, 0.005, 0.0, 0.5, 0.5)
+    res, window = _linear_direct(desk_noise, spec, dealias=True)
+    assert res.status == STATUS_COMPLETED
+    heat = heat_multiplier(spec, spec.dt * np.arange(spec.nt))
+    ref = convolve(SpectralKernel(spec, heat), Field(spec, window.copy(), SPACE_TIME)).data
+    ref = ref - _free_decay(spec, spec.nt, ref[0])
+    assert np.max(np.abs(ref)) > 1.0
+    np.testing.assert_allclose(res.trajectory.data, ref, rtol=0.0, atol=1e-13)
+    assert np.all(res.slice_norms == 0.0)
+
+
+def test_dealias_mask_never_sees_the_noise(desk_noise):
+    """The 2/3 mask acts on the polynomial force only: on linear_desk,
+    which has none, dealias on and off give the same direct trajectory."""
+    spec = LatticeSpec(1, 64, 0.005, 0.0, 0.5, 0.5)
+    on, _ = _linear_direct(desk_noise, spec, dealias=True)
+    off, _ = _linear_direct(desk_noise, spec, dealias=False)
+    np.testing.assert_array_equal(on.trajectory.data, off.trajectory.data)
+
+
 def test_initial_data_must_be_slice(desk_noise):
     spec = LatticeSpec(1, 16, 0.01, 0.0, 1.0, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
@@ -190,9 +222,10 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
     """The per-sample solver: the force evaluated afresh by evaluate_force
     at every stage, a restart from the real slice at every seam of t_local,
     a stop at the blow-up radius.  noise / shift are the sample's
-    solve_window slices; with shift the remainder starts at phi0, is driven
-    by the shift less the free decay of its t = 0 slice, and the total is
-    returned.
+    solve_window slices.  S is G * (1_[0,inf) noise), stepped slice by slice
+    with trapezoid weights, or the shift itself; the remainder starts at
+    phi0, is driven by S less the free decay of its t = 0 slice, and the
+    total is returned.
     The reference for the compiled force and the stacked loop."""
     spec = phi0.spec
     dt = spec.dt
@@ -201,23 +234,29 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
     lin = -dt * spec.k_norm() ** spec.sigma
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     gamma = spec.sigma - DEFAULT_EPS
+    half = spec.n // 2 + 1
 
     def force_hat(phi_hat, j):
         phi = np.fft.ifft(phi_hat).real
-        if shift is not None:
-            phi, xi = phi + shift[j], None
-        else:
-            xi = None if noise is None else Field(spec, noise[j], SPACE_ONLY)
-        f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), xi, model.noise.nu).data
+        if drive is not None:
+            phi = phi + drive[j]
+        f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
         f = np.fft.fft(f)
         return f * _dealias_mask(spec) if cfg.dealias else f
 
-    if shift is not None:
-        # the driver: the shift less the free decay of its t = 0 slice
-        t = dt * np.arange(len(shift))
-        heat = np.exp(-np.outer(t, spec.k_norm() ** spec.sigma))[:, : spec.n // 2 + 1]
-        shift = shift - np.fft.irfft(heat * np.fft.rfft(shift[0]), spec.n)
-        shift[0] = 0.0
+    drive = shift
+    if noise is not None:
+        xi_hat = np.fft.rfft(noise)
+        acc = xi_hat.copy()
+        for j in range(1, len(acc)):
+            acc[j] += e_lin[:half] * acc[j - 1]
+        drive = np.fft.irfft(dt * (acc - 0.5 * xi_hat), spec.n)
+    if drive is not None:
+        # the driver: S less the free decay of its t = 0 slice
+        t = dt * np.arange(len(drive))
+        heat = np.exp(-np.outer(t, spec.k_norm() ** spec.sigma))[:, :half]
+        drive = drive - np.fft.irfft(heat * np.fft.rfft(drive[0]), spec.n)
+        drive[0] = 0.0
     traj = [phi0.data]
     norms = [c_gamma_norm(Field(spec, traj[0], SPACE_ONLY), gamma)]
     status = STATUS_COMPLETED
@@ -234,8 +273,8 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
             status = STATUS_BLEW_UP
             break
     traj = np.array(traj)
-    if shift is not None:
-        traj = traj + shift[: len(traj)]
+    if drive is not None:
+        traj = traj + drive[: len(traj)]
     return traj, np.array(norms), status
 
 

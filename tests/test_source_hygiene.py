@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flowpde"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # top-level names with no caller in src/, and what each one serves
 SERVES_OUTSIDE_SRC = {
@@ -91,3 +92,32 @@ def test_every_top_level_definition_is_referenced():
                 wrong.append(f"{module}: {node.name}")
     assert wrong == []
     assert set(SERVES_OUTSIDE_SRC) <= defined
+
+
+def _patch_points() -> set:
+    """(module, attribute) of every patch point in the tracer's
+    PATCH_POINTS, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PATCH_POINTS" for t in node.targets
+        ):
+            return {(owner, attr) for owner, attr, *_ in ast.literal_eval(node.value)}
+    raise AssertionError("no PATCH_POINTS list in the tracer")
+
+
+def test_every_patch_only_import_is_a_patch_point():
+    """An import kept unused under `noqa: F401` exists only for the tracer
+    to patch, so the tracer must still name it; once it stops, the import
+    is dead and this fails."""
+    points = _patch_points()
+    stale = []
+    for path in MODULES:
+        text, tree = _parse(path)
+        lines = text.splitlines()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "noqa: F401" in lines[node.lineno - 1]:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if (f"flowpde.{path.stem}", name) not in points:
+                        stale.append(f"{path.name} line {node.lineno}: {name}")
+    assert stale == []
