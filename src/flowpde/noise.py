@@ -39,7 +39,6 @@ from .kernels import check_fluctuation_window, fluctuation_kernel
 from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
-HAT_BLOCK = 64  # frequencies per phase-matrix block in spatial_hat
 
 
 def substream(master_seed: int, sample_index: int, label: str) -> np.random.Generator:
@@ -97,18 +96,31 @@ class MollifierProfile:
         norm = np.sum(self.spatial_raw(self._fine)) * self._du
         return self.spatial_raw(x) / norm
 
-    def spatial_hat(self, xi: np.ndarray) -> np.ndarray:
+    def spatial_hat(self, lam: float, n: int) -> np.ndarray:
         """Continuous Fourier transform of the normalized spatial profile at
-        frequencies xi; exact to quadrature error (profile is smooth and
-        compactly supported).  spatial_hat(0) = 1.  The phase matrix is
-        built HAT_BLOCK frequencies at a time, which bounds its memory."""
-        vals = self.spatial(self._fine)
-        flat = np.ravel(xi)
-        out = np.empty(flat.size, dtype=complex)
-        for lo in range(0, flat.size, HAT_BLOCK):
-            phase = np.exp(-1j * np.multiply.outer(flat[lo : lo + HAT_BLOCK], self._fine))
-            out[lo : lo + HAT_BLOCK] = phase @ vals * self._du
-        return out.reshape(np.shape(xi))
+        the frequencies lam * k of an n-point lattice axis, k in FFT order
+        (LatticeSpec.axis_freqs); exact to quadrature error (the profile is
+        smooth and compactly supported), and 1 at k = 0.
+
+        The quadrature sum over the fine grid u_j = j du, |j| <= J, is
+        sum_j f_j w^(k j) with w = exp(-i lam du): a chirp-z transform, as
+        k j = (k^2 + j^2 - (k - j)^2) / 2 turns it into one convolution with
+        the chirp w^(-l^2 / 2), done by FFTs of length >= n + 2J."""
+        vals = self.spatial(self._fine) * self._du
+        half_j = (vals.size - 1) // 2  # the fine grid is centered: u_j = j du
+        j = np.arange(-half_j, half_j + 1)
+        k = np.arange(-(n // 2), n - n // 2)  # ascending; reordered at the end
+        lags = np.arange(k[0] - j[-1], k[-1] - j[0] + 1)  # every k - j
+        c = 0.5 * lam * self._du
+
+        def chirp(idx):
+            return np.exp(-1j * c * (idx * idx).astype(float))
+
+        m = padded_length(lags.size)  # no wrap reaches the n outputs read
+        conv = np.fft.ifft(np.fft.fft(vals * chirp(j), m) * np.fft.fft(chirp(lags).conj(), m))
+        # sum_j over lag k - j sits at index (k - j[0]) - lags[0] = k - k[0] + 2J
+        out = chirp(k) * conv[2 * half_j : 2 * half_j + n]
+        return np.fft.ifftshift(out)
 
 
 @dataclass(frozen=True)
@@ -210,9 +222,7 @@ def _spatial_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> np.ndarray:
-    lam = nu ** (1.0 / sigma)
-    k = np.fft.fftfreq(n, d=1.0 / n)  # LatticeSpec.axis_freqs
-    hat1d = MollifierProfile(family).spatial_hat(lam * k)
+    hat1d = MollifierProfile(family).spatial_hat(nu ** (1.0 / sigma), n)
     mult = hat1d
     for _ in range(d - 1):
         mult = np.multiply.outer(mult, hat1d)

@@ -37,6 +37,26 @@ def _manifest_ok(out: Path, command: str):
     return m
 
 
+def test_kernels_command(tmp_path):
+    out = tmp_path / "kernels"
+    rc = main(["kernels", "--d", "1", "--sigma", "0.5", "--n", "32", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = _read_csv(out / "kernels.csv")
+    slopes = [f"{kind}_slope" for _ in range(3) for kind in ("raw", "dressed")]
+    assert [r["check_name"] for r in rows] == [
+        "PK_identity",
+        "heat_semigroup",
+        "dotG_support",
+        "reconstruction_error",
+        "reconstruction_halving",
+        "raw_slope",
+        *slopes,
+    ]
+    assert all(r["pass"] == "True" for r in rows)
+    m = _manifest_ok(out, "kernels")
+    assert m["config"] == {"d": 1, "sigma": 0.5, "n": 32}
+
+
 def test_noise_command(tmp_path):
     out = tmp_path / "noise"
     rc = main(["noise", "--model", MODEL, "--samples", "6", "--order", "3", "--out", str(out)])

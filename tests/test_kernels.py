@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from flowpde.errors import ValidationFault
 from flowpde.kernels import (
+    DEFAULT_EPS,
     SpectralKernel,
     apply_K,
     apply_P,
@@ -12,8 +16,10 @@ from flowpde.kernels import (
     chi_prime,
     convolve,
     cutoff_heat,
+    default_g,
     dot_G,
     dot_G_moment_norms,
+    dot_weight,
     fit_loglog_slope,
     fluctuation_kernel,
     heat_multiplier,
@@ -128,6 +134,73 @@ def test_moment_norm_raw_slope(desk_spec):
 def test_moment_index_degree_cap(desk_spec):
     with pytest.raises(ValidationFault, match="truncation depth"):
         dot_G_moment_norms(desk_spec, [0.5], (0, 1))
+
+
+def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
+    """Reference for dot_G_moment_norms: the formula it had before the half
+    spectrum and the time blocks -- the weighted kernel on the full
+    frequency grid, complex ifftn and np.gradient, every slice at once."""
+    g = default_g(spec.sigma)
+    ks = spec.k_norm()
+    r_mult = 1.0 + ks ** (spec.sigma - DEFAULT_EPS)  # nu = 1
+    axes = tuple(range(-spec.d, 0))
+    per_slice = (...,) + (None,) * spec.d
+    rows = []
+    for mu in mu_grid:
+        t = np.linspace(mu, 2.0 * mu, nt_local)
+        dtl = t[1] - t[0]
+        w = dot_weight(t, mu)[per_slice] * heat_multiplier(spec, t)
+        w = w * t[per_slice] ** a[0] / math.factorial(a[0])
+        for axis, deg in zip(axes, a[1:]):
+            for _ in range(deg):
+                w = (np.roll(w, 1, axis) - np.roll(w, -1, axis)) / 2j
+            w = w / math.factorial(deg)
+
+        def l1(m):
+            return float(np.sum(np.abs(np.fft.ifftn(m, axes=axes).real))) * spec.dx**spec.d * dtl
+
+        wk = w * (1.0 + spec.scale_of(mu) ** 2 * ks**2) ** g * r_mult
+        for _ in range(g):
+            wk = wk + mu * np.gradient(wk, dtl, axis=0)
+        rows.append((l1(w), l1(wk)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "d, n, sigma, a",
+    [
+        (1, 64, 0.5, (0, 0)),
+        (2, 64, 2.0, (0, 0, 0)),
+        (2, 64, 2.0, (1, 0, 0)),
+        (2, 64, 2.0, (0, 1, 0)),
+        # a weight on the last axis rolls on the full grid before the cut
+        (2, 64, 2.0, (0, 0, 1)),
+        (3, 16, 3.0, (0, 1, 0, 1)),
+    ],
+)
+def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
+    spec = LatticeSpec(d, n, 0.02, 0.0, 1.0, sigma)
+    mu_grid = 2.0 ** -np.arange(2, 6, dtype=float)
+    rows = dot_G_moment_norms(spec, mu_grid, a, nt_local=48)
+    for row, (raw, dressed) in zip(rows, _full_grid_moment_norms(spec, mu_grid, a, 48)):
+        assert row["raw"] == pytest.approx(raw, rel=1e-12, abs=0)
+        assert row["dressed"] == pytest.approx(dressed, rel=1e-12, abs=0)
+
+
+# Peak traced allocation of one mu on the battery's d = 2, n = 256 lattice:
+# 169 MiB with a = (0, 0, 0) and 265 MiB with a = (0, 1, 0) for the
+# full-grid formula, about 53 MiB for either on the half spectrum.  The
+# bounds are half the full-grid peaks.
+@pytest.mark.parametrize("a, bound_mib", [((0, 0, 0), 84), ((0, 1, 0), 132)])
+def test_moment_norms_peak_memory(a, bound_mib):
+    spec = LatticeSpec(2, 256, 0.02, 0.0, 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        dot_G_moment_norms(spec, [2.0**-5], a, nt_local=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_battery_all_pass():

@@ -46,7 +46,7 @@ def test_mollifier_profiles_normalized(family):
     # causal temporal support and compact spatial support
     assert np.all(prof.temporal(u[u < 0]) == 0.0)
     assert np.all(prof.spatial(u[np.abs(u) > 0.5]) == 0.0)
-    assert prof.spatial_hat(np.zeros(1))[0] == pytest.approx(1.0, abs=1e-6)
+    assert prof.spatial_hat(0.1, 8)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_unknown_family_faults():
@@ -161,14 +161,22 @@ def test_with_nu_preserves_identity(idx):
     assert m2.nu == 0.1
 
 
-@pytest.mark.parametrize("family", ["bump", "skew"])
-@pytest.mark.parametrize("n", [256, 512])
-def test_blocked_spatial_hat_equals_one_matrix_product(family, n):
-    prof = MollifierProfile(family)
-    xi = 0.1**2 * np.fft.fftfreq(n, d=1.0 / n)
-    vals = prof.spatial(prof._fine)
-    phase = np.exp(-1j * np.multiply.outer(xi, prof._fine))
-    np.testing.assert_array_equal(prof.spatial_hat(xi), phase @ vals * prof._du)
+@pytest.mark.parametrize("lam", [0.01, 0.447, 1.0])
+@pytest.mark.parametrize("n", [256, 512, 8192])
+def test_chirp_z_spatial_hat_matches_dense_quadrature(lam, n):
+    # Reference: the quadrature sum as a dense phase matrix against the fine
+    # grid, built 512 frequencies at a time (at n = 8192 the whole matrix
+    # would take 0.5 GB).  The chirp-z transform sums in another order, so
+    # the two agree to round-off, not bit for bit.
+    profs = [MollifierProfile(family) for family in ("bump", "skew")]
+    fine, du = profs[0]._fine, profs[0]._du
+    vals = np.stack([p.spatial(fine) for p in profs], axis=1)
+    xi = lam * np.fft.fftfreq(n, d=1.0 / n)
+    dense = np.concatenate(
+        [np.exp(-1j * np.multiply.outer(xi[lo : lo + 512], fine)) @ vals * du for lo in range(0, n, 512)]
+    )
+    for p, ref in zip(profs, dense.T):
+        np.testing.assert_allclose(p.spatial_hat(lam, n), ref, rtol=0, atol=1e-13)
 
 
 def test_spatial_multiplier_is_cached_read_only_and_seed_free():
@@ -184,7 +192,7 @@ def test_spatial_multiplier_is_cached_read_only_and_seed_free():
     with pytest.raises(ValueError):
         mult[0] = 0.0
     lam = 0.1 ** (1.0 / wick_window.sigma)
-    fresh = MollifierProfile("skew").spatial_hat(lam * wick_window.axis_freqs())
+    fresh = MollifierProfile("skew").spatial_hat(lam, wick_window.n)
     np.testing.assert_array_equal(mult, fresh)
 
 
