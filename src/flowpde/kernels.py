@@ -355,12 +355,12 @@ def dot_G_moment_norms(
     # a sin weight on the last axis rolls across the half-spectrum's edge,
     # so that table is built on the full grid and cut after the rolls
     full = abar[-1] > 0
-    ks_sigma = (spec.k_norm() if full else spec.k_norm()[..., :half]) ** spec.sigma
     ks = spec.k_norm()[..., :half]
+    ks_sigma = (spec.k_norm() if full else ks) ** spec.sigma
     phase = (-1j) ** sum(abar)
     r_mult = 1.0 + (spec.scale_of(nu) * ks) ** (spec.sigma - eps)
     axes = tuple(range(-spec.d, 0))
-    per_slice = (None,) * spec.d
+    per_slice = (...,) + (None,) * spec.d
 
     def l1(table, dtl):
         total = 0.0
@@ -374,8 +374,8 @@ def dot_G_moment_norms(
         t = np.linspace(mu, 2.0 * mu, nt_local)
         dtl = t[1] - t[0]
         # moment weight X^a = t^{a0}/a0! * prod sin(x_c)^{a_c}/a_c! on dG_mu
-        table = np.exp(-t[(...,) + per_slice] * ks_sigma[None])
-        table *= (dot_weight(t, mu) * t**a0 / factorial(a0))[(...,) + per_slice]
+        table = np.exp(-t[per_slice] * ks_sigma[None])
+        table *= (dot_weight(t, mu) * t**a0 / factorial(a0))[per_slice]
         # Periodic realization of the spatial moment weight: sin(x) per
         # axis, equal to x + O(x^3) where the kernel concentrates as
         # mu -> 0, and smooth across the torus seam (a raw x weight has a

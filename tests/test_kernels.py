@@ -189,7 +189,7 @@ def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
 
 # Peak traced allocation of one mu on the battery's d = 2, n = 256 lattice:
 # 169 MiB with a = (0, 0, 0) and 265 MiB with a = (0, 1, 0) for the
-# full-grid formula, about 53 MiB for either on the half spectrum.  The
+# full-grid formula, about 50 MiB for either on the half spectrum.  The
 # bounds are half the full-grid peaks.
 @pytest.mark.parametrize("a, bound_mib", [((0, 0, 0), 84), ((0, 1, 0), 132)])
 def test_moment_norms_peak_memory(a, bound_mib):
