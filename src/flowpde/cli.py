@@ -499,7 +499,10 @@ def build_parser() -> _Parser:
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--sample", type=int, default=0)
-    shift_help = "drive with the stationary shift, not G * noise; norms.csv monitors R on both paths"
+    shift_help = (
+        "drive with the stationary shift, not G * noise, where it is built (i_rhd >= 1); "
+        "at i_rhd = 0 both settings run one solve. norms.csv monitors R on both paths"
+    )
     s.add_argument("--shift", action="store_true", help=shift_help)
     s.add_argument("--out", default="out")
     s.set_defaults(func=cmd_simulate)

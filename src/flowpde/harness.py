@@ -7,8 +7,11 @@ moment observables across variants.  Coupling means every (variant, nu) cell
 consumes the same white-noise substreams per sample index, so cross-cell
 gaps are paired differences with strongly reduced variance.
 
-Where a cell's drive is linear in the white noise W (mollified white noise,
-on the direct path or with a stationary shift of order i_rhd = 0), the
+A plan's use_shift asks for the stationary shift, which is built only at
+stationary order i_rhd >= 1 (solver.builds_shift): at i_rhd = 0 use_shift
+True and False run one solve, the direct one, and give identical reports.
+
+Where a cell is driven by mollified white noise W on the direct path, the
 cells share W itself: per sample index, W is drawn and transformed once per
 master seed (noise.white_spectrum), and each cell takes its solve window
 from that spectrum through its own multiplier (noise.SpectralDriver).
@@ -34,12 +37,14 @@ from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, relevant_filtered
-from .noise import SpectralDriver, sample_macroscopic_noise, spectral_driver
+from .kernels import check_fluctuation_window
+from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
 from .solver import (
     STATUS_BLEW_UP,
     SolveConfig,
     SolveResult,
     build_stationary_shift,
+    builds_shift,
     solve_stack,
     solve_window,
     window_slices,
@@ -87,7 +92,7 @@ class ExperimentPlan:
     counterterm_overrides: tuple = ()  # (label, ((key, value), ...)) forcing counterterms
     solve: SolveConfig = field(default_factory=SolveConfig)
     history: float = 2.0
-    use_shift: bool = True
+    use_shift: bool = True  # the stationary shift, built at i_rhd >= 1 only (solver.builds_shift)
     flow_j_levels: int = 8
     flow_nodes_per_octave: int = 8
 
@@ -172,8 +177,9 @@ def _smearing_function(spec: LatticeSpec) -> Field:
 
 class _Cell(NamedTuple):
     """One (variant, nu) cell: its model at nu, its counterterms and, when
-    its drive is linear in the white noise, its SpectralDriver (None: the
-    general path of sample, shift and solve_window per sample)."""
+    it is driven by mollified white noise on the direct path, its
+    SpectralDriver (None: the general path of sample, shift where one is
+    built, and solve_window per sample)."""
 
     label: str
     nu: float
@@ -191,8 +197,10 @@ def _make_cells(plan: ExperimentPlan) -> list:
     for (label, base), nu in itertools.product(plan.variants, plan.nu_schedule):
         model = dataclasses.replace(base, noise=base.noise.with_nu(nu))
         driver = None
-        if model.noise.kind == "mollified_white" and not (plan.use_shift and model.i_rhd > 0):
-            driver = spectral_driver(model.noise, plan.lattice(), plan.history, shift=plan.use_shift)
+        if builds_shift(model, plan.use_shift):
+            check_fluctuation_window(extended_window(plan.lattice(), plan.history))
+        elif model.noise.kind == "mollified_white":
+            driver = spectral_driver(model.noise, plan.lattice(), plan.history)
         made.append(_Cell(label, nu, model, overrides.get(label), driver))
     anchors = dict(plan.scheme_values)
     flowed = [c for c in made if c.cterms is None]
@@ -209,7 +217,7 @@ def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict)
     spec = plan.lattice()
     if cell.driver is None:
         drive = sample_macroscopic_noise(cell.model.noise, spec, sample, history=plan.history)
-        if plan.use_shift:
+        if builds_shift(cell.model, plan.use_shift):
             drive = build_stationary_shift(cell.model, cell.cterms, drive)
         return solve_window(drive, spec, plan.solve)
     key = cell.driver.key
@@ -224,7 +232,7 @@ def _run_cell(plan: ExperimentPlan, cell: _Cell, stack: np.ndarray) -> tuple:
     spec = plan.lattice()
     psi = _smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    kind = "shift" if plan.use_shift else "noise"
+    kind = "shift" if builds_shift(cell.model, plan.use_shift) else "noise"
     results = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: stack})
     values = {
         o.name: np.array([_observable_value(o, res, psi) for res in results])

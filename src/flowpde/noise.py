@@ -14,11 +14,16 @@ coupling used in the nu -> 0 comparisons, and a large variance reduction.
 
 This module is the one place where W is transformed.  white_spectrum takes
 W to its white spectrum (rfft over space, zero-padded FFT along time), and a
-SpectralDriver turns that spectrum into any drive that is linear in W -- the
-noise itself, or its stationary shift (G - G_1) * Xi -- by one multiplier
-and the inverse transforms of just the slices it is asked for.  A caller
-that drives several cells from one sample (harness) builds the spectrum
-once and hands it to every cell's driver.
+SpectralDriver turns that spectrum into the noise by one multiplier and the
+inverse transforms of just the slices it is asked for.  A caller that drives
+several cells from one sample (harness) builds the spectrum once and hands
+it to every cell's driver.  No stationary shift is built here: at i_rhd = 0
+the shift path runs the direct solve (solver.builds_shift), and a shift of
+order i_rhd >= 1 is built per sample by solver.build_stationary_shift.
+
+Every realized field is real, so it carries the Hermitian part of the
+spatial mollifier multiplier; _spatial_multiplier returns that part, and the
+sampler and the Wick sums (flow.WickCalculator) both read it.
 
 Shot noise is a homogeneous Poisson cloud with a zero-mean kernel; couplings
 across nu share the leading uniform points of the substream (a thinning).
@@ -35,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationFault
-from .kernels import check_fluctuation_window, fluctuation_kernel
 from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
@@ -215,8 +219,12 @@ def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
 
 
 def _spatial_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
-    """m_hat([nu] k) on the lattice's modes; cached and read-only, as it
-    depends on neither the time window nor the seed."""
+    """The Hermitian part (M(k) + conj M(-k)) / 2 of M(k) = m_hat([nu] k)
+    on the lattice's modes: the multiplier every real field realizes, as
+    taking the real part (or irfft) keeps only that part.  It differs from M
+    only where a mode is its own mirror (a Nyquist index), and to rounding.
+    Cached and read-only, as it depends on neither the time window nor the
+    seed."""
     return _cached_multiplier(model.family, model.nu, spec.n, spec.d, spec.sigma)
 
 
@@ -226,6 +234,8 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
     mult = hat1d
     for _ in range(d - 1):
         mult = np.multiply.outer(mult, hat1d)
+    axes = tuple(range(d))
+    mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axes).conj())  # conj M(-k)
     mult.setflags(write=False)
     return mult
 
@@ -249,33 +259,28 @@ def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: in
 
 
 class SpectralDriver(NamedTuple):
-    """A drive that is linear in the white noise W, as a spectral
-    multiplier on W's white spectrum: the drive's slices are the inverse
-    time FFT of multiplier * spectrum, then the inverse rfft over space.
-    The multiplier is space[..., None] * time, times `kernel` when there is
-    one: space on the rfft half of the frequency grid, (n, ..., n // 2 + 1);
-    time and kernel with m time frequencies, where m leaves room for every
-    slice of `spec` plus the drive's kernel, so no slice wraps.  The kernel
-    is one read-only array per lattice, shared by every driver on it."""
+    """The noise as a spectral multiplier on W's white spectrum: the drive's
+    slices are the inverse time FFT of multiplier * spectrum, then the
+    inverse rfft over space.  The multiplier is space[..., None] * time:
+    space on the rfft half of the frequency grid, (n, ..., n // 2 + 1);
+    time with m time frequencies, where m leaves room for every slice of
+    `spec` plus the taps of any nu <= 1, so no slice wraps and every driver
+    on one lattice reads the same spectrum."""
 
     master_seed: int
     spec: LatticeSpec  # the sampling window W covers
     space: np.ndarray
     time: np.ndarray
-    kernel: np.ndarray | None = None
 
     @property
     def key(self) -> tuple:
         """Drivers with one key share the spectrum() of each sample."""
-        return (self.master_seed, self.spec, self.time.size, self.kernel is not None)
+        return (self.master_seed, self.spec, self.time.size)
 
     def spectrum(self, sample_index: int) -> np.ndarray:
-        """The sample's white spectrum, times the kernel if there is one:
-        the factor of the drive that every driver with this key shares."""
-        out = white_spectrum(self.master_seed, sample_index, self.spec, self.time.size)
-        if self.kernel is not None:
-            out *= self.kernel
-        return out
+        """The sample's white spectrum, which every driver with this key
+        shares."""
+        return white_spectrum(self.master_seed, sample_index, self.spec, self.time.size)
 
     def window(self, spectrum: np.ndarray, slices: slice) -> np.ndarray:
         """The drive's time slices `slices` of the sample whose spectrum()
@@ -287,61 +292,21 @@ class SpectralDriver(NamedTuple):
         return np.fft.irfftn(picked, s=self.spec.space_shape(), axes=_space_axes(self.spec))
 
 
-def spectral_driver(
-    model: NoiseModel, spec: LatticeSpec, history: float = 0.0, shift: bool = False
-) -> SpectralDriver:
-    """The driver of bold-Xi_nu on `spec` extended backward by `history`,
-    or with `shift` of the stationary shift (G - G_1) * bold-Xi_nu, which is
-    the whole shift at stationary order i_rhd = 0.
+def spectral_driver(model: NoiseModel, spec: LatticeSpec, history: float = 0.0) -> SpectralDriver:
+    """The driver of bold-Xi_nu on `spec` extended backward by `history`.
 
-    The noise multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
-    mollifier and the causal temporal taps.  The shift multiplier is that
-    times the kernel dt (K_hat(k, omega) - K_0(k) / 2) with K = G - G_1,
-    which is kernels.convolve's trapezoid rule (half weight at the t = 0
-    tap) as a multiplier.  Both take W to be zero before the window start,
-    as kernels.convolve does."""
+    Its multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
+    mollifier and the causal temporal taps, with W zero before the window
+    start.  The time FFT is padded for the longest taps of any nu <= 1, so
+    its length m depends on the lattice only."""
     if model.kind != "mollified_white":
         raise ValidationFault(f"no spectral driver for {model.kind} noise")
     _check_resolution(model, spec)
     ext = extended_window(spec, history)
-    taps = _temporal_taps(model, ext)
-    size = ext.nt + len(taps)
-    if shift:
-        check_fluctuation_window(ext)
-        size += fluctuation_kernel(ext, 1.0).support_hi
-    m = padded_length(size)
-    space = _rfft_layout(_spatial_multiplier(model, ext))
-    kernel = _fluctuation_symbol(ext, m) if shift else None
-    return SpectralDriver(model.master_seed, ext, space, ext.dt * np.fft.fft(taps, n=m), kernel)
-
-
-def _rfft_layout(mult: np.ndarray) -> np.ndarray:
-    """A spatial multiplier M on the rfft half of the frequency grid, as
-    the real part of a full complex transform applies it.  Off the last
-    axis' zero and Nyquist columns that is the Hermitian part
-    (M(k) + conj M(-k)) / 2, which differs from M only where a Nyquist
-    index of a leading axis is its own mirror (so never in d = 1).  On
-    those two columns M is kept: irfft takes their Hermitian part itself."""
-    axes = tuple(range(mult.ndim))
-    half = mult.shape[-1] // 2 + 1
-    out = mult[..., :half].copy()
-    if mult.ndim > 1:
-        mirror = np.roll(np.flip(mult, axes), 1, axes).conj()  # conj M(-k)
-        out[..., 1 : half - 1] = 0.5 * (mult + mirror)[..., 1 : half - 1]
-    return out
-
-
-@functools.lru_cache(maxsize=2)
-def _fluctuation_symbol(spec: LatticeSpec, m: int) -> np.ndarray:
-    """dt (K_hat - K_0 / 2) for K = G - G_1 on the rfft layout of `spec`,
-    m time frequencies; cached and read-only (one per lattice)."""
-    kernel = fluctuation_kernel(spec, 1.0)
-    half = kernel.mult[..., : spec.n // 2 + 1]
-    sym = fft_time(half[: kernel.support_hi + 1], m)
-    sym -= 0.5 * half[0][..., None]
-    sym *= spec.dt
-    sym.setflags(write=False)
-    return sym
+    m = padded_length(ext.nt + int(np.ceil(0.5 / ext.dt)) + 1)
+    space = _spatial_multiplier(model, ext)[..., : ext.n // 2 + 1]
+    time = ext.dt * np.fft.fft(_temporal_taps(model, ext), n=m)
+    return SpectralDriver(model.master_seed, ext, space, time)
 
 
 # -- shot noise ------------------------------------------------------------

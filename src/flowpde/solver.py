@@ -19,6 +19,13 @@ force, so the dealias mask only sees N and the blow-up monitor measures R.
 solve_mild, solve_with_patching and solve_decomposed are its one-sample
 callers.
 
+A stationary shift is built only at stationary order i_rhd >= 1
+(builds_shift; the harness and solve_decomposed, hence the CLI's --shift,
+read it).  At i_rhd = 0 the shift is (G - G_1) * Xi, and since
+Q (G - G_1) = delta - chi'.G its driver is the direct one less
+G * (1_[0,inf) c), c = (chi'.G) * Xi: adding c back gives the direct
+driver, so a solve that asks for the shift at i_rhd = 0 runs the direct one.
+
 The solver never transforms white noise: it reads each sample's driving
 field as its window_slices, which come either from a field (solve_window)
 or, for the harness's coupled cells, straight from the noise module's
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS, check_fluctuation_window, heat_multiplier
+from .kernels import DEFAULT_EPS, check_fluctuation_window
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, fft_space, ifft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -232,17 +239,18 @@ def solve_stack(
     if drive is not None:
         # S and its free decay, on the rfft half of the modes
         axes = tuple(range(2, spec.d + 2))
-        heat = heat_multiplier(spec, spec.dt * np.arange(drive.shape[1]))[..., : spec.n // 2 + 1]
+        ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
+        heat = np.exp(-np.multiply.outer(spec.dt * np.arange(drive.shape[1]), ks))
+        s_hat = np.fft.rfftn(drive, axes=axes)
         if noise is not None:
             # kernels.convolve's trapezoid rule: dt on every slice of [0, t], half of it at t
-            xi_hat = np.fft.rfftn(noise, axes=axes)
-            acc = xi_hat.copy()
+            acc = s_hat.copy()
             for j in range(1, acc.shape[1]):
                 acc[:, j] += heat[1] * acc[:, j - 1]
-            acc -= 0.5 * xi_hat
-            drive = np.fft.irfftn(spec.dt * acc, spec.space_shape(), axes)
-        free = np.fft.irfftn(heat * np.fft.rfftn(drive[:, :1], axes=axes), spec.space_shape(), axes)
-        drive = np.subtract(drive, free, out=free)
+            acc -= 0.5 * s_hat
+            s_hat = spec.dt * acc
+        s_hat -= heat * s_hat[:, :1]
+        drive = np.fft.irfftn(s_hat, spec.space_shape(), axes)
         drive[:, 0] = 0.0
     results = _march(force, phi, drive, cfg, spec)
     if drive is not None:
@@ -288,6 +296,13 @@ def build_stationary_shift(model: ModelSpec, counterterms, noise: Field) -> Fiel
     return stationary_sum(expansion, model.lam, model.i_rhd)
 
 
+def builds_shift(model: ModelSpec, use_shift: bool) -> bool:
+    """Whether a solve that asks for the stationary shift (`use_shift`)
+    builds one: only at stationary order i_rhd >= 1.  At i_rhd = 0 both
+    settings run the direct solve (module docstring)."""
+    return use_shift and model.i_rhd >= 1
+
+
 def solve_decomposed(
     model: ModelSpec,
     counterterms,
@@ -296,7 +311,10 @@ def solve_decomposed(
     cfg: SolveConfig,
 ) -> SolveResult:
     """The shift path for one sample: solve_stack with S the solve_window
-    of the sample's stationary shift Phi_shift."""
+    of the sample's stationary shift Phi_shift, or solve_mild where
+    builds_shift says no shift is built."""
+    if not builds_shift(model, True):
+        return solve_mild(model, counterterms, noise, phi_init, cfg)
     shift = build_stationary_shift(model, counterterms, noise)
     window = solve_window(shift, phi_init.spec, cfg)[None]
     return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]

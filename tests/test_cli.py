@@ -124,6 +124,18 @@ def test_simulate_command_deterministic(tmp_path):
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 
+def test_simulate_shift_at_order_zero_writes_the_direct_outputs(tmp_path):
+    """phi4_desk has stationary order i_rhd = 0, where no shift is built:
+    --shift runs the direct solve and writes the same bytes."""
+    outs = []
+    for extra in ([], ["--shift"]):
+        out = tmp_path / ("shift" if extra else "direct")
+        assert main(["simulate", "--model", MODEL, "--sample", "1", "--out", str(out), *extra]) == EXIT_OK
+        outs.append(out)
+    for name in ("trajectory.fld", "norms.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_universality_command(tmp_path):
     out = tmp_path / "uni"
     rc = main(["universality", "--plan", PLAN, "--out", str(out)])

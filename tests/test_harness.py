@@ -24,9 +24,9 @@ def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
 
 
 # a cubic of the growing sign at strong coupling: its remainders peak at
-# norms 3.8-6.2 by t = 0.25 on the shift path and 3.7-11.4 on the direct
-# path (bump, nu = 0.1, seed 7, samples 0-4), so a radius of 5 stops some
-# samples mid-run and lets others complete
+# norms 3.8-6.2 by t = 0.25 with etd1 in one window and 3.7-11.4 with
+# etd_rk2 in windows of 0.07 (bump, nu = 0.1, seed 7, samples 0-4), so a
+# radius of 5 stops some samples mid-run and lets others complete
 UNSTABLE = dict(lam=10.0, base=1.0)
 
 
@@ -131,9 +131,10 @@ def test_counterterm_override_changes_cells():
 def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius, strength):
     """A cell solved in stacks (of two here, so five samples make three
     blocks) gives the values and blow-up count of the per-sample loop, bit
-    for bit: each sample's window taken from the cell's driver on its own
-    and solved alone.  The radii make some samples blow up after t = 0 and
-    others complete."""
+    for bit: each sample's noise window taken from the cell's driver on its
+    own and solved alone.  A shift plan at i_rhd = 0 runs the direct solve
+    too.  The radii make some samples blow up after t = 0 and others
+    complete."""
     monkeypatch.setattr(harness, "STACK_SIZE", 2)
     cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
     variants = (_variant("bump", **strength),)
@@ -145,11 +146,10 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     slices = window_slices(cell.driver.spec, spec, plan.solve)
-    kind = "shift" if use_shift else "noise"
     expected, expected_blowups = [], 0
     for s in range(plan.samples):
         window = cell.driver.window(cell.driver.spectrum(s), slices)
-        res = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: window[None]})[0]
+        res = solve_stack(cell.model, cell.cterms, zero, plan.solve, noise=window[None])[0]
         assert res.breve_T > plan.dt
         expected_blowups += res.status == STATUS_BLEW_UP
         expected.append(harness._observable_value(plan.observables[0], res, psi))
@@ -158,11 +158,21 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     np.testing.assert_array_equal(values[plan.observables[0].name], expected)
 
 
-@pytest.mark.parametrize("seeds, spectra", [((7, 7), 2), ((7, 8), 4)], ids=["shared", "distinct"])
-def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spectra):
+# criterion 7's lattice, where the taps of nu = 0.2 and of nu <= 0.1 would
+# pad the time FFT to different lengths if each cell sized its own
+CRITERION_7_LATTICE = dict(n=256, dt=0.0025, t_max=0.5, nu_schedule=(0.2, 0.1, 0.05))
+
+
+@pytest.mark.parametrize(
+    "seeds, spectra, lattice",
+    [((7, 7), 2, {}), ((7, 8), 4, {}), ((7, 7), 2, CRITERION_7_LATTICE)],
+    ids=["shared", "distinct", "shared-criterion-7-lattice"],
+)
+def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spectra, lattice):
     """Per sample index the white noise is transformed once per distinct
-    master seed, and every cell equals its variant's run alone: variants
-    with their own seeds never read another's noise."""
+    master seed, whatever the cells' nu, and every cell equals its
+    variant's run alone: variants with their own seeds never read another's
+    noise."""
     calls = []
     white_spectrum = noise.white_spectrum
 
@@ -172,7 +182,7 @@ def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spec
 
     monkeypatch.setattr(noise, "white_spectrum", counted)
     variants = (_variant("bump", seed=seeds[0]), _variant("skew", seed=seeds[1]))
-    plan = _small_plan(variants=variants, samples=2)
+    plan = _small_plan(variants=variants, samples=2, **lattice)
     report = run_universality(plan)
     assert len(calls) == spectra == len(set(calls))
     for variant in variants:
@@ -199,8 +209,9 @@ def _second_order_variant():
 )
 def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
     """Shot noise and a shift of order i_rhd >= 1 keep the general path:
-    each sample's noise sampled, its shift built and its window cut on its
-    own, giving the values of solve_decomposed bit for bit."""
+    each sample's noise sampled, its shift built where one is (i_rhd >= 1;
+    the shot plan has i_rhd = 0 and runs the direct solve) and its window
+    cut on its own, giving the values of solve_decomposed bit for bit."""
     label, model = variant
     # forced counterterms: no Wick sums for shot noise, and the flow stops
     # short of the relevant orders i >= 3 that dim_lambda = 0.1 brings
@@ -239,19 +250,43 @@ def _record_flow_nodes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("use_shift", [True, False], ids=["shift", "direct"])
-def test_short_history_faults_on_the_shift_path_only(monkeypatch, use_shift):
+@pytest.mark.parametrize(
+    "use_shift, second_order",
+    [(True, True), (False, True), (True, False)],
+    ids=["shift", "direct", "shift-i_rhd-0"],
+)
+def test_short_history_faults_on_the_shift_path_only(monkeypatch, use_shift, second_order):
     """A history too short for the support of G - G_1 is a ValidationFault
-    on the shift path, raised before any flow node runs; the direct path
-    needs no history."""
+    where a shift is built (i_rhd = 2 here), raised before the flow runs:
+    the flow's own fault for this plan, relevant orders i >= 3 out of reach,
+    would come next.  The direct path needs no history, nor does a shift
+    plan at i_rhd = 0, which runs the direct solve."""
     calls = _record_flow_nodes(monkeypatch)
-    plan = _small_plan(samples=1, history=1.0, use_shift=use_shift)
-    if use_shift:
+    label, model = _second_order_variant() if second_order else _variant("bump")
+    plan = _small_plan(samples=1, history=1.0, use_shift=use_shift, variants=((label, model),))
+    if use_shift and second_order:
         with pytest.raises(ValidationFault, match="too short"):
             run_universality(plan)
         assert calls == []
-    else:
-        assert run_universality(plan).verdict["label"] in ("universal", "distinct")
+        return
+    if second_order:
+        forced = tuple((key, 0.0) for key in relevant_filtered(model))
+        plan = replace(plan, counterterm_overrides=((label, forced),))
+    report = run_universality(plan)
+    assert all(np.isfinite(cell["estimate"]) for cell in report.cells.values())
+
+
+def test_shift_plan_at_order_zero_is_the_direct_plan():
+    """At i_rhd = 0 no shift is built: use_shift True and False give
+    identical reports."""
+    plan = _small_plan(samples=2)
+    assert plan.use_shift and all(model.i_rhd == 0 for _, model in plan.variants)
+    shift = run_universality(plan)
+    direct = run_universality(_small_plan(samples=2, use_shift=False))
+    assert shift.cells == direct.cells
+    assert shift.gaps == direct.gaps
+    assert shift.drifts == direct.drifts
+    assert shift.verdict == direct.verdict
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from flowpde.errors import ValidationFault
 from flowpde.flow import WickCalculator
-from flowpde.kernels import convolve, fluctuation_kernel
-from flowpde.lattice import SPACE_TIME, Field, LatticeSpec
+from flowpde.kernels import fluctuation_kernel
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time
 from flowpde.noise import (
     MollifierProfile,
     NoiseModel,
@@ -193,7 +193,10 @@ def test_spatial_multiplier_is_cached_read_only_and_seed_free():
         mult[0] = 0.0
     lam = 0.1 ** (1.0 / wick_window.sigma)
     fresh = MollifierProfile("skew").spatial_hat(lam, wick_window.n)
-    np.testing.assert_array_equal(mult, fresh)
+    # the Hermitian part: real at the Nyquist mode, its own mirror
+    np.testing.assert_array_equal(mult, 0.5 * (fresh + np.roll(fresh[::-1], 1).conj()))
+    nyquist = wick_window.n // 2
+    assert mult[nyquist] == fresh[nyquist].real and fresh[nyquist].imag != 0.0
 
 
 def _axis0_mollified_white(model, spec, sample_index):
@@ -250,30 +253,25 @@ def test_time_last_noise_equals_axis0_reference(family, spec, history):
 @pytest.mark.parametrize("family", ["bump", "skew"])
 @pytest.mark.parametrize("spec, history", REFERENCE_CASES)
 def test_driver_windows_equal_the_sample_and_convolve_path(family, spec, history):
-    """The solve windows of the noise driver and of the shift driver match
-    the reference noise and its shift (G - G_1) * Xi by kernels.convolve,
-    which is build_stationary_shift at i_rhd = 0."""
+    """The solve windows of the noise driver match those of the reference
+    noise, its taps applied by a time convolution along axis 0."""
     model = NoiseModel("mollified_white", 0.1, 5, family, resolution_policy="spectral")
     cfg = SolveConfig(scheme="etd1", max_horizon=spec.t_max, t_local=spec.t_max)
     ext = extended_window(spec, history)
     xi = Field(ext, _axis0_mollified_white(model, ext, 3), SPACE_TIME)
-    shift = convolve(fluctuation_kernel(ext, 1.0), xi)
-    for drive, ref in ((False, xi), (True, shift)):
-        driver = spectral_driver(model, spec, history, shift=drive)
-        assert driver.spec == ext
-        got = driver.window(driver.spectrum(3), window_slices(ext, spec, cfg))
-        assert got.flags.c_contiguous
-        _assert_close(got, solve_window(ref, spec, cfg))
+    driver = spectral_driver(model, spec, history)
+    assert driver.spec == ext
+    got = driver.window(driver.spectrum(3), window_slices(ext, spec, cfg))
+    assert got.flags.c_contiguous
+    _assert_close(got, solve_window(xi, spec, cfg))
 
 
-def test_shift_driver_keeps_the_checks_of_the_sample_path():
+def test_spectral_driver_keeps_the_checks_of_the_sample_path():
     spec = LatticeSpec(1, 64, 0.01, 0.0, 0.25, 0.5)
     spectral = NoiseModel("mollified_white", 0.1, 5, "bump", resolution_policy="spectral")
-    with pytest.raises(ValidationFault, match="too short"):
-        spectral_driver(spectral, spec, 1.0, shift=True)
     spectral_driver(spectral, spec, 1.0)  # the noise alone needs no history
     with pytest.raises(ValidationFault, match="under-resolves"):
-        spectral_driver(NoiseModel("mollified_white", 0.01, 5, "bump"), spec, 2.0, shift=True)
+        spectral_driver(NoiseModel("mollified_white", 0.01, 5, "bump"), spec, 2.0)
     with pytest.raises(ValidationFault, match="poisson_shot"):
         spectral_driver(NoiseModel("poisson_shot", 0.1, 5, "bump"), spec, 2.0)
 
@@ -281,20 +279,23 @@ def test_shift_driver_keeps_the_checks_of_the_sample_path():
 @pytest.mark.parametrize("family", ["bump", "skew"])
 @pytest.mark.parametrize("nu", [0.2, 0.1, 0.05])
 def test_shift_multiplier_energy_is_the_wick_tadpole(family, nu):
-    """Parseval: the shift drive is h * W with W of cell variance
-    1 / (dt dx^d), so its stationary variance is the energy of the
-    multiplier's impulse response over n^d dt dx^d, and that is the
-    discrete Wick tadpole C(1) = < ((G - G_1) * Xi)^2 >."""
+    """The realized shift (G - G_1) * Xi is g * W with W of cell variance
+    1 / (dt dx), so its stationary variance is sum g^2 / (dt dx), where
+    g is the field the driver's inverse transforms make of a unit impulse
+    when its multiplier is times the trapezoid symbol dt (K_hat - K_0 / 2)
+    of K = G - G_1.  That is the discrete Wick tadpole
+    C(1) = < ((G - G_1) * Xi)^2 >: the field and the Wick sums read one
+    spatial multiplier, the one irfft realizes (real at the Nyquist mode,
+    where the skew family's m_hat is not)."""
     spec = LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5)  # criterion 7's lattice
     model = NoiseModel("mollified_white", nu, 5, family, resolution_policy="spectral")
-    driver = spectral_driver(model, spec, 2.0, shift=True)
+    driver = spectral_driver(model, spec, 2.0)
     ext = driver.spec
-    multiplier = driver.space[..., None] * driver.time * driver.kernel
-    energy = np.sum(np.abs(np.fft.ifft(multiplier, axis=-1)) ** 2, axis=-1)
-    # on the rfft half every column but the zero and Nyquist one stands for
-    # a mode and its mirror
-    weights = np.full(energy.shape[-1], 2.0)
-    weights[0] = weights[-1] = 1.0
-    variance = float(np.sum(weights * energy)) / (ext.n**ext.d * ext.dt * ext.dx**ext.d)
+    kernel = fluctuation_kernel(ext, 1.0)
+    half = kernel.mult[..., : ext.n // 2 + 1]
+    symbol = fft_time(half[: kernel.support_hi + 1], driver.time.size) - 0.5 * half[0][..., None]
+    multiplier = driver.space[..., None] * driver.time * (ext.dt * symbol)
+    response = np.fft.irfft(np.fft.ifft(multiplier, axis=-1), n=ext.n, axis=0)
+    variance = float(np.sum(response**2)) / (ext.dt * ext.dx)
     tadpole = WickCalculator(spec, model).tadpole(1.0)
     assert variance == pytest.approx(tadpole, rel=1e-12, abs=0.0)

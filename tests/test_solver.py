@@ -120,28 +120,39 @@ def _free_decay(spec, slices, start):
 
 
 def test_decomposed_solution_structure(desk_noise, rng):
-    """Phi = D + R with the driver D = shift - e^(-t|k|^sigma) shift(0),
-    zero at t = 0: Phi starts at phi0 exactly, and the monitor reads the
-    norms of R = Phi - D."""
+    """solve_stack on a shift: Phi = D + R with the driver
+    D = shift - e^(-t|k|^sigma) shift(0), zero at t = 0.  Phi starts at phi0
+    exactly, and the monitor reads the norms of R = Phi - D."""
     spec = LatticeSpec(1, 32, 0.005, -2.5, 1.0, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     xi = sample_macroscopic_noise(desk_noise, spec, 1)
     phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
-    res = solve_decomposed(model, CT_DESK, xi, phi0, cfg)
+    window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
+    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=window[None])
     assert res.status == STATUS_COMPLETED
     assert np.all(np.isfinite(res.trajectory.data))
-    # solve_decomposed is solve_stack on the solve window of the sample's shift
-    window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
     assert res.trajectory.data.shape[0] == window.shape[0]
-    [stacked] = solve_stack(model, CT_DESK, phi0, cfg, shift=window[None])
-    np.testing.assert_array_equal(res.trajectory.data, stacked.trajectory.data)
-    np.testing.assert_array_equal(res.slice_norms, stacked.slice_norms)
     np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
     remainder = res.trajectory.data - (window - _free_decay(spec, len(window), window[0]))
     gamma = spec.sigma - DEFAULT_EPS
     norms = [c_gamma_norm(Field(spec, r, SPACE_ONLY), gamma) for r in remainder]
     np.testing.assert_allclose(res.slice_norms, norms, rtol=1e-12)
+
+
+def test_decomposed_at_order_zero_is_the_direct_solve(desk_noise, rng):
+    """At stationary order i_rhd = 0 no shift is built: solve_decomposed
+    is solve_mild, bit for bit."""
+    spec = LatticeSpec(1, 32, 0.005, -2.5, 1.0, 0.5)
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    assert model.i_rhd == 0
+    xi = sample_macroscopic_noise(desk_noise, spec, 1)
+    phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
+    res = solve_decomposed(model, CT_DESK, xi, phi0, cfg)
+    direct = solve_mild(model, CT_DESK, xi, phi0, cfg)
+    np.testing.assert_array_equal(res.trajectory.data, direct.trajectory.data)
+    np.testing.assert_array_equal(res.slice_norms, direct.slice_norms)
 
 
 def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
@@ -244,18 +255,18 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
         f = np.fft.fft(f)
         return f * _dealias_mask(spec) if cfg.dealias else f
 
-    drive = shift
-    if noise is not None:
-        xi_hat = np.fft.rfft(noise)
-        acc = xi_hat.copy()
-        for j in range(1, len(acc)):
-            acc[j] += e_lin[:half] * acc[j - 1]
-        drive = np.fft.irfft(dt * (acc - 0.5 * xi_hat), spec.n)
+    drive = shift if noise is None else noise
     if drive is not None:
-        # the driver: S less the free decay of its t = 0 slice
+        s_hat = np.fft.rfft(drive)
+        if noise is not None:
+            acc = s_hat.copy()
+            for j in range(1, len(acc)):
+                acc[j] += e_lin[:half] * acc[j - 1]
+            s_hat = dt * (acc - 0.5 * s_hat)
+        # the driver: S less the free decay of its t = 0 slice, on the rfft half
         t = dt * np.arange(len(drive))
-        heat = np.exp(-np.outer(t, spec.k_norm() ** spec.sigma))[:, :half]
-        drive = drive - np.fft.irfft(heat * np.fft.rfft(drive[0]), spec.n)
+        heat = np.exp(-np.outer(t, (spec.k_norm() ** spec.sigma)[:half]))
+        drive = np.fft.irfft(s_hat - heat * s_hat[0], spec.n)
         drive[0] = 0.0
     traj = [phi0.data]
     norms = [c_gamma_norm(Field(spec, traj[0], SPACE_ONLY), gamma)]
