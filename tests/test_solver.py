@@ -15,7 +15,6 @@ from flowpde.solver import (
     _phi1,
     _phi2,
     build_stationary_shift,
-    solve_decomposed,
     solve_mild,
     solve_stack,
     solve_window,
@@ -138,21 +137,6 @@ def test_decomposed_solution_structure(desk_noise, rng):
     gamma = spec.sigma - DEFAULT_EPS
     norms = [c_gamma_norm(Field(spec, r, SPACE_ONLY), gamma) for r in remainder]
     np.testing.assert_allclose(res.slice_norms, norms, rtol=1e-12)
-
-
-def test_decomposed_at_order_zero_is_the_direct_solve(desk_noise, rng):
-    """At stationary order i_rhd = 0 no shift is built: solve_decomposed
-    is solve_mild, bit for bit."""
-    spec = LatticeSpec(1, 32, 0.005, -2.5, 1.0, 0.5)
-    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
-    assert model.i_rhd == 0
-    xi = sample_macroscopic_noise(desk_noise, spec, 1)
-    phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
-    cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
-    res = solve_decomposed(model, CT_DESK, xi, phi0, cfg)
-    direct = solve_mild(model, CT_DESK, xi, phi0, cfg)
-    np.testing.assert_array_equal(res.trajectory.data, direct.trajectory.data)
-    np.testing.assert_array_equal(res.slice_norms, direct.slice_norms)
 
 
 def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
