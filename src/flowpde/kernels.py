@@ -211,11 +211,11 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
         return inverse_transform(spec, out, SPACE_TIME)
     hi = min(kernel.support_hi, nt - 1)
     dt = spec.dt
-    # causal convolution along the time axis via zero-padded FFT, time-last
-    # and in place; the kernel stays the left factor (a complex product is
-    # not bitwise commutative), and the copy gives the arithmetic below
-    # contiguous operands, as numpy may pick another loop (and other
-    # roundings) for strided ones
+    # causal convolution along the time axis via an FFT zero-padded to a
+    # 5-smooth length with no wrap onto the nt slices, time-last and in
+    # place; the kernel stays the left factor (a complex product is not
+    # bitwise commutative), and the copy gives the arithmetic below
+    # contiguous operands, as numpy may pick another loop for strided ones
     m = padded_length(nt + hi + 1)
     buf = fft_time(fhat, m)
     np.multiply(kernel.time_spectrum(hi, m), buf, out=buf)

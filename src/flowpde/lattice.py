@@ -31,10 +31,6 @@ _FLD1_MAGIC = b"FLD1"
 _FLD1_HEADER_BYTES = 40
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def check_whole_steps(span: float, dt: float, what: str) -> None:
     """ValidationFault naming `what` unless span / dt is finite and within
     1e-9 of its size of an integer."""
@@ -63,7 +59,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValidationFault(f"spatial dimension must be 1..3, got {self.d}")
-        if not _is_pow2(self.n):
+        if not (self.n >= 1 and self.n & (self.n - 1) == 0):
             raise ValidationFault(f"n must be a power of two, got {self.n}")
         if not all(math.isfinite(v) for v in (self.dt, self.t_min, self.t_max, self.sigma)):
             raise ValidationFault("dt, t_min, t_max and sigma must be finite")
@@ -155,26 +151,25 @@ def check_finite(data: np.ndarray) -> None:
         raise NumericalFault(f"non-finite value at index {idx}")
 
 
-def fft_space(data: np.ndarray, d: int) -> np.ndarray:
-    """DFT over the trailing d axes: the 1-d transforms np.fft.fftn runs,
-    in its order, without its per-call overhead (which dominates at the
-    solver's slice sizes)."""
-    for axis in range(-1, -d - 1, -1):
-        data = np.fft.fft(data, axis=axis)
-    return data
+def rfft_space(data: np.ndarray, d: int) -> np.ndarray:
+    """Real DFT over the trailing d axes, the rfft half on the last one
+    (np.fft.rfft itself for d = 1, without rfftn's per-call overhead)."""
+    return np.fft.rfft(data) if d == 1 else np.fft.rfftn(data, axes=tuple(range(-d, 0)))
 
 
-def ifft_space(coeffs: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of fft_space (1/n^d factor), as np.fft.ifftn computes it."""
-    for axis in range(-1, -d - 1, -1):
-        coeffs = np.fft.ifft(coeffs, axis=axis)
-    return coeffs
+def irfft_space(coeffs: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Inverse of rfft_space onto the spatial grid of `spec` (1/n^d factor)."""
+    if spec.d == 1:
+        return np.fft.irfft(coeffs, spec.n)
+    return np.fft.irfftn(coeffs, spec.space_shape(), tuple(range(-spec.d, 0)))
 
 
 def padded_length(size) -> int:
-    """The smallest power of two >= size: the length every zero-padded
-    time transform of the package uses."""
-    return 1 << (int(size) - 1).bit_length()
+    """The smallest 5-smooth length 2^a 3^b 5^c >= size: the length every
+    zero-padded transform of the package uses."""
+    size = max(int(size), 1)
+    odd = [3**b * 5**c for b in range(size.bit_length() + 1) for c in range(size.bit_length() + 1)]
+    return min(p << (-(-size // p) - 1).bit_length() for p in odd)  # the least p 2^a >= size
 
 
 def fft_time(data: np.ndarray, m: int) -> np.ndarray:
@@ -186,16 +181,23 @@ def fft_time(data: np.ndarray, m: int) -> np.ndarray:
 
 
 def forward_transform(f: Field) -> np.ndarray:
-    """DFT over the spatial axes (no normalization factor)."""
+    """DFT over the spatial axes (no normalization factor): the 1-d
+    transforms np.fft.fftn runs, in its order, without its per-call
+    overhead (which dominates at small slice sizes)."""
     check_finite(f.data)
-    return fft_space(f.data, f.spec.d)
+    data = f.data
+    for axis in range(-1, -f.spec.d - 1, -1):
+        data = np.fft.fft(data, axis=axis)
+    return data
 
 
 def inverse_transform(spec: LatticeSpec, coeffs: np.ndarray, domain: str) -> Field:
-    """Inverse DFT (1/n^d factor); imaginary residue of real fields dropped.
-    The field owns a contiguous copy of the real part, so the complex
-    transform is freed."""
-    return Field(spec, ifft_space(coeffs, spec.d).real.copy(), domain)
+    """Inverse DFT (1/n^d factor), as np.fft.ifftn computes it; imaginary
+    residue of real fields dropped.  The field owns a contiguous copy of
+    the real part, so the complex transform is freed."""
+    for axis in range(-1, -spec.d - 1, -1):
+        coeffs = np.fft.ifft(coeffs, axis=axis)
+    return Field(spec, coeffs.real.copy(), domain)
 
 
 def pair_with_test_function(f: Field, psi: Field) -> float:

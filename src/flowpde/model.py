@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -279,12 +280,20 @@ class CompiledForce:
 
     `table` maps (i, m, a) to its coefficient without lambda^i: the declared
     monomials, then the relevant_filtered keys, in that order.  `mults` maps
-    each nonzero a_q to its derivative multiplier.
+    each nonzero a_q to its derivative multiplier.  `terms` holds each
+    nonzero term as (its scalar (-1)^|a| lambda^i coeff, m, a or None when
+    no factor carries a derivative), built once.
     """
 
     lam: float
     table: dict
     mults: dict
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = [((-1.0) ** sum(map(sum, a)) * self.lam**i * c, m, a if any(map(any, a)) else None)
+                 for (i, m, a), c in self.table.items() if c != 0.0]
+        object.__setattr__(self, "terms", tuple(terms))
 
     def monomial(self, factors, a: tuple):
         """prod_q d^(a_q) factors[q]; the scalar 1.0 when m = 0."""
@@ -292,13 +301,11 @@ class CompiledForce:
         return functools.reduce(np.multiply, parts, 1.0)
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        """sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi."""
+        """sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi: each
+        term its scalar times the product, plain where no factor is derived."""
         out = np.zeros_like(phi)
-        for (i, m, a), coeff in self.table.items():
-            if coeff == 0.0:
-                continue
-            sign = (-1.0) ** sum(sum(aq) for aq in a)
-            out += sign * self.lam**i * coeff * self.monomial([phi] * m, a)
+        for scale, m, a in self.terms:
+            out += scale * (math.prod([phi] * m) if a is None else self.monomial([phi] * m, a))
         return out
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationFault
-from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
+from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, irfft_space, padded_length, rfft_space
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
 
@@ -243,10 +243,6 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
 # -- the map from white noise to a drive ----------------------------------
 
 
-def _space_axes(spec: LatticeSpec) -> tuple:
-    return tuple(range(1, spec.d + 1))
-
-
 def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int) -> np.ndarray:
     """The white spectrum of one sample: the white noise W of the
     (master_seed, sample_index) substream on `spec`, rfft over space, then
@@ -255,7 +251,7 @@ def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: in
     times one multiplier, so W is drawn and transformed once however many
     cells read it."""
     w = white_noise_slab(spec, substream(master_seed, sample_index, "white"))
-    return fft_time(np.fft.rfftn(w, axes=_space_axes(spec)), m)
+    return fft_time(rfft_space(w, spec.d), m)
 
 
 class SpectralDriver(NamedTuple):
@@ -263,9 +259,9 @@ class SpectralDriver(NamedTuple):
     slices are the inverse time FFT of multiplier * spectrum, then the
     inverse rfft over space.  The multiplier is space[..., None] * time:
     space on the rfft half of the frequency grid, (n, ..., n // 2 + 1);
-    time with m time frequencies, where m leaves room for every slice of
-    `spec` plus the taps of any nu <= 1, so no slice wraps and every driver
-    on one lattice reads the same spectrum."""
+    time with m frequencies, m the least 5-smooth length with room for every
+    slice of `spec` plus the taps of any nu <= 1: no slice wraps, and every
+    driver on one lattice reads the same spectrum."""
 
     master_seed: int
     spec: LatticeSpec  # the sampling window W covers
@@ -289,7 +285,7 @@ class SpectralDriver(NamedTuple):
         buf *= self.time
         np.fft.ifft(buf, axis=-1, out=buf)
         picked = np.ascontiguousarray(np.moveaxis(buf[..., slices], -1, 0))
-        return np.fft.irfftn(picked, s=self.spec.space_shape(), axes=_space_axes(self.spec))
+        return irfft_space(picked, self.spec)
 
 
 def spectral_driver(model: NoiseModel, spec: LatticeSpec, history: float = 0.0) -> SpectralDriver:
@@ -297,8 +293,8 @@ def spectral_driver(model: NoiseModel, spec: LatticeSpec, history: float = 0.0) 
 
     Its multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
     mollifier and the causal temporal taps, with W zero before the window
-    start.  The time FFT is padded for the longest taps of any nu <= 1, so
-    its length m depends on the lattice only."""
+    start.  Its time FFT length m = padded_length(nt + the taps of nu = 1)
+    depends on the lattice only: 1215 for nt = 1001 at dt = 0.0025."""
     if model.kind != "mollified_white":
         raise ValidationFault(f"no spectral driver for {model.kind} noise")
     _check_resolution(model, spec)

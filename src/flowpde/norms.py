@@ -14,13 +14,7 @@ import numpy as np
 
 from .errors import ValidationFault
 from .kernels import apply_K, fit_loglog_slope
-from .lattice import (
-    SPACE_ONLY,
-    Field,
-    LatticeSpec,
-    fft_space,
-    ifft_space,
-)
+from .lattice import SPACE_ONLY, Field, LatticeSpec, irfft_space, rfft_space
 
 
 @dataclass
@@ -77,22 +71,19 @@ def scale_norm(f: Field, alpha: float, g: int, mu_values=None) -> ScaleNormRepor
 
 
 def c_gamma_multiplier(spec: LatticeSpec, gamma: float) -> np.ndarray:
-    """The Fourier multiplier 1 + |k|^gamma of the C^gamma-type norm."""
+    """The Fourier multiplier 1 + |k|^gamma of the C^gamma-type norm, on the
+    rfft half of the modes (rfft_space's layout)."""
     if gamma <= 0:
         raise ValidationFault("gamma must be positive")
-    return 1.0 + spec.k_norm() ** gamma
-
-
-def c_gamma_sup(data: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """||F^-1[mult phi_hat]||_inf of each slice in `data`, whose trailing
-    axes are the spatial ones; one value per leading index."""
-    out = ifft_space(mult * fft_space(data, mult.ndim), mult.ndim).real
-    return np.max(np.abs(out), axis=tuple(range(-mult.ndim, 0)))
+    return 1.0 + spec.k_norm()[..., : spec.n // 2 + 1] ** gamma
 
 
 def c_gamma_norm(phi: Field, gamma: float) -> float:
     """Hoelder-type norm ||F^-1[(1 + |k|^gamma) phi_hat]||_inf of a spatial
-    slice; the blow-up monitor of the solver."""
+    slice; the blow-up monitor of the solver, which reads it from the
+    slice's rfft half as this does."""
     if phi.domain != SPACE_ONLY:
         raise ValidationFault("c_gamma_norm acts on space_only slices")
-    return float(c_gamma_sup(phi.data, c_gamma_multiplier(phi.spec, gamma)))
+    spec = phi.spec
+    smoothed = irfft_space(c_gamma_multiplier(spec, gamma) * rfft_space(phi.data, spec.d), spec)
+    return float(np.max(np.abs(smoothed)))

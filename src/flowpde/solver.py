@@ -3,9 +3,9 @@ shift decomposition, window patching and blow-up detection.
 
 The mild macroscopic equation Phi = G * (1_[0,inf) F_nu[Phi] + delta_0 x phi)
 is advanced per Fourier mode with the exact linear factor exp(-dt |k|^sigma)
-and phi-function weights on the force (ETD1 / ETD2RK).  The initial pairing
-delta_0 x phi enters exactly as the semigroup image of phi, never as a grid
-delta.
+and phi-function weights on the force (ETD1 / ETD2RK), on the rfft half of
+the modes of the real fields it steps.  The initial pairing delta_0 x phi
+enters exactly as the semigroup image of phi, never as a grid delta.
 
 solve_stack is the one solve: it compiles the force, runs the stepping loop
 for a stack of samples along a leading axis (each sample matches its own
@@ -42,10 +42,10 @@ import numpy as np
 
 from .errors import NumericalFault, ValidationFault
 from .kernels import DEFAULT_EPS, check_fluctuation_window
-from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, fft_space, ifft_space
+from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, irfft_space, rfft_space
 from .model import ModelSpec, compile_force
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
-from .norms import c_gamma_multiplier, c_gamma_sup
+from .norms import c_gamma_multiplier
 from .norms import c_gamma_norm  # noqa: F401  looked up here by perfbench/tracing.py
 
 STATUS_COMPLETED = "completed"
@@ -140,54 +140,59 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
 
     `phi` holds the initial slices of R; `drive`, when given, each sample's
     driver D on its solve_window slices, and the force is N[R + D].  The
-    linear part is exact per Fourier mode, the force gets ETD1 / ETD2RK
-    phi-function weights.  At the end of each local window of t_local the
-    state restarts from its real slice, as a fresh solve from that slice
-    would.  A sample whose c_gamma norm reaches the blow-up radius stops
-    there and leaves the stack; a non-finite slice in the stack faults.
-    Returns one SolveResult per sample.
+    state is R's rfft half; its linear part is exact per mode, the force
+    gets ETD1 / ETD2RK phi-function weights.  At the end of each local
+    window of t_local the state restarts from its real slice, as a fresh
+    solve from that slice would.  A sample whose c_gamma norm, read from
+    the state, reaches the blow-up radius stops there and leaves the
+    stack; a non-finite slice in the stack faults.  Returns one
+    SolveResult per sample.
     """
     dt = spec.dt
     n_steps = _n_steps(spec, cfg)
     per_window = max(int(round(cfg.t_local / dt)), 1)
     gamma = cfg.gamma if cfg.gamma is not None else spec.sigma - DEFAULT_EPS
     norm_mult = c_gamma_multiplier(spec, gamma)
-    lin = -dt * spec.k_norm() ** spec.sigma
+    half = spec.n // 2 + 1
+    lin = -dt * spec.k_norm()[..., :half] ** spec.sigma
     e_lin = np.exp(lin)
     w1 = dt * _phi1(lin)
     w2 = dt * _phi2(lin)
-    mask = _dealias_mask(spec) if cfg.dealias else None
+    mask = _dealias_mask(spec)[..., :half] if cfg.dealias else None
     d = spec.d
 
     def force_hat(data: np.ndarray, j: int) -> np.ndarray:
-        f = fft_space(force(data if drive is None else data + drive[:, j]), d)
+        f = rfft_space(force(data if drive is None else data + drive[:, j]), d)
         return f if mask is None else f * mask
+
+    def monitor(phi_hat: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(irfft_space(norm_mult * phi_hat, spec)), axis=tuple(range(-d, 0)))
 
     samples = phi.shape[0]
     traj = np.empty((samples, n_steps + 1, *spec.space_shape()))
     norms = np.full((samples, n_steps + 1), np.nan)
     traj[:, 0] = phi
-    norms[:, 0] = c_gamma_sup(phi, norm_mult)
     last = np.full(samples, n_steps)
     breve_T = np.empty(samples)
     blown = np.zeros(samples, dtype=bool)
     live = np.arange(samples)
     t_win, j_win = 0.0, 0
-    phi_hat = fft_space(phi, d)
-    data = ifft_space(phi_hat, d).real
+    phi_hat = rfft_space(phi, d)
+    norms[:, 0] = monitor(phi_hat)
+    data = irfft_space(phi_hat, spec)
     for j in range(1, n_steps + 1):
         f0 = force_hat(data, j - 1)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
-            a_data = ifft_space(phi_hat, d).real
+            a_data = irfft_space(phi_hat, spec)
             phi_hat = phi_hat + w2 * (force_hat(a_data, j) - f0)
-        data = ifft_space(phi_hat, d).real
+        data = irfft_space(phi_hat, spec)
         if not np.all(np.isfinite(data)):
             raise NumericalFault(
                 f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
             )
         traj[live, j] = data
-        norms[live, j] = sup = c_gamma_sup(data, norm_mult)
+        norms[live, j] = sup = monitor(phi_hat)
         stop = sup >= cfg.blow_up_radius
         if stop.any():
             last[live[stop]] = j
@@ -200,8 +205,8 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
                 break
         if j % per_window == 0 and j < n_steps:
             t_win, j_win = t_win + per_window * dt, j
-            phi_hat = fft_space(data, d)
-            data = ifft_space(phi_hat, d).real
+            phi_hat = rfft_space(data, d)
+            data = irfft_space(phi_hat, spec)
     breve_T[live] = t_win + (n_steps - j_win) * dt
     out = []
     for s in range(samples):
@@ -238,10 +243,9 @@ def solve_stack(
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
     if drive is not None:
         # S and its free decay, on the rfft half of the modes
-        axes = tuple(range(2, spec.d + 2))
         ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
         heat = np.exp(-np.multiply.outer(spec.dt * np.arange(drive.shape[1]), ks))
-        s_hat = np.fft.rfftn(drive, axes=axes)
+        s_hat = rfft_space(drive, spec.d)
         if noise is not None:
             # kernels.convolve's trapezoid rule: dt on every slice of [0, t], half of it at t
             acc = s_hat.copy()
@@ -250,7 +254,7 @@ def solve_stack(
             acc -= 0.5 * s_hat
             s_hat = spec.dt * acc
         s_hat -= heat * s_hat[:, :1]
-        drive = np.fft.irfftn(s_hat, spec.space_shape(), axes)
+        drive = irfft_space(s_hat, spec)
         drive[:, 0] = 0.0
     results = _march(force, phi, drive, cfg, spec)
     if drive is not None:

@@ -17,7 +17,7 @@ from flowpde.flow import (
     taylor_decompose,
 )
 from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
-from flowpde.lattice import SPACE_TIME, Field, LatticeSpec
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, padded_length
 from flowpde.model import RenormScheme, evaluate_force, preset
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 
@@ -77,7 +77,7 @@ def _reference_node(wick, mu):
     fluct = _reference_fluct(wick, mu)
     t_dot = dt * np.arange(lo, hi + 1)
     dot = (-(t_dot / mu**2) * chi_prime(t_dot / mu))[:, None] * np.exp(-np.outer(t_dot, wick.k_sigma))
-    n_pad = 1 << int(np.ceil(np.log2(hi + 1 + len(wick.taps) + 1)))
+    n_pad = padded_length(hi + 1 + len(wick.taps) + 1)
 
     def cross(m1, lo1, m2, lo2):
         H1 = _reference_spectrum(wick, m1, lo1, n_pad)
@@ -90,7 +90,7 @@ def _reference_node(wick, mu):
 def _reference_covariance(wick, n_lags):
     """covariance_kernel with one column per mode."""
     fluct = _reference_fluct(wick, 1.0)
-    n_pad = 1 << int(np.ceil(np.log2(2 * (len(fluct) + len(wick.taps) + n_lags))))
+    n_pad = padded_length(2 * (len(fluct) + len(wick.taps) + n_lags))
     H = _reference_spectrum(wick, fluct, 0, n_pad)
     auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
     out_hat = auto[:n_lags] * (wick.prefactor * wick.mhat2[None])

@@ -27,7 +27,15 @@ from flowpde.kernels import (
     invariant_battery,
     reconstruct_G,
 )
-from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, forward_transform, inverse_transform
+from flowpde.lattice import (
+    SPACE_ONLY,
+    SPACE_TIME,
+    Field,
+    LatticeSpec,
+    forward_transform,
+    inverse_transform,
+    padded_length,
+)
 
 
 def test_chi_plateaus_and_monotone():
@@ -229,9 +237,7 @@ def _axis0_convolve(kernel, f):
     nt = spec.nt
     hi = min(kernel.support_hi, nt - 1)
     km = kernel.mult[: hi + 1]
-    m = 1
-    while m < nt + hi + 1:
-        m *= 2
+    m = padded_length(nt + hi + 1)
     kk = np.zeros((m,) + km.shape[1:], dtype=complex)
     kk[: hi + 1] = km
     ff = np.zeros((m,) + fhat.shape[1:], dtype=complex)

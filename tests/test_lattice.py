@@ -17,6 +17,7 @@ from flowpde.lattice import (
     forward_transform,
     inverse_transform,
     pair_with_test_function,
+    padded_length,
     read_fld1,
     write_fld1,
 )
@@ -70,6 +71,22 @@ def test_transform_roundtrip(desk_spec, rng):
     f = Field(desk_spec, rng.standard_normal((desk_spec.nt, desk_spec.n)), SPACE_TIME)
     g = inverse_transform(desk_spec, forward_transform(f), SPACE_TIME)
     np.testing.assert_allclose(g.data, f.data, atol=1e-12)
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_padded_length_is_the_least_5_smooth_length():
+    smooth = [m for m in range(1, 5200) if _is_5_smooth(m)]
+    for size in range(1, 5001):
+        m = padded_length(size)
+        assert m == min(k for k in smooth if k >= size), size
+    # the drive spectra of criterion 7's lattice and of flowpde simulate's
+    assert (padded_length(1202), padded_length(1402)) == (1215, 1440)
 
 
 def test_pairing_is_riemann_sum(desk_spec):

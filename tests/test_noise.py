@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowpde.errors import ValidationFault
 from flowpde.flow import WickCalculator
 from flowpde.kernels import fluctuation_kernel
-from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
 from flowpde.noise import (
     MollifierProfile,
     NoiseModel,
@@ -210,7 +210,7 @@ def _axis0_mollified_white(model, spec, sample_index):
     what *= _spatial_multiplier(model, spec)[None]
     w = np.fft.ifftn(what, axes=tuple(range(1, spec.d + 1))).real
     taps = _temporal_taps(model, spec)
-    n_pad = 1 << int(np.ceil(np.log2(spec.nt + len(taps))))
+    n_pad = padded_length(spec.nt + len(taps))
     tap_hat = np.fft.fft(taps, n=n_pad)
     w_hat = np.fft.fft(w, n=n_pad, axis=0)
     shape = (n_pad,) + (1,) * spec.d
@@ -274,6 +274,31 @@ def test_spectral_driver_keeps_the_checks_of_the_sample_path():
         spectral_driver(NoiseModel("mollified_white", 0.01, 5, "bump"), spec, 2.0)
     with pytest.raises(ValidationFault, match="poisson_shot"):
         spectral_driver(NoiseModel("poisson_shot", 0.1, 5, "bump"), spec, 2.0)
+
+
+def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
+    """At nu = 1, the longest taps, on flowpde simulate's lattice the drive
+    spectrum is m = 1440 long, the least 5-smooth length that leaves room
+    for every slice and the taps.  The sample equals the direct causal
+    convolution of the mollified white noise with the taps on every slice:
+    no tail wraps onto the first slices."""
+    spec = LatticeSpec(1, 256, 0.0025, 0.0, 1.0, 0.5)
+    model = NoiseModel("mollified_white", 1.0, 5, "bump", resolution_policy="spectral")
+    driver = spectral_driver(model, spec, 2.0)
+    ext = driver.spec
+    taps = _temporal_taps(model, ext)
+    assert driver.time.size == 1440 >= ext.nt + len(taps) - 1
+    sample = sample_macroscopic_noise(model, spec, 3, history=2.0)
+    w = white_noise_slab(ext, substream(model.master_seed, 3, "white"))
+    space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
+    w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
+    ref = np.zeros_like(w)
+    for lag, tap in enumerate(taps):
+        ref[lag:] += tap * w[: ext.nt - lag]
+    ref *= ext.dt
+    err = np.max(np.abs(sample.data - ref), axis=1)
+    assert err.shape == (ext.nt,)
+    assert np.all(err <= REL_TOL * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("family", ["bump", "skew"])

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flowpde.errors import NumericalFault, ValidationFault
 from flowpde.kernels import DEFAULT_EPS, SpectralKernel, convolve, heat_multiplier
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
-from flowpde.model import evaluate_force, preset, relevant_filtered
+from flowpde.model import ModelSpec, Monomial, evaluate_force, preset, relevant_filtered
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
 from flowpde.solver import (
@@ -213,57 +215,69 @@ def test_missing_coefficient_faults_before_any_step(desk_noise):
             solve_mild(model, None, None, phi0, cfg)
 
 
+def _reference_drive(spec, noise, shift):
+    """The driver of one sample from its solve_window slices: S is
+    G * (1_[0,inf) noise), stepped slice by slice with trapezoid weights,
+    or the shift itself; the driver is S less the free decay of its t = 0
+    slice, on the rfft half of the modes, and zero at t = 0."""
+    drive = shift if noise is None else noise
+    if drive is None:
+        return None
+    axes = tuple(range(1, spec.d + 1))
+    ks = (spec.k_norm() ** spec.sigma)[..., : spec.n // 2 + 1]
+    s_hat = np.fft.rfftn(drive, axes=axes)
+    if noise is not None:
+        acc = s_hat.copy()
+        for j in range(1, len(acc)):
+            acc[j] += np.exp(-spec.dt * ks) * acc[j - 1]
+        s_hat = spec.dt * (acc - 0.5 * s_hat)
+    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(len(drive)), ks))
+    drive = np.fft.irfftn(s_hat - heat * s_hat[0], spec.space_shape(), axes)
+    drive[0] = 0.0
+    return drive
+
+
 def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
-    """The per-sample solver: the force evaluated afresh by evaluate_force
-    at every stage, a restart from the real slice at every seam of t_local,
-    a stop at the blow-up radius.  noise / shift are the sample's
-    solve_window slices.  S is G * (1_[0,inf) noise), stepped slice by slice
-    with trapezoid weights, or the shift itself; the remainder starts at
-    phi0, is driven by S less the free decay of its t = 0 slice, and the
-    total is returned.
+    """The per-sample solver on a d = 1 lattice: the rfft half of R stepped
+    with the force evaluated afresh by evaluate_force at every stage, a
+    restart from the real slice at every seam of t_local, the c_gamma norm
+    read from the half spectrum and a stop at the blow-up radius.  noise /
+    shift are the sample's solve_window slices; the remainder starts at
+    phi0 and the total R + D is returned.
     The reference for the compiled force and the stacked loop."""
     spec = phi0.spec
     dt = spec.dt
     n_steps = int(round(min(cfg.max_horizon, spec.t_max) / dt))
     per_window = max(int(round(cfg.t_local / dt)), 1)
-    lin = -dt * spec.k_norm() ** spec.sigma
-    e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
-    gamma = spec.sigma - DEFAULT_EPS
     half = spec.n // 2 + 1
+    lin = -dt * (spec.k_norm() ** spec.sigma)[:half]
+    e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
+    norm_mult = 1.0 + spec.k_norm()[:half] ** (spec.sigma - DEFAULT_EPS)
+    drive = _reference_drive(spec, noise, shift)
 
     def force_hat(phi_hat, j):
-        phi = np.fft.ifft(phi_hat).real
+        phi = np.fft.irfft(phi_hat, spec.n)
         if drive is not None:
             phi = phi + drive[j]
         f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
-        f = np.fft.fft(f)
-        return f * _dealias_mask(spec) if cfg.dealias else f
+        f = np.fft.rfft(f)
+        return f * _dealias_mask(spec)[:half] if cfg.dealias else f
 
-    drive = shift if noise is None else noise
-    if drive is not None:
-        s_hat = np.fft.rfft(drive)
-        if noise is not None:
-            acc = s_hat.copy()
-            for j in range(1, len(acc)):
-                acc[j] += e_lin[:half] * acc[j - 1]
-            s_hat = dt * (acc - 0.5 * s_hat)
-        # the driver: S less the free decay of its t = 0 slice, on the rfft half
-        t = dt * np.arange(len(drive))
-        heat = np.exp(-np.outer(t, (spec.k_norm() ** spec.sigma)[:half]))
-        drive = np.fft.irfft(s_hat - heat * s_hat[0], spec.n)
-        drive[0] = 0.0
+    def norm(phi_hat):
+        return np.max(np.abs(np.fft.irfft(norm_mult * phi_hat, spec.n)))
+
     traj = [phi0.data]
-    norms = [c_gamma_norm(Field(spec, traj[0], SPACE_ONLY), gamma)]
+    norms = [norm(np.fft.rfft(phi0.data))]
     status = STATUS_COMPLETED
     for j in range(n_steps):
         if j % per_window == 0:
-            phi_hat = np.fft.fft(traj[-1])
+            phi_hat = np.fft.rfft(traj[-1])
         f0 = force_hat(phi_hat, j)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
             phi_hat = phi_hat + w2 * (force_hat(phi_hat, j + 1) - f0)
-        traj.append(np.fft.ifft(phi_hat).real)
-        norms.append(c_gamma_norm(Field(spec, traj[-1], SPACE_ONLY), gamma))
+        traj.append(np.fft.irfft(phi_hat, spec.n))
+        norms.append(norm(phi_hat))
         if norms[-1] >= cfg.blow_up_radius:
             status = STATUS_BLEW_UP
             break
@@ -271,6 +285,91 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
     if drive is not None:
         traj = traj + drive[: len(traj)]
     return traj, np.array(norms), status
+
+
+def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
+    """The stepping loop on full complex transforms, as it ran before the
+    rfft half: every mode of R stepped, the real part of each inverse
+    transform kept, and the c_gamma norm of each real slice taken by a
+    forward and an inverse transform.  Any d."""
+    spec = phi0.spec
+    dt = spec.dt
+    axes = tuple(range(-spec.d, 0))
+    n_steps = int(round(min(cfg.max_horizon, spec.t_max) / dt))
+    per_window = max(int(round(cfg.t_local / dt)), 1)
+    lin = -dt * spec.k_norm() ** spec.sigma
+    e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
+    norm_mult = 1.0 + spec.k_norm() ** (spec.sigma - DEFAULT_EPS)
+    drive = _reference_drive(spec, noise, None)
+
+    def inverse(coeffs):
+        return np.fft.ifftn(coeffs, axes=axes).real
+
+    def force_hat(phi_hat, j):
+        phi = inverse(phi_hat) + drive[j]
+        f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
+        f = np.fft.fftn(f, axes=axes)
+        return f * _dealias_mask(spec) if cfg.dealias else f
+
+    def norm(data):
+        return np.max(np.abs(inverse(norm_mult * np.fft.fftn(data, axes=axes))))
+
+    traj = [phi0.data]
+    norms = [norm(phi0.data)]
+    status = STATUS_COMPLETED
+    for j in range(n_steps):
+        if j % per_window == 0:
+            phi_hat = np.fft.fftn(traj[-1], axes=axes)
+        f0 = force_hat(phi_hat, j)
+        phi_hat = e_lin * phi_hat + w1 * f0
+        if cfg.scheme == "etd_rk2":
+            phi_hat = phi_hat + w2 * (force_hat(phi_hat, j + 1) - f0)
+        traj.append(inverse(phi_hat))
+        norms.append(norm(traj[-1]))
+        if norms[-1] >= cfg.blow_up_radius:
+            status = STATUS_BLEW_UP
+            break
+    traj = np.array(traj)
+    return traj + drive[: len(traj)], np.array(norms), status
+
+
+D2_MODEL = ModelSpec(
+    d=2, sigma=1.0, dim_lambda=0.5, lam=0.3, monomials=(Monomial(1, 3, 0, -1.0),), symmetry="parity_z2"
+)
+
+
+@pytest.mark.parametrize(
+    "spec, model, ct, cfg",
+    [
+        (  # flowpde simulate's solve: etd_rk2, dealiased, windows of 0.25
+            LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5),
+            preset("phi4_desk", lam=0.3),
+            {(1, 1, ((0,),)): -0.4},
+            SolveConfig(max_horizon=0.5),
+        ),
+        (  # the rfftn path
+            LatticeSpec(2, 16, 0.01, 0.0, 0.25, 1.0),
+            D2_MODEL,
+            {(1, 1, ((0, 0),)): -0.4, (2, 1, ((0, 0),)): 0.0},
+            SolveConfig(scheme="etd1", dealias=False, t_local=0.1, max_horizon=0.25),
+        ),
+    ],
+    ids=["d1-etd_rk2-dealias", "d2-etd1"],
+)
+def test_rfft_loop_is_the_complex_loop_to_round_off(desk_noise, spec, model, ct, cfg):
+    """The loop on the rfft half of the modes, its norm read from the half
+    spectrum, takes the complex-transform loop's steps: trajectories and
+    slice norms agree to 1e-13 of their size, and the status is equal."""
+    model = dataclasses.replace(model, noise=desk_noise)
+    xi = sample_macroscopic_noise(desk_noise, spec, 5, history=2.0)
+    phi0 = Field(spec, 0.5 * np.cos(spec.coords()[0]), SPACE_ONLY)
+    res = solve_mild(model, ct, xi, phi0, cfg)
+    traj, norms, status = _complex_reference_solve(model, ct, phi0, cfg, noise=solve_window(xi, spec, cfg))
+    assert res.status == status == STATUS_COMPLETED
+    assert res.trajectory.data.shape == traj.shape and res.slice_norms.shape == norms.shape
+    assert np.max(np.abs(traj)) > 0.5
+    assert np.max(np.abs(res.trajectory.data - traj)) <= 1e-13 * np.max(np.abs(traj))
+    assert np.max(np.abs(res.slice_norms - norms)) <= 1e-13 * np.max(norms)
 
 
 def test_compiled_force_trajectory_matches_per_step_evaluation(desk_noise, rng):
