@@ -3,8 +3,8 @@ shift decomposition, window patching and blow-up detection.
 
 The mild macroscopic equation Phi = G * (1_[0,inf) F_nu[Phi] + delta_0 x phi)
 is advanced per Fourier mode with the exact linear factor exp(-dt |k|^sigma)
-and phi-function weights on the force (ETD1 / ETD2RK), on the rfft half of
-the modes of the real fields it steps.  The initial pairing delta_0 x phi
+and phi-function weights on the force (ETD1 / ETD2RK), all on the rfft half
+of the modes, blow-up monitor included.  The initial pairing delta_0 x phi
 enters exactly as the semigroup image of phi, never as a grid delta.
 
 solve_stack is the one solve: it compiles the force, runs the stepping loop
