@@ -29,12 +29,12 @@ pairs of a degree-m monomial into a degree m - 2k coefficient carries the
 pairing count m! / ((m - 2k)! k! 2^k).  Order i = 2 is provided for the
 cubic Z2 class through the closed sunset form (see flow_expected).
 
-Node spectra.  The time spectra of Ghat_mu and Gdot_mu depend only on the
-lattice, mu, the padded length and |k|^sigma: a KernelSpectra builds them on
-the distinct |k|^sigma, once per node and length for all cells of a
-flow_stack, and each cell multiplies in its own taps.  Each column is
-transformed alone and expanded to every mode before the sum over modes, so C
-and D are bit-identical to a per-cell, per-mode layout.
+Node spectra.  KernelSpectra builds the time spectra S, S_dot of Ghat_mu,
+Gdot_mu on the distinct |k|^sigma.  Taps T enter a Wick sum only through
+|T|^2, as conj(S T) (S_dot T) = conj(S) S_dot |T|^2, so wick_sums forms
+|S|^2 and Re(conj(S) S_dot) once per node, at the cells' longest pad, and
+each cell is one weighted sum of them over frequencies (Parseval weights
+times |T|^2) and columns (its |M|^2 folded onto the distinct |k|^sigma).
 """
 
 from __future__ import annotations
@@ -148,14 +148,13 @@ def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
 class KernelSpectra:
     """Time spectra of G - G_mu and dG_mu on one lattice, without taps, on
     the distinct |k|^sigma (`inverse` maps each mode to its column).  The
-    heat table is built once; the last mu's spectra are kept per n_pad."""
+    heat table is built once."""
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
         k_sigma = spec.k_norm().ravel() ** spec.sigma
         self.k_sigma, self.inverse = np.unique(k_sigma, return_inverse=True)
         self._t = np.zeros(0)
-        self._mu, self._memo = None, {}
 
     def _rfft(self, mult: np.ndarray, lo: int, n_pad: int) -> np.ndarray:
         """Time rfft of quadrature-weighted slices placed from slice lo."""
@@ -169,29 +168,25 @@ class KernelSpectra:
         """[fluctuation spectrum] or, with `dot`, [fluctuation, dot kernel
         from slice floor(mu / dt)] at mu, from rows j <= ceil(2 mu / dt) of
         one heat table e^(-j dt |k|^sigma) built for max(1, mu)."""
-        if mu != self._mu:
-            self._mu, self._memo = mu, {}
-        if (n_pad, dot) not in self._memo:
-            hi = int(np.ceil(2.0 * mu / self.spec.dt))
-            if hi >= len(self._t):
-                self._t = self.spec.dt * np.arange(max(hi, int(np.ceil(2.0 / self.spec.dt))) + 1)
-                self._heat = np.exp(-np.outer(self._t, self.k_sigma))
-            t, heat = self._t[: hi + 1], self._heat[: hi + 1]
-            spectra = [self._rfft(fluctuation_weight(t, mu)[:, None] * heat, 0, n_pad)]
-            if dot:
-                lo = int(np.floor(mu / self.spec.dt))
-                spectra.append(self._rfft(dot_weight(t[lo:], mu)[:, None] * heat[lo:], lo, n_pad))
-            self._memo[(n_pad, dot)] = spectra
-        return self._memo[(n_pad, dot)]
+        hi = int(np.ceil(2.0 * mu / self.spec.dt))
+        if hi >= len(self._t):
+            self._t = self.spec.dt * np.arange(max(hi, int(np.ceil(2.0 / self.spec.dt))) + 1)
+            self._heat = np.exp(-np.outer(self._t, self.k_sigma))
+        t, heat = self._t[: hi + 1], self._heat[: hi + 1]
+        spectra = [self._rfft(fluctuation_weight(t, mu)[:, None] * heat, 0, n_pad)]
+        if dot:
+            lo = int(np.floor(mu / self.spec.dt))
+            spectra.append(self._rfft(dot_weight(t[lo:], mu)[:, None] * heat[lo:], lo, n_pad))
+        return spectra
 
 
 class WickCalculator:
-    """Exact second-moment computations for mollified white noise on the
-    lattice, with the same discrete conventions as the sampler and the
-    convolution operator: temporal taps of the mollifier, spatial mollifier
-    multiplier, white-noise cell variance 1/(dt dx^d), and the half-weight
-    at a kernel's t = 0 tap.  Kernel spectra come from `kernels`, its own or
-    a flow_stack's (module docstring); the taps' rfft is built per n_pad."""
+    """Exact second moments of mollified white noise on the lattice, with
+    the conventions of the sampler and the convolution operator: mollifier
+    taps and multiplier, cell variance 1/(dt dx^d), half-weight at a
+    kernel's t = 0 tap.  < (K1 * Xi)(x) (K2 * Xi)(x) > = sum over columns k
+    and frequencies w of mode_weights_k time_weights_w Re(conj(S1) S2)_wk
+    (module docstring); tadpole and flow_node are one-cell wick_sums."""
 
     def __init__(self, spec: LatticeSpec, model: NoiseModel, kernels: KernelSpectra | None = None):
         if model.kind != "mollified_white":
@@ -201,34 +196,25 @@ class WickCalculator:
         self.kernels = kernels if kernels is not None else KernelSpectra(spec)
         self.mhat2 = np.abs(_spatial_multiplier(model, spec)).ravel() ** 2
         self.taps = _temporal_taps(model, spec)
-        self.k_sigma = spec.k_norm().ravel() ** spec.sigma
         self.prefactor = spec.dt / (spec.dx**spec.d * spec.n**spec.d)
-        self._taps_hat = {}
+        self.mode_weights = self.prefactor * np.bincount(self.kernels.inverse, weights=self.mhat2)
+        self._time_weights = {}
 
-    def _smoothed(self, mu: float, dot: bool, n_pad: int | None = None) -> tuple:
-        """(spectra at mu times the taps' rfft, n_pad); n_pad defaults to fit both kernels."""
-        if n_pad is None:  # both kernels end at slice ceil(2 mu / dt)
-            n_pad = padded_length(np.ceil(2 * mu / self.spec.dt) + len(self.taps) + 2)
-        if n_pad not in self._taps_hat:
-            self._taps_hat[n_pad] = np.fft.rfft(self.taps, n=n_pad)[:, None]
-        return [S * self._taps_hat[n_pad] for S in self.kernels.at(mu, n_pad, dot)], n_pad
-
-    def _parseval(self, H1: np.ndarray, H2: np.ndarray, n_pad: int) -> float:
-        """< (K1 * Xi)(x) (K2 * Xi)(x) > from the two kernels' tap-smoothed
-        spectra.  Uses the identity sum_(j,j') g1_j g2_j' A(j - j') =
-        sum_t (g1 conv taps)(g2 conv taps), evaluated by Parseval for rfft:
-        sum_t h1 h2 = (H[0] + 2 sum_mid + edge) / n_pad."""
-        prod = (H1.conj() * H2).real
-        val = 2.0 * prod.sum(axis=0) - prod[0]
-        if n_pad % 2 == 0:
-            val -= prod[-1]
-        val /= n_pad
-        return float(self.prefactor * np.sum(self.mhat2 * val[self.kernels.inverse]))
+    def time_weights(self, n_pad: int) -> np.ndarray:
+        """|rfft(taps, n_pad)|^2 times the rfft Parseval weights (1 at
+        frequency 0 and at an even pad's last, 2 elsewhere) over n_pad."""
+        if n_pad not in self._time_weights:
+            T = np.fft.rfft(self.taps, n=n_pad)
+            w = (2.0 / n_pad) * (T.real**2 + T.imag**2)
+            w[0] *= 0.5
+            if n_pad % 2 == 0:
+                w[-1] *= 0.5
+            self._time_weights[n_pad] = w
+        return self._time_weights[n_pad]
 
     def tadpole(self, mu: float) -> float:
         """C(mu) = < ((G - G_mu) * Xi)(x)^2 >."""
-        (H,), n_pad = self._smoothed(mu, dot=False)
-        return self._parseval(H, H, n_pad)
+        return float(wick_sums([self], mu, dot=False)[0, 0])
 
     def tadpole_derivative_half(self, mu: float) -> float:
         """D(mu) = < ((G - G_mu) * Xi) ((dG_mu) * Xi) > = -C'(mu)/2."""
@@ -237,8 +223,7 @@ class WickCalculator:
     def flow_node(self, mu: float) -> tuple:
         """(C(mu), D(mu)) from one spectrum of each kernel: the values of
         tadpole and tadpole_derivative_half at a node of the flow."""
-        (H, H_dot), n_pad = self._smoothed(mu, dot=True)
-        return self._parseval(H, H, n_pad), self._parseval(H, H_dot, n_pad)
+        return tuple(float(v) for v in wick_sums([self], mu, dot=True)[0])
 
     def covariance_kernel(self, n_lags: int) -> np.ndarray:
         """P(t_lag, x) = < (Ghat_1 * Xi)(0) (Ghat_1 * Xi)(t_lag, x) > for
@@ -246,7 +231,7 @@ class WickCalculator:
         integrals)."""
         hi = int(np.ceil(2.0 / self.spec.dt))
         n_pad = padded_length(2 * (hi + 1 + len(self.taps) + n_lags))
-        (H,), _ = self._smoothed(1.0, False, n_pad)
+        H = self.kernels.at(1.0, n_pad, dot=False)[0] * np.fft.rfft(self.taps, n=n_pad)[:, None]
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
         # np.take keeps P in C order, the order the sunset integrals sum in
         auto = np.take(auto[:n_lags], self.kernels.inverse, axis=1)
@@ -255,6 +240,20 @@ class WickCalculator:
         shape = (n_lags, *self.spec.space_shape())
         field_hat = (out_hat * self.spec.n**self.spec.d).reshape(shape).astype(complex)
         return np.fft.ifftn(field_hat, axes=tuple(range(1, self.spec.d + 1))).real
+
+
+def wick_sums(wicks: list, mu: float, dot: bool) -> np.ndarray:
+    """C(mu) and, with `dot`, D(mu) of each WickCalculator in `wicks`, which
+    share one KernelSpectra: a (cells, 1 + dot) array from one spectrum of
+    each kernel at the longest of the cells' own pads, which fit both
+    kernels (to slice ceil(2 mu / dt)) convolved with the taps.  A longer
+    pad only adds zero padding: a cell's values move by round-off."""
+    n_pad = max(padded_length(np.ceil(2 * mu / wick.spec.dt) + len(wick.taps) + 2) for wick in wicks)
+    S, *S_dot = wicks[0].kernels.at(mu, n_pad, dot)
+    tables = [S.real**2 + S.imag**2] + [S.real * Sd.real + S.imag * Sd.imag for Sd in S_dot]
+    time_weights = np.array([wick.time_weights(n_pad) for wick in wicks])
+    mode_weights = np.array([wick.mode_weights for wick in wicks])
+    return np.stack([np.sum((time_weights @ A) * mode_weights, axis=1) for A in tables], axis=1)
 
 
 def pairing_count(m: int, k: int) -> int:
@@ -316,10 +315,12 @@ def flow_expected(
 def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max=2) -> list:
     """flow_expected's (curves, counterterms) for each (model, nu,
     scheme) cell on one lattice, every cell checked before any flow runs.
-    The mu-node loop is outermost and all cells share one KernelSpectra."""
+    All cells share one KernelSpectra and one wick_sums call per mu-node."""
     for name, value in (("j_levels", j_levels), ("nodes_per_octave", nodes_per_octave)):
         if value < 1:
             raise ValidationFault(f"flow {name} must be at least 1, got {value}")
+    if not cells:
+        return []
     kernels = KernelSpectra(spec)
     checked, wicks = [], []
     for model, nu, scheme in cells:
@@ -339,11 +340,11 @@ def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max
 
     nodes, weights = _octave_nodes(j_levels, nodes_per_octave)
     quadrature = (nodes, weights, j_levels, nodes_per_octave)
-    C_D = [[wick.flow_node(mu) for wick in wicks] for mu in nodes]
-    ends = [[wick.tadpole(mu) for wick in wicks] for mu in (2.0**-j_levels, 1.0)]
+    C_D = np.array([wick_sums(wicks, mu, dot=True) for mu in nodes])  # (node, cell, C|D)
+    C_min, C_one = (wick_sums(wicks, mu, dot=False)[:, 0] for mu in (2.0**-j_levels, 1.0))
     return [
-        _flow_counterterms(spec, *cell, wick, quadrature, np.array(c_d).T, C_min, C_one)
-        for cell, wick, c_d, C_min, C_one in zip(checked, wicks, zip(*C_D), *ends)
+        _flow_counterterms(spec, *cell, wick, quadrature, C_D[:, c].T, float(C_min[c]), float(C_one[c]))
+        for c, (cell, wick) in enumerate(zip(checked, wicks))
     ]
 
 
@@ -353,15 +354,10 @@ def _flow_counterterms(spec, model, nu, anchors, relevant, wick, quadrature, C_D
     nodes, weights, j_levels, nodes_per_octave = quadrature
     C_nodes, D_nodes = C_D
 
-    # bare (mu = 0) values of the declared monomials
-    def bare(i, m):
-        for mo in model.monomials:
-            if mo.i == i and mo.m == m and mo.degree() == 0:
-                return coefficient_value(model, mo, nu)
-        return 0.0
-
+    # bare (mu = 0) values of the declared monomials (1, m, 0), the first of each m
+    degree0 = [mo for mo in model.monomials if mo.i == 1 and mo.degree() == 0]
+    bare = {mo.m: coefficient_value(model, mo, nu) for mo in reversed(degree0)}
     entries, provenance, curves = {}, {}, {}
-    arities = sorted({mo.m for mo in model.monomials if mo.i == 1 and mo.degree() == 0})
     quad_errors, sunset_diag = {}, {}
 
     for key in relevant:
@@ -370,8 +366,8 @@ def _flow_counterterms(spec, model, nu, anchors, relevant, wick, quadrature, C_D
             # contraction sources: monomials (1, mm, 0) feeding (1, m, 0)
             # by contracting k = (mm - m)/2 Wick pairs
             sources = [
-                (mm, bare(1, mm), (mm - m) // 2)
-                for mm in arities
+                (mm, bare[mm], (mm - m) // 2)
+                for mm in sorted(bare)
                 if mm > m and (mm - m) % 2 == 0
             ]
             anchor = anchors.get(key, 0.0)

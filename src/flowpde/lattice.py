@@ -14,6 +14,7 @@ sampled at integer frequencies.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -164,9 +165,10 @@ def irfft_space(coeffs: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     return np.fft.irfftn(coeffs, spec.space_shape(), tuple(range(-spec.d, 0)))
 
 
+@functools.lru_cache(maxsize=1024)
 def padded_length(size) -> int:
     """The smallest 5-smooth length 2^a 3^b 5^c >= size: the length every
-    zero-padded transform of the package uses."""
+    zero-padded transform of the package uses (cached per size)."""
     size = max(int(size), 1)
     odd = [3**b * 5**c for b in range(size.bit_length() + 1) for c in range(size.bit_length() + 1)]
     return min(p << (-(-size // p) - 1).bit_length() for p in odd)  # the least p 2^a >= size

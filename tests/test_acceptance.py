@@ -381,8 +381,8 @@ def test_criterion_8_manifest_replay(tmp_path):
     t0 = time.time()
     model_cfg = str(REPO / "configs" / "phi4_desk.json")
     out1, out2 = tmp_path / "first", tmp_path / "replay"
-    env1 = dict(os.environ, FLOWPDE_THREADS="1")
-    env4 = dict(os.environ, FLOWPDE_THREADS="4")
+    env1 = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env4 = dict(os.environ, OMP_NUM_THREADS="4", OPENBLAS_NUM_THREADS="4")
     base = [sys.executable, "-m", "flowpde.cli", "simulate", "--model", model_cfg, "--sample", "3"]
     subprocess.run(base + ["--out", str(out1)], check=True, capture_output=True, env=env1)
     manifest = json.loads((out1 / "manifest.json").read_text())

@@ -11,6 +11,7 @@ from flowpde.flow import (
     effective_force_series,
     expand_pathwise,
     flow_expected,
+    flow_stack,
     integrate_I,
     pairing_count,
     stationary_sum,
@@ -38,60 +39,81 @@ def test_tadpole_monotone_in_mu(desk_spec, desk_noise):
     assert 0.0 < vals[0] < vals[1] < vals[2]
 
 
-def _reference_spectrum(wick, mult, lo, n_pad):
+def _reference_spectrum(spec, mult, lo, n_pad):
     """Full-column reference: rfft along time of the quadrature-weighted
     kernel slices (half weight at a t = 0 tap), one column per mode, placed
-    at their absolute positions and convolved with the mollifier taps."""
-    w = np.full(len(mult), wick.spec.dt)
+    at their absolute positions."""
+    w = np.full(len(mult), spec.dt)
     if lo == 0:
-        w[0] = 0.5 * wick.spec.dt
+        w[0] = 0.5 * spec.dt
     arr = np.zeros((lo + len(mult), mult.shape[1]))
     arr[lo:] = w[:, None] * mult
-    return np.fft.rfft(arr, n=n_pad, axis=0) * np.fft.rfft(wick.taps, n=n_pad)[:, None]
+    return np.fft.rfft(arr, n=n_pad, axis=0)
 
 
-def _reference_pairing(wick, H1, H2, n_pad):
-    """< (K1 * Xi) (K2 * Xi) > by Parseval over time, then the mhat2-weighted
-    sum over every mode."""
-    prod = (H1.conj() * H2).real
-    val = 2.0 * prod.sum(axis=0) - prod[0]
-    if n_pad % 2 == 0:
-        val -= prod[-1]
-    val /= n_pad
-    return float(wick.prefactor * np.sum(wick.mhat2 * val))
-
-
-def _reference_fluct(wick, mu):
-    dt = wick.spec.dt
+def _reference_fluct(spec, mu):
+    dt = spec.dt
     t = dt * np.arange(int(np.ceil(2.0 * mu / dt)) + 1)
-    return (1.0 - chi(t / mu))[:, None] * np.exp(-np.outer(t, wick.k_sigma))
+    return (1.0 - chi(t / mu))[:, None] * np.exp(-np.outer(t, spec.k_norm().ravel() ** spec.sigma))
+
+
+def _reference_kernels(wick, mu):
+    """The spectra of G - G_mu and dG_mu at the cell's own pad, each kernel
+    built on its own slices with one column per mode, and that pad."""
+    spec, dt = wick.spec, wick.spec.dt
+    hi = int(np.ceil(2.0 * mu / dt))
+    lo = int(np.floor(mu / dt))
+    t_dot = dt * np.arange(lo, hi + 1)
+    k_sigma = spec.k_norm().ravel() ** spec.sigma
+    dot = (-(t_dot / mu**2) * chi_prime(t_dot / mu))[:, None] * np.exp(-np.outer(t_dot, k_sigma))
+    n_pad = padded_length(hi + 1 + len(wick.taps) + 1)
+    fluct = _reference_spectrum(spec, _reference_fluct(spec, mu), 0, n_pad)
+    return fluct, _reference_spectrum(spec, dot, lo, n_pad), n_pad
 
 
 def _reference_node(wick, mu):
-    """C(mu) and D(mu) with each kernel built on its own slices and one
-    column per mode, each side of each pairing transformed separately (the
-    two-sided cross sum)."""
-    dt = wick.spec.dt
-    hi = int(np.ceil(2.0 * mu / dt))
-    lo = int(np.floor(mu / dt))
-    fluct = _reference_fluct(wick, mu)
-    t_dot = dt * np.arange(lo, hi + 1)
-    dot = (-(t_dot / mu**2) * chi_prime(t_dot / mu))[:, None] * np.exp(-np.outer(t_dot, wick.k_sigma))
-    n_pad = padded_length(hi + 1 + len(wick.taps) + 1)
+    """C(mu) and D(mu) from the products |S|^2 and Re(conj(S) S_dot) of
+    the kernel spectra, one column per mode, summed over frequency with the
+    rfft Parseval weights times |T|^2 of the taps.  The sum over modes folds
+    |M|^2 onto the distinct |k|^sigma (the first mode of each value stands
+    for its column), the order the package sums in, so the comparison is
+    exact."""
+    S, S_dot, n_pad = _reference_kernels(wick, mu)
+    T = np.fft.rfft(wick.taps, n=n_pad)
+    weights = (2.0 / n_pad) * (T.real**2 + T.imag**2)
+    weights[0] *= 0.5
+    if n_pad % 2 == 0:
+        weights[-1] *= 0.5
+    k_sigma = wick.spec.k_norm().ravel() ** wick.spec.sigma
+    _, first, inverse = np.unique(k_sigma, return_index=True, return_inverse=True)
+    folded = wick.prefactor * np.bincount(inverse, weights=wick.mhat2)
+    products = (S.real**2 + S.imag**2, S.real * S_dot.real + S.imag * S_dot.imag)
+    return tuple(float(np.sum((weights[None] @ A)[0, first] * folded)) for A in products)
 
-    def cross(m1, lo1, m2, lo2):
-        H1 = _reference_spectrum(wick, m1, lo1, n_pad)
-        H2 = _reference_spectrum(wick, m2, lo2, n_pad)
-        return _reference_pairing(wick, H1, H2, n_pad)
 
-    return cross(fluct, 0, fluct, 0), cross(fluct, 0, dot, lo)
+def _tap_smoothed_node(wick, mu):
+    """C(mu) and D(mu) by the tap-smoothed formula: each kernel's spectrum
+    times the taps' rfft, Parseval over time of the two sides' product,
+    then the mhat2-weighted sum over every mode."""
+    S, S_dot, n_pad = _reference_kernels(wick, mu)
+    T = np.fft.rfft(wick.taps, n=n_pad)[:, None]
+
+    def pairing(H1, H2):
+        prod = (H1.conj() * H2).real
+        val = 2.0 * prod.sum(axis=0) - prod[0]
+        if n_pad % 2 == 0:
+            val -= prod[-1]
+        val /= n_pad
+        return float(wick.prefactor * np.sum(wick.mhat2 * val))
+
+    return pairing(S * T, S * T), pairing(S * T, S_dot * T)
 
 
 def _reference_covariance(wick, n_lags):
     """covariance_kernel with one column per mode."""
-    fluct = _reference_fluct(wick, 1.0)
+    fluct = _reference_fluct(wick.spec, 1.0)
     n_pad = padded_length(2 * (len(fluct) + len(wick.taps) + n_lags))
-    H = _reference_spectrum(wick, fluct, 0, n_pad)
+    H = _reference_spectrum(wick.spec, fluct, 0, n_pad) * np.fft.rfft(wick.taps, n=n_pad)[:, None]
     auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
     out_hat = auto[:n_lags] * (wick.prefactor * wick.mhat2[None])
     spec = wick.spec
@@ -108,14 +130,17 @@ def _reference_covariance(wick, n_lags):
 def test_distinct_k_layout_equals_full_column_reference(spec, family):
     """The Wick sums run on the distinct values of |k|^sigma (129 of 256
     modes on criterion 7's lattice; in d = 2 several k share one |k| off
-    the axes too) and equal the one-column-per-mode formula bit for bit."""
+    the axes too) and equal the one-column-per-mode |S|^2 |T|^2 formula bit
+    for bit, and the tap-smoothed formula to round-off."""
     kernels = KernelSpectra(spec)
     assert len(kernels.k_sigma) < spec.n**spec.d
     for nu in (0.2, 0.1, 0.05):
         wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family), kernels)
         for mu in (2.0**-8, 0.013, 0.37, 1.0):
-            assert wick.flow_node(mu) == _reference_node(wick, mu)
-            assert wick.tadpole(mu) == _reference_node(wick, mu)[0]
+            node = wick.flow_node(mu)
+            assert node == _reference_node(wick, mu)
+            assert node[0] == wick.tadpole(mu)
+            np.testing.assert_allclose(node, _tap_smoothed_node(wick, mu), rtol=1e-13, atol=0.0)
         n_lags = min(int(np.ceil(2.0 / spec.dt)) + 1, spec.nt)
         P, P_ref = wick.covariance_kernel(n_lags), _reference_covariance(wick, n_lags)
         # the memory order too: the sunset integrals sum over P in it
@@ -208,6 +233,16 @@ def test_flow_expected_validations(desk_model, desk_spec):
             RenormScheme(values=(((7, 1, ((0,),)), 0.0),)),
             j_levels=4,
         )
+
+
+def test_flow_stack_of_no_cells_builds_no_spectrum(monkeypatch, desk_spec):
+    """A plan whose cells all carry counterterm overrides flows nothing."""
+
+    def refused(self, mu, n_pad, dot):
+        raise AssertionError("a kernel spectrum was built")
+
+    monkeypatch.setattr(KernelSpectra, "at", refused)
+    assert flow_stack(desk_spec, []) == []
 
 
 @pytest.mark.parametrize(

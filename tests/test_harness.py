@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,7 @@ from flowpde.harness import (
 )
 from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
-from flowpde.lattice import SPACE_ONLY, Field
+from flowpde.lattice import SPACE_ONLY, Field, padded_length
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, window_slices
 
@@ -238,15 +237,17 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
 
 
 def _record_flow_nodes(monkeypatch) -> list:
-    """(family, nu, mu) of every flow node that runs from here on."""
+    """(family, nu, mu) of every cell at every flow node that runs from here
+    on (the wick_sums calls with the dot kernel)."""
     calls = []
-    flow_node = flow.WickCalculator.flow_node
+    wick_sums = flow.wick_sums
 
-    def recorded(self, mu):
-        calls.append((self.model.family, self.model.nu, mu))
-        return flow_node(self, mu)
+    def recorded(wicks, mu, dot):
+        if dot:
+            calls.extend((wick.model.family, wick.model.nu, mu) for wick in wicks)
+        return wick_sums(wicks, mu, dot)
 
-    monkeypatch.setattr(flow.WickCalculator, "flow_node", recorded)
+    monkeypatch.setattr(flow, "wick_sums", recorded)
     return calls
 
 
@@ -333,43 +334,53 @@ def test_plan_rejects_sizes_below_one(key, value):
 
 def test_stacked_flow_equals_each_cells_own_flow(monkeypatch):
     """The six cells of a 2 family x 3 nu plan, integrated as one flow_stack,
-    get the counterterms of each cell's own flow_expected exactly.  At each
-    node both kernel spectra are built once per distinct padded length, and
-    at some nodes the cells' lengths differ (the taps' length depends on nu)."""
+    get the counterterms of each cell's own flow_expected to round-off.  At
+    each node one kernel-spectrum pair serves all cells, at the longest of
+    their own pads; at some nodes those pads differ (the taps' length
+    depends on nu), so a stacked cell is summed at a longer pad than its own."""
     plan = _small_plan(nu_schedule=(0.2, 0.1, 0.05))
     built = []
-    rfft = flow.KernelSpectra._rfft
+    at = flow.KernelSpectra.at
 
-    def recorded(self, mult, lo, n_pad):
-        built.append((self._mu, n_pad))
-        return rfft(self, mult, lo, n_pad)
+    def recorded(self, mu, n_pad, dot):
+        built.append((mu, n_pad, dot))
+        return at(self, mu, n_pad, dot)
 
-    monkeypatch.setattr(flow.KernelSpectra, "_rfft", recorded)
+    monkeypatch.setattr(flow.KernelSpectra, "at", recorded)
     cells = harness._make_cells(plan)
     monkeypatch.undo()
     assert len(cells) == 6
     nodes, _ = flow._octave_nodes(plan.flow_j_levels, plan.flow_nodes_per_octave)
-    pads = {mu: {n for m, n in built if m == mu} for mu in nodes}
-    per_node = Counter(mu for mu, _ in built)
-    assert all(per_node[mu] == 2 * len(pads[mu]) for mu in nodes)
+    spec = plan.lattice()
+    wicks = [flow.WickCalculator(spec, cell.model.noise) for cell in cells]
+    pads = {mu: {padded_length(np.ceil(2 * mu / spec.dt) + len(w.taps) + 2) for w in wicks} for mu in nodes}
+    assert [b for b in built if b[2]] == [(mu, max(pads[mu]), True) for mu in nodes]
+    assert [mu for mu, _, dot in built if not dot] == [2.0**-plan.flow_j_levels, 1.0]
     assert max(len(p) for p in pads.values()) > 1
     for cell in cells:
         scheme = RenormScheme.for_model(cell.model, dict(plan.scheme_values))
         _, ct = flow_expected(
             cell.model,
-            plan.lattice(),
+            spec,
             cell.nu,
             scheme,
             j_levels=plan.flow_j_levels,
             nodes_per_octave=plan.flow_nodes_per_octave,
         )
-        assert cell.cterms == ct.as_dict()
+        assert cell.cterms.keys() == ct.entries.keys()
+        for key, value in ct.entries.items():
+            assert cell.cterms[key] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 def test_override_cells_run_no_flow(monkeypatch):
     calls = _record_flow_nodes(monkeypatch)
+    plan = _small_plan()
+    harness._make_cells(plan)
+    nodes, _ = flow._octave_nodes(plan.flow_j_levels, plan.flow_nodes_per_octave)
+    assert len(calls) == len(plan.variants) * len(plan.nu_schedule) * len(nodes)
+    calls.clear()
     zero = (((1, 1, ((0,),)), 0.0),)
-    plan = _small_plan(counterterm_overrides=(("bump", zero),))
+    plan = replace(plan, counterterm_overrides=(("bump", zero),))
     cells = harness._make_cells(plan)
     assert {family for family, _, _ in calls} == {"skew"}
     assert [c.cterms for c in cells if c.label == "bump"] == [dict(zero)] * 2
