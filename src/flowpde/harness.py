@@ -12,11 +12,13 @@ stationary order i_rhd >= 1 (solver.builds_shift): at i_rhd = 0 use_shift
 True and False run one solve, the direct one, and give identical reports.
 
 Where a cell is driven by mollified white noise W on the direct path, the
-cells share W itself: per sample index, W is drawn and transformed once per
-master seed (noise.white_spectrum), and each cell takes its solve window
-from that spectrum through its own multiplier (noise.SpectralDriver).
-Shot noise and shifts of order i_rhd >= 1 sample, shift and cut each
-cell's window on their own.
+cells share W itself: per sample index, W is drawn once and the tail of it
+that the solve windows read is transformed once per master seed
+(noise.white_spectrum), padded for the taps of the plan's largest nu; each
+cell takes its solve window from that spectrum through its own multiplier
+(noise.SpectralDriver), as the half spectrum the solver reads.  Shot noise
+and shifts of order i_rhd >= 1 sample, shift and cut each cell's window on
+their own, and rfft it for the solver.
 
 A run builds every cell's driver first (a history too short for the shift
 faults before any flow runs), then one flow.flow_stack for the counterterms
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import ValidationFault
 from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
-from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
+from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function, rfft_space
 from .model import ModelSpec, RenormScheme, relevant_filtered
 from .kernels import check_fluctuation_window
 from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
@@ -51,9 +53,10 @@ from .solver import (
 )
 from .solver import solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
 
-# samples per block.  A block holds every cell's solve windows at once
-# (cells x STACK_SIZE windows), so each sample's white spectrum is built
-# once for all cells, and the memory of a run stays bounded at any size
+# samples per block.  A block holds every cell's solve windows at once, as
+# half spectra (cells x STACK_SIZE complex windows of n // 2 + 1 modes per
+# slice), so each sample's white spectrum is built once for all cells, and
+# the memory of a run stays bounded at any size
 STACK_SIZE = 32
 
 
@@ -103,6 +106,8 @@ class ExperimentPlan:
         for name in ("samples", "flow_j_levels", "flow_nodes_per_octave"):
             if getattr(self, name) < 1:
                 raise ValidationFault(f"plan.{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.history) and self.history >= 0.0):
+            raise ValidationFault(f"plan.history must be finite and non-negative, got {self.history}")
         if any(b >= a for a, b in zip(self.nu_schedule, self.nu_schedule[1:])):
             raise ValidationFault("nu schedule must be strictly decreasing")
         base = self.variants[0][1]
@@ -178,8 +183,10 @@ def _smearing_function(spec: LatticeSpec) -> Field:
 class _Cell(NamedTuple):
     """One (variant, nu) cell: its model at nu, its counterterms and, when
     it is driven by mollified white noise on the direct path, its
-    SpectralDriver (None: the general path of sample, shift where one is
-    built, and solve_window per sample)."""
+    SpectralDriver, built for the plan's solve window and padded for the
+    plan's largest nu, so all cells of one master seed share its spectrum
+    (None: the general path of sample, shift where one is built, and
+    solve_window per sample)."""
 
     label: str
     nu: float
@@ -193,14 +200,17 @@ def _make_cells(plan: ExperimentPlan) -> list:
     then one flow_stack for the cells without counterterm_overrides."""
     pairs = reversed(plan.counterterm_overrides)  # the first override of a label wins
     overrides = {lab: {tuple(k): v for k, v in entries} for lab, entries in pairs}
+    spec = plan.lattice()
+    ext = extended_window(spec, plan.history)
+    reads = window_slices(ext, spec, plan.solve)
     made = []
     for (label, base), nu in itertools.product(plan.variants, plan.nu_schedule):
         model = dataclasses.replace(base, noise=base.noise.with_nu(nu))
         driver = None
         if builds_shift(model, plan.use_shift):
-            check_fluctuation_window(extended_window(plan.lattice(), plan.history))
+            check_fluctuation_window(ext)
         elif model.noise.kind == "mollified_white":
-            driver = spectral_driver(model.noise, plan.lattice(), plan.history)
+            driver = spectral_driver(model.noise, spec, plan.history, reads, max(plan.nu_schedule))
         made.append(_Cell(label, nu, model, overrides.get(label), driver))
     anchors = dict(plan.scheme_values)
     flowed = [c for c in made if c.cterms is None]
@@ -211,19 +221,20 @@ def _make_cells(plan: ExperimentPlan) -> list:
 
 
 def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict) -> np.ndarray:
-    """The solve window of one sample's noise (direct path) or shift.  A
-    driver reads the sample's white spectrum from `spectra`, adding it on
-    first use, so cells that share a master seed share one transform of W."""
+    """The half spectrum of the solve window of one sample's noise (direct
+    path) or shift, as solve_stack reads it.  A driver reads the sample's
+    white spectrum from `spectra`, adding it on first use, so cells that
+    share a master seed share one transform of W."""
     spec = plan.lattice()
     if cell.driver is None:
         drive = sample_macroscopic_noise(cell.model.noise, spec, sample, history=plan.history)
         if builds_shift(cell.model, plan.use_shift):
             drive = build_stationary_shift(cell.model, cell.cterms, drive)
-        return solve_window(drive, spec, plan.solve)
+        return rfft_space(solve_window(drive, spec, plan.solve), spec.d)
     key = cell.driver.key
     if key not in spectra:
         spectra[key] = cell.driver.spectrum(sample)
-    return cell.driver.window(spectra[key], window_slices(cell.driver.spec, spec, plan.solve))
+    return cell.driver.window(spectra[key])
 
 
 def _run_cell(plan: ExperimentPlan, cell: _Cell, stack: np.ndarray) -> tuple:
@@ -245,8 +256,8 @@ def _run_cells(plan: ExperimentPlan, cells: list) -> list:
     """(values, blow-ups) per cell: the per-sample observable values and
     the blow-up count.  Sample-major within each block of STACK_SIZE
     samples: each sample's white spectrum is built once per master seed
-    and every cell's window is taken from it; then each cell solves its
-    block as one stack."""
+    and every cell's window is taken from it as a half spectrum; then each
+    cell solves its block as one stack."""
     values = [{o.name: np.full(plan.samples, np.nan) for o in plan.observables} for _ in cells]
     blowups = [0] * len(cells)
     for first in range(0, plan.samples, STACK_SIZE):
@@ -257,7 +268,7 @@ def _run_cells(plan: ExperimentPlan, cells: list) -> list:
             for c, cell in enumerate(cells):
                 window = _drive_window(plan, cell, sample, spectra)
                 if stacks is None:
-                    stacks = np.empty((len(cells), len(block), *window.shape))
+                    stacks = np.empty((len(cells), len(block), *window.shape), dtype=complex)
                 stacks[c, i] = window
         for c, cell in enumerate(cells):
             block_values, block_blowups = _run_cell(plan, cell, stacks[c])

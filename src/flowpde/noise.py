@@ -14,12 +14,20 @@ coupling used in the nu -> 0 comparisons, and a large variance reduction.
 
 This module is the one place where W is transformed.  white_spectrum takes
 W to its white spectrum (rfft over space, zero-padded FFT along time), and a
-SpectralDriver turns that spectrum into the noise by one multiplier and the
-inverse transforms of just the slices it is asked for.  A caller that drives
-several cells from one sample (harness) builds the spectrum once and hands
-it to every cell's driver.  No stationary shift is built here: at i_rhd = 0
-the shift path runs the direct solve (solver.builds_shift), and a shift of
-order i_rhd >= 1 is built per sample by solver.build_stationary_shift.
+SpectralDriver turns that spectrum into the noise by one multiplier and one
+inverse time FFT, returning the rfft half spectrum of the slices it was
+built to be read at.  A slice depends only on the last taps of W, so a
+driver transforms only the tail of W that its slices read, padded for the
+longest taps among the drivers that share its spectrum.  W itself is drawn
+in full from its substream, so the realization does not depend on which
+slices are read.  A caller that drives several cells from one sample
+(harness) builds the spectrum once and hands it to every cell's driver, and
+the solver takes the half spectra as they are (solver.solve_stack);
+sample_macroscopic_noise reads every slice and takes them to real space.
+
+No stationary shift is built here: at i_rhd = 0 the shift path runs the
+direct solve (solver.builds_shift), and a shift of order i_rhd >= 1 is
+built per sample by solver.build_stationary_shift.
 
 Every realized field is real, so it carries the Hermitian part of the
 spatial mollifier multiplier; _spatial_multiplier returns that part, and the
@@ -194,11 +202,16 @@ def sample_macroscopic_noise(
     spectral_driver read over every slice."""
     if model.kind == "mollified_white":
         driver = spectral_driver(model, spec, history)
-        ext = driver.spec
-        data = driver.window(driver.spectrum(sample_index), slice(0, ext.nt))
-        return Field(ext, data, SPACE_TIME)
+        data = irfft_space(driver.window(driver.spectrum(sample_index)), driver.spec)
+        return Field(driver.spec, data, SPACE_TIME)
     _check_resolution(model, spec)
     return _sample_poisson_shot(model, extended_window(spec, history), sample_index)
+
+
+def _tap_count(nu: float, dt: float) -> int:
+    """The number of causal taps of the temporal profile at nu: the slices
+    of (0, nu/2] and the one at s = 0."""
+    return max(int(np.ceil(0.5 * nu / dt)) + 1, 1)
 
 
 def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
@@ -206,7 +219,7 @@ def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
     so the discrete integral is exactly 1 (the grid realization of the
     unit-mass condition)."""
     prof = model.profile()
-    n_tap = max(int(np.ceil(0.5 * model.nu / spec.dt)) + 1, 1)
+    n_tap = _tap_count(model.nu, spec.dt)
     s = spec.dt * np.arange(n_tap)
     taps = prof.temporal(s / model.nu) / model.nu
     total = taps.sum() * spec.dt
@@ -243,66 +256,91 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
 # -- the map from white noise to a drive ----------------------------------
 
 
-def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int) -> np.ndarray:
+def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int, rows: tuple) -> np.ndarray:
     """The white spectrum of one sample: the white noise W of the
-    (master_seed, sample_index) substream on `spec`, rfft over space, then
-    the FFT along time zero-padded to m points, time-last: shape
-    (n, ..., n // 2 + 1, m).  Every drive of the sample is this spectrum
-    times one multiplier, so W is drawn and transformed once however many
-    cells read it."""
+    (master_seed, sample_index) substream on `spec`, its slices
+    rows = (lo, stop), rfft over space, then the FFT along time zero-padded
+    to m points, time-last: shape (n, ..., n // 2 + 1, m).  W is drawn in
+    full whatever the rows, so every sample keeps its realization.  Every
+    drive of the sample is this spectrum times one multiplier, so W is
+    drawn and transformed once however many cells read it."""
     w = white_noise_slab(spec, substream(master_seed, sample_index, "white"))
-    return fft_time(rfft_space(w, spec.d), m)
+    return fft_time(rfft_space(w[rows[0] : rows[1]], spec.d), m)
 
 
 class SpectralDriver(NamedTuple):
-    """The noise as a spectral multiplier on W's white spectrum: the drive's
-    slices are the inverse time FFT of multiplier * spectrum, then the
-    inverse rfft over space.  The multiplier is space[..., None] * time:
+    """The noise as a spectral multiplier on the white spectrum of W's
+    slices rows = (lo, stop): the drive's slices are the inverse time FFT
+    of multiplier * spectrum.  The multiplier is space[..., None] * time:
     space on the rfft half of the frequency grid, (n, ..., n // 2 + 1);
-    time with m frequencies, m the least 5-smooth length with room for every
-    slice of `spec` plus the taps of any nu <= 1: no slice wraps, and every
-    driver on one lattice reads the same spectrum."""
+    time with m frequencies, m the least 5-smooth length with room for the
+    rows plus the longest taps among the drivers that share the spectrum,
+    so no slice read wraps."""
 
     master_seed: int
     spec: LatticeSpec  # the sampling window W covers
+    rows: tuple  # (lo, stop): the slices of W the spectrum transforms
+    reads: slice  # the slices of `spec` that window() returns
     space: np.ndarray
     time: np.ndarray
 
     @property
     def key(self) -> tuple:
         """Drivers with one key share the spectrum() of each sample."""
-        return (self.master_seed, self.spec, self.time.size)
+        return (self.master_seed, self.spec, self.rows, self.time.size)
 
     def spectrum(self, sample_index: int) -> np.ndarray:
         """The sample's white spectrum, which every driver with this key
         shares."""
-        return white_spectrum(self.master_seed, sample_index, self.spec, self.time.size)
+        return white_spectrum(self.master_seed, sample_index, self.spec, self.time.size, self.rows)
 
-    def window(self, spectrum: np.ndarray, slices: slice) -> np.ndarray:
-        """The drive's time slices `slices` of the sample whose spectrum()
-        is given, as a contiguous (slices, space...) array."""
+    def window(self, spectrum: np.ndarray) -> np.ndarray:
+        """The drive on the slices `reads` of the sample whose spectrum()
+        is given, as its rfft half spectrum over space: a contiguous
+        (slices, n, ..., n // 2 + 1) array (irfft_space takes it to the
+        real drive)."""
         buf = spectrum * self.space[..., None]
         buf *= self.time
         np.fft.ifft(buf, axis=-1, out=buf)
-        picked = np.ascontiguousarray(np.moveaxis(buf[..., slices], -1, 0))
-        return irfft_space(picked, self.spec)
+        lo = self.rows[0]
+        picked = buf[..., self.reads.start - lo : self.reads.stop - lo]
+        return np.ascontiguousarray(np.moveaxis(picked, -1, 0))
 
 
-def spectral_driver(model: NoiseModel, spec: LatticeSpec, history: float = 0.0) -> SpectralDriver:
-    """The driver of bold-Xi_nu on `spec` extended backward by `history`.
+def spectral_driver(
+    model: NoiseModel,
+    spec: LatticeSpec,
+    history: float = 0.0,
+    reads: slice | None = None,
+    nu_max: float = 1.0,
+) -> SpectralDriver:
+    """The driver of bold-Xi_nu on `spec` extended backward by `history`,
+    read at the slices `reads` of the extended window (every slice by
+    default).
 
     Its multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
     mollifier and the causal temporal taps, with W zero before the window
-    start.  Its time FFT length m = padded_length(nt + the taps of nu = 1)
-    depends on the lattice only: 1215 for nt = 1001 at dt = 0.0025."""
+    start.  A slice j depends on W[j - taps + 1 : j + 1] only, so the
+    driver transforms the rows W[lo:stop] with lo = max(0, start - (taps -
+    1)), zero-padded to m = padded_length(stop - lo + taps), taps those of
+    nu_max: the largest nu among the drivers meant to share the spectrum.
+    Every slice read with nu_max = 1 is sample_macroscopic_noise's driver,
+    m = 1215 for nt = 1001 at dt = 0.0025; criterion 7's solve window (the
+    last 201 of those slices) at nu_max = 0.2 transforms W[760:1001] at
+    m = 288."""
     if model.kind != "mollified_white":
         raise ValidationFault(f"no spectral driver for {model.kind} noise")
+    if not model.nu <= nu_max <= 1.0:
+        raise ValidationFault(f"nu_max must lie in [nu, 1] = [{model.nu:g}, 1], got {nu_max}")
     _check_resolution(model, spec)
     ext = extended_window(spec, history)
-    m = padded_length(ext.nt + int(np.ceil(0.5 / ext.dt)) + 1)
+    start, stop = (0, ext.nt) if reads is None else (reads.start, reads.stop)
+    taps = _tap_count(nu_max, ext.dt)
+    lo = max(0, start - (taps - 1))
+    m = padded_length(stop - lo + taps)
     space = _spatial_multiplier(model, ext)[..., : ext.n // 2 + 1]
     time = ext.dt * np.fft.fft(_temporal_taps(model, ext), n=m)
-    return SpectralDriver(model.master_seed, ext, space, time)
+    return SpectralDriver(model.master_seed, ext, (lo, stop), slice(start, stop), space, time)
 
 
 # -- shot noise ------------------------------------------------------------

@@ -26,11 +26,14 @@ Q (G - G_1) = delta - chi'.G its driver is the direct one less
 G * (1_[0,inf) c), c = (chi'.G) * Xi: adding c back gives the direct
 driver, so a solve that asks for the shift at i_rhd = 0 runs the direct one.
 
-The solver never transforms white noise: it reads each sample's driving
-field as its window_slices, which come either from a field (solve_window)
-or, for the harness's coupled cells, straight from the noise module's
-spectral drivers, which compute only those slices.  build_stationary_shift
-is the general shift, for every stationary order and noise kind.
+The solver never transforms white noise: solve_stack reads each sample's
+driving field on its window_slices as the rfft half spectrum over space,
+the representation its driver stage and stepping loop work in.  The
+one-sample callers take the rfft_space of a field's solve_window; the
+harness's coupled cells hand over the half spectra of the noise module's
+spectral drivers as they come, never in real space.
+build_stationary_shift is the general shift, for every stationary order
+and noise kind.
 """
 
 from __future__ import annotations
@@ -217,6 +220,28 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     return out
 
 
+def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None, shift: np.ndarray | None):
+    """solve_stack's driver D = S - e^(-t|k|^sigma) S[:, 0] in real space,
+    zero at t = 0, from the half spectrum of each sample's noise window
+    (S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule: dt on
+    every slice of [0, t], half of it at t) or of its shift window
+    (S = shift); None when neither is given.  Its inputs stay as they are."""
+    s_hat = shift if noise is None else noise
+    if s_hat is None:
+        return None
+    ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
+    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(s_hat.shape[1]), ks))
+    if noise is not None:
+        acc = noise.copy()
+        for j in range(1, acc.shape[1]):
+            acc[:, j] += heat[1] * acc[:, j - 1]
+        acc -= 0.5 * noise
+        s_hat = spec.dt * acc
+    drive = irfft_space(s_hat - heat * s_hat[:, :1], spec)
+    drive[:, 0] = 0.0
+    return drive
+
+
 def solve_stack(
     model: ModelSpec,
     counterterms,
@@ -226,7 +251,8 @@ def solve_stack(
     shift: np.ndarray | None = None,
 ) -> list:
     """Solve a stack of samples from phi_init at t = 0, each sample's
-    driving field given as its solve_window slices along the leading axis
+    driving field given along the leading axis as the rfft_space half
+    spectrum of its solve_window slices, (samples, slices, n, ..., n // 2 + 1)
     (one sample, undriven, when neither is given).
 
     The one rule of the module docstring, with S = G * (1_[0,inf) noise) or
@@ -238,24 +264,9 @@ def solve_stack(
         raise ValidationFault("initial data must be a space_only slice")
     nu = model.noise.nu if model.noise is not None else 1.0
     force = compile_force(model, counterterms, nu, spec)
-    drive = shift if noise is None else noise
+    drive = _driver_stage(spec, noise, shift)
     samples = 1 if drive is None else drive.shape[0]
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
-    if drive is not None:
-        # S and its free decay, on the rfft half of the modes
-        ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
-        heat = np.exp(-np.multiply.outer(spec.dt * np.arange(drive.shape[1]), ks))
-        s_hat = rfft_space(drive, spec.d)
-        if noise is not None:
-            # kernels.convolve's trapezoid rule: dt on every slice of [0, t], half of it at t
-            acc = s_hat.copy()
-            for j in range(1, acc.shape[1]):
-                acc[:, j] += heat[1] * acc[:, j - 1]
-            acc -= 0.5 * s_hat
-            s_hat = spec.dt * acc
-        s_hat -= heat * s_hat[:, :1]
-        drive = irfft_space(s_hat, spec)
-        drive[:, 0] = 0.0
     results = _march(force, phi, drive, cfg, spec)
     if drive is not None:
         for res, dr in zip(results, drive):
@@ -271,9 +282,10 @@ def solve_mild(
     phi_init: Field,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """The direct path for one sample: solve_stack on the solve_window of
-    `noise` (none: the undriven equation)."""
-    window = None if noise is None else solve_window(noise, phi_init.spec, cfg)[None]
+    """The direct path for one sample: solve_stack on the half spectrum of
+    the solve_window of `noise` (none: the undriven equation)."""
+    spec = phi_init.spec
+    window = None if noise is None else rfft_space(solve_window(noise, spec, cfg)[None], spec.d)
     return solve_stack(model, counterterms, phi_init, cfg, noise=window)[0]
 
 
@@ -314,11 +326,13 @@ def solve_decomposed(
     phi_init: Field,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """The shift path for one sample: solve_stack with S the solve_window
-    of the sample's stationary shift Phi_shift, or solve_mild where
+    """The shift path for one sample: solve_stack with S the half spectrum
+    of the solve_window of the sample's stationary shift Phi_shift, or
+    solve_mild where
     builds_shift says no shift is built."""
     if not builds_shift(model, True):
         return solve_mild(model, counterterms, noise, phi_init, cfg)
+    spec = phi_init.spec
     shift = build_stationary_shift(model, counterterms, noise)
-    window = solve_window(shift, phi_init.spec, cfg)[None]
+    window = rfft_space(solve_window(shift, spec, cfg)[None], spec.d)
     return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]

@@ -367,6 +367,10 @@ CLI_FAULTS = {
         lambda p: _universality_argv(p, "blow_up_radius", float("nan"), "solve"),
         "blow-up radius",
     ),
+    # JSON's NaN and Infinity parse as floats; a history sets where W starts
+    "nan-history": (lambda p: _universality_argv(p, "history", float("nan")), "plan.history"),
+    "infinite-history": (lambda p: _universality_argv(p, "history", float("inf")), "plan.history"),
+    "negative-history": (lambda p: _universality_argv(p, "history", -1.0), "plan.history"),
     # the solve stops at max_horizon 0.1, before the observable's time 0.25
     "observable-after-max_horizon": (
         lambda p: _universality_argv(p, "max_horizon", 0.1, "solve"),

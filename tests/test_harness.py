@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowpde import flow, harness, noise
+from flowpde import flow, harness, noise, solver
 from flowpde.errors import ValidationFault
 from flowpde.harness import (
     ExperimentPlan,
@@ -12,9 +12,9 @@ from flowpde.harness import (
 )
 from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
-from flowpde.lattice import SPACE_ONLY, Field, padded_length
+from flowpde.lattice import SPACE_ONLY, Field, padded_length, rfft_space
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
-from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, window_slices
+from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, solve_window
 
 
 def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
@@ -63,6 +63,11 @@ def test_plan_validation():
         _small_plan(observables=(Observable("slice_moment", p=2, time=0.9),))
     with pytest.raises(ValidationFault, match="plan.observables"):
         _small_plan(observables=())
+    # the history sets how far back W is drawn and where a driver's tail starts
+    for history in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValidationFault, match="plan.history must be finite and non-negative"):
+            _small_plan(history=history)
+    assert _small_plan(history=0.0).history == 0.0
     # a negative time would index the trajectory from its end
     with pytest.raises(ValidationFault, match="horizon"):
         _small_plan(observables=(Observable("slice_moment", p=2, time=-0.1),))
@@ -144,10 +149,9 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     spec = plan.lattice()
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    slices = window_slices(cell.driver.spec, spec, plan.solve)
     expected, expected_blowups = [], 0
     for s in range(plan.samples):
-        window = cell.driver.window(cell.driver.spectrum(s), slices)
+        window = cell.driver.window(cell.driver.spectrum(s))
         res = solve_stack(cell.model, cell.cterms, zero, plan.solve, noise=window[None])[0]
         assert res.breve_T > plan.dt
         expected_blowups += res.status == STATUS_BLEW_UP
@@ -163,20 +167,27 @@ CRITERION_7_LATTICE = dict(n=256, dt=0.0025, t_max=0.5, nu_schedule=(0.2, 0.1, 0
 
 
 @pytest.mark.parametrize(
-    "seeds, spectra, lattice",
-    [((7, 7), 2, {}), ((7, 8), 4, {}), ((7, 7), 2, CRITERION_7_LATTICE)],
+    "seeds, spectra, lattice, rows",
+    [
+        ((7, 7), 2, {}, (190, 226)),
+        ((7, 8), 4, {}, (190, 226)),
+        ((7, 7), 2, CRITERION_7_LATTICE, (760, 901)),
+    ],
     ids=["shared", "distinct", "shared-criterion-7-lattice"],
 )
-def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spectra, lattice):
+def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spectra, lattice, rows):
     """Per sample index the white noise is transformed once per distinct
     master seed, whatever the cells' nu, and every cell equals its
     variant's run alone: variants with their own seeds never read another's
-    noise."""
+    noise.  Each transform covers only the rows of W the solve window reads
+    at the taps of nu = 0.2: the window's 26 or 101 slices and the 10 or 40
+    before them."""
     calls = []
     white_spectrum = noise.white_spectrum
 
     def counted(*args):
         calls.append(args[:2])
+        assert args[4] == rows
         return white_spectrum(*args)
 
     monkeypatch.setattr(noise, "white_spectrum", counted)
@@ -189,6 +200,38 @@ def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spec
         for key, cell in alone.cells.items():
             assert report.cells[key]["estimate"] == cell["estimate"]
             assert report.cells[key]["se"] == cell["se"]
+
+
+@pytest.mark.parametrize("history", [2.0, 0.05], ids=["history-2", "history-shorter-than-taps"])
+def test_tail_drives_equal_the_full_window_drives(history):
+    """The drive each of criterion 7's cells solves with, from its driver's
+    half spectrum of the tail of W, equals the drive of the full-window
+    noise of sample_macroscopic_noise after solve_stack's driver stage, to
+    1e-13 of its size.  At history 0.05, shorter than the taps of nu = 0.2
+    reach, the tail starts at the window start."""
+    forced = (((1, 1, ((0,),)), 0.0),)
+    plan = _small_plan(
+        variants=(_variant("bump"), _variant("skew")),
+        history=history,
+        solve=SolveConfig(scheme="etd1", max_horizon=0.5, t_local=0.5),
+        observables=(Observable("slice_moment", p=2, time=0.5),),
+        counterterm_overrides=(("bump", forced), ("skew", forced)),
+        **CRITERION_7_LATTICE,
+    )
+    spec = plan.lattice()
+    cells = harness._make_cells(plan)
+    assert len(cells) == 6
+    for cell in cells:
+        driver = cell.driver
+        assert driver.rows == ((760, 1001) if history == 2.0 else (0, 221))
+        for s in (0, 3):
+            tail = solver._driver_stage(spec, driver.window(driver.spectrum(s))[None], None)[0]
+            xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=history)
+            window = rfft_space(solve_window(xi, spec, plan.solve), spec.d)
+            full = solver._driver_stage(spec, window[None], None)[0]
+            assert tail.shape == full.shape == (201, spec.n)
+            assert np.max(np.abs(full)) > 1.0
+            assert np.max(np.abs(tail - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def _shot_variant():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowpde.errors import ValidationFault
 from flowpde.flow import WickCalculator
 from flowpde.kernels import fluctuation_kernel
-from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time, padded_length
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time, irfft_space, padded_length
 from flowpde.noise import (
     MollifierProfile,
     NoiseModel,
@@ -253,17 +253,19 @@ def test_time_last_noise_equals_axis0_reference(family, spec, history):
 @pytest.mark.parametrize("family", ["bump", "skew"])
 @pytest.mark.parametrize("spec, history", REFERENCE_CASES)
 def test_driver_windows_equal_the_sample_and_convolve_path(family, spec, history):
-    """The solve windows of the noise driver match those of the reference
-    noise, its taps applied by a time convolution along axis 0."""
+    """The solve windows of the noise driver built for them, which
+    transforms only the tail of W they read, match those of the reference
+    noise, its taps applied by a time convolution along axis 0 over all of
+    W, once taken back to real space."""
     model = NoiseModel("mollified_white", 0.1, 5, family, resolution_policy="spectral")
     cfg = SolveConfig(scheme="etd1", max_horizon=spec.t_max, t_local=spec.t_max)
     ext = extended_window(spec, history)
     xi = Field(ext, _axis0_mollified_white(model, ext, 3), SPACE_TIME)
-    driver = spectral_driver(model, spec, history)
-    assert driver.spec == ext
-    got = driver.window(driver.spectrum(3), window_slices(ext, spec, cfg))
-    assert got.flags.c_contiguous
-    _assert_close(got, solve_window(xi, spec, cfg))
+    driver = spectral_driver(model, spec, history, window_slices(ext, spec, cfg), model.nu)
+    assert driver.spec == ext and driver.rows[0] > 0
+    got = driver.window(driver.spectrum(3))
+    assert got.flags.c_contiguous and got.shape[-1] == ext.n // 2 + 1
+    _assert_close(irfft_space(got, ext), solve_window(xi, spec, cfg))
 
 
 def test_spectral_driver_keeps_the_checks_of_the_sample_path():
@@ -274,6 +276,9 @@ def test_spectral_driver_keeps_the_checks_of_the_sample_path():
         spectral_driver(NoiseModel("mollified_white", 0.01, 5, "bump"), spec, 2.0)
     with pytest.raises(ValidationFault, match="poisson_shot"):
         spectral_driver(NoiseModel("poisson_shot", 0.1, 5, "bump"), spec, 2.0)
+    # a pad sized for shorter taps than the driver's own would wrap
+    with pytest.raises(ValidationFault, match="nu_max"):
+        spectral_driver(spectral, spec, 1.0, nu_max=0.05)
 
 
 def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
@@ -298,6 +303,44 @@ def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
     ref *= ext.dt
     err = np.max(np.abs(sample.data - ref), axis=1)
     assert err.shape == (ext.nt,)
+    assert np.all(err <= REL_TOL * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "history, rows, start, m",
+    [(2.0, (760, 1001), 800, 288), (0.05, (0, 221), 20, 270)],
+    ids=["history-2", "history-shorter-than-taps"],
+)
+def test_longest_taps_do_not_wrap_on_the_tail_spectrum(history, rows, start, m):
+    """At nu = 0.2, the longest taps of criterion 7's plan, a driver built
+    for the plan's solve window transforms only the rows of W that its 201
+    slices read, on a spectrum m long: the least 5-smooth length that
+    leaves room for the rows and the taps.  Every slice read equals the
+    direct causal convolution of the mollified white noise with the taps
+    over all of W: no tail wraps onto the slices read, and the rows left
+    out contribute nothing to them.  Where the history is shorter than the
+    taps the rows start at the window start, and the pad alone keeps the
+    first slices read from wrapping."""
+    spec = LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5)
+    model = NoiseModel("mollified_white", 0.2, 5, "bump", resolution_policy="spectral")
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.5, t_local=0.5)
+    ext = extended_window(spec, history)
+    reads = window_slices(ext, spec, cfg)
+    driver = spectral_driver(model, spec, history, reads, model.nu)
+    taps = _temporal_taps(model, ext)
+    lo, stop = driver.rows
+    assert ((lo, stop), reads.start, len(taps)) == (rows, start, 41)
+    assert driver.time.size == m >= stop - lo + len(taps) - 1
+    got = irfft_space(driver.window(driver.spectrum(3)), ext)
+    w = white_noise_slab(ext, substream(model.master_seed, 3, "white"))
+    space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
+    w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
+    ref = np.zeros_like(w)
+    for lag, tap in enumerate(taps):
+        ref[lag:] += tap * w[: ext.nt - lag]
+    ref = ext.dt * ref[reads]
+    err = np.max(np.abs(got - ref), axis=1)
+    assert err.shape == (201,)
     assert np.all(err <= REL_TOL * np.max(np.abs(ref)))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from flowpde.errors import NumericalFault, ValidationFault
 from flowpde.kernels import DEFAULT_EPS, SpectralKernel, convolve, heat_multiplier
-from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec
+from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, rfft_space
 from flowpde.model import ModelSpec, Monomial, evaluate_force, preset, relevant_filtered
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
@@ -130,7 +130,7 @@ def test_decomposed_solution_structure(desk_noise, rng):
     phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
     window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
-    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=window[None])
+    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=rfft_space(window[None], 1))
     assert res.status == STATUS_COMPLETED
     assert np.all(np.isfinite(res.trajectory.data))
     assert res.trajectory.data.shape[0] == window.shape[0]
@@ -154,7 +154,7 @@ def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
     gamma = spec.sigma - DEFAULT_EPS
     assert c_gamma_norm(Field(spec, start, SPACE_ONLY), gamma) > 5 * cfg.blow_up_radius
     shift = _free_decay(spec, spec.nt, start)
-    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=shift[None])
+    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=rfft_space(shift[None], 1))
     assert res.status == STATUS_COMPLETED
     assert res.breve_T == pytest.approx(spec.t_max)
     np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
@@ -413,7 +413,7 @@ def test_stack_equals_per_sample_reference(desk_noise, shifted, scheme, t_local)
     zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
     drive = _windows(model, ct, spec, cfg, range(4), shifted)
     kind = "shift" if shifted else "noise"
-    results = solve_stack(model, ct, zero, cfg, **{kind: drive})
+    results = solve_stack(model, ct, zero, cfg, **{kind: rfft_space(drive, 1)})
     assert len(results) == 4
     for res, window in zip(results, drive):
         traj, norms, status = _reference_solve(model, ct, zero, cfg, **{kind: window})
@@ -432,7 +432,7 @@ def test_stack_sample_blows_up_while_others_complete():
     x = spec.coords()[0]
     shape = (spec.nt, spec.n)
     noise = np.stack([np.full(shape, 0.5 * np.cos(x)), np.full(shape, 40.0), np.zeros(shape)])
-    results = solve_stack(model, CT_DESK, zero, cfg, noise=noise)
+    results = solve_stack(model, CT_DESK, zero, cfg, noise=rfft_space(noise, 1))
     assert [r.status for r in results] == [STATUS_COMPLETED, STATUS_BLEW_UP, STATUS_COMPLETED]
     blown = results[1]
     assert blown.slice_norms[-1] >= 10.0 and np.all(blown.slice_norms[:-1] < 10.0)
@@ -455,7 +455,7 @@ def test_non_finite_step_in_stack_faults():
     noise = np.zeros((3, spec.nt, spec.n))
     noise[1, 5, 3] = np.nan
     with pytest.raises(NumericalFault, match="numerical overflow"):
-        solve_stack(model, CT_DESK, zero, cfg, noise=noise)
+        solve_stack(model, CT_DESK, zero, cfg, noise=rfft_space(noise, 1))
 
 
 def test_solve_window_checks_lattice_and_range(desk_noise):
