@@ -18,7 +18,7 @@ that the solve windows read is transformed once per master seed
 cell takes its solve window from that spectrum through its own multiplier
 (noise.SpectralDriver), as the half spectrum the solver reads.  Shot noise
 and shifts of order i_rhd >= 1 sample, shift and cut each cell's window on
-their own, and rfft it for the solver.
+their own, and hand its window_spectrum to the solver.
 
 A run builds every cell's driver first (a history too short for the shift
 faults before any flow runs), then one flow.flow_stack for the counterterms
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ValidationFault
 from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
-from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function, rfft_space
+from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, relevant_filtered
 from .kernels import check_fluctuation_window
 from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
@@ -48,8 +48,8 @@ from .solver import (
     build_stationary_shift,
     builds_shift,
     solve_stack,
-    solve_window,
     window_slices,
+    window_spectrum,
 )
 from .solver import solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
 
@@ -186,7 +186,7 @@ class _Cell(NamedTuple):
     SpectralDriver, built for the plan's solve window and padded for the
     plan's largest nu, so all cells of one master seed share its spectrum
     (None: the general path of sample, shift where one is built, and
-    solve_window per sample)."""
+    window_spectrum per sample)."""
 
     label: str
     nu: float
@@ -230,7 +230,7 @@ def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict)
         drive = sample_macroscopic_noise(cell.model.noise, spec, sample, history=plan.history)
         if builds_shift(cell.model, plan.use_shift):
             drive = build_stationary_shift(cell.model, cell.cterms, drive)
-        return rfft_space(solve_window(drive, spec, plan.solve), spec.d)
+        return window_spectrum(drive, spec, plan.solve)
     key = cell.driver.key
     if key not in spectra:
         spectra[key] = cell.driver.spectrum(sample)

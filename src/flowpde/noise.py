@@ -13,16 +13,13 @@ mollifier family in an experiment is driven by the same realization: the
 coupling used in the nu -> 0 comparisons, and a large variance reduction.
 
 This module is the one place where W is transformed.  white_spectrum takes
-W to its white spectrum (rfft over space, zero-padded FFT along time), and a
-SpectralDriver turns that spectrum into the noise by one multiplier and one
-inverse time FFT, returning the rfft half spectrum of the slices it was
-built to be read at.  A slice depends only on the last taps of W, so a
-driver transforms only the tail of W that its slices read, padded for the
-longest taps among the drivers that share its spectrum.  W itself is drawn
-in full from its substream, so the realization does not depend on which
-slices are read.  A caller that drives several cells from one sample
-(harness) builds the spectrum once and hands it to every cell's driver, and
-the solver takes the half spectra as they are (solver.solve_stack);
+the rows of W a driver reads to their white spectrum (rfft over space,
+zero-padded FFT along time), and a SpectralDriver turns that into the drive
+by one multiplier and one inverse time FFT, as the rfft half spectrum of
+the slices it is built for.  W is drawn in full whatever the rows, so the
+realization does not depend on them.  A caller that drives several cells
+from one sample (harness) builds the spectrum once for all of them, and the
+solver reads the half spectra as they come (solver.solve_stack);
 sample_macroscopic_noise reads every slice and takes them to real space.
 
 No stationary shift is built here: at i_rhd = 0 the shift path runs the
@@ -258,12 +255,11 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
 
 def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int, rows: tuple) -> np.ndarray:
     """The white spectrum of one sample: the white noise W of the
-    (master_seed, sample_index) substream on `spec`, its slices
-    rows = (lo, stop), rfft over space, then the FFT along time zero-padded
-    to m points, time-last: shape (n, ..., n // 2 + 1, m).  W is drawn in
-    full whatever the rows, so every sample keeps its realization.  Every
-    drive of the sample is this spectrum times one multiplier, so W is
-    drawn and transformed once however many cells read it."""
+    (master_seed, sample_index) substream on `spec`, drawn in full, its
+    slices rows = (lo, stop), rfft over space, then the FFT along time
+    zero-padded to m points, time-last: shape (n, ..., n // 2 + 1, m).
+    Every drive of the sample is this spectrum times one multiplier, so W
+    is drawn and transformed once however many cells read it."""
     w = white_noise_slab(spec, substream(master_seed, sample_index, "white"))
     return fft_time(rfft_space(w[rows[0] : rows[1]], spec.d), m)
 
@@ -297,8 +293,7 @@ class SpectralDriver(NamedTuple):
     def window(self, spectrum: np.ndarray) -> np.ndarray:
         """The drive on the slices `reads` of the sample whose spectrum()
         is given, as its rfft half spectrum over space: a contiguous
-        (slices, n, ..., n // 2 + 1) array (irfft_space takes it to the
-        real drive)."""
+        (slices, n, ..., n // 2 + 1) array."""
         buf = spectrum * self.space[..., None]
         buf *= self.time
         np.fft.ifft(buf, axis=-1, out=buf)
@@ -321,13 +316,12 @@ def spectral_driver(
     Its multiplier is dt tap_hat(omega) m_hat([nu] k): the spatial
     mollifier and the causal temporal taps, with W zero before the window
     start.  A slice j depends on W[j - taps + 1 : j + 1] only, so the
-    driver transforms the rows W[lo:stop] with lo = max(0, start - (taps -
-    1)), zero-padded to m = padded_length(stop - lo + taps), taps those of
-    nu_max: the largest nu among the drivers meant to share the spectrum.
-    Every slice read with nu_max = 1 is sample_macroscopic_noise's driver,
-    m = 1215 for nt = 1001 at dt = 0.0025; criterion 7's solve window (the
-    last 201 of those slices) at nu_max = 0.2 transforms W[760:1001] at
-    m = 288."""
+    driver transforms the rows W[lo:stop], lo = max(0, start - (taps - 1)),
+    zero-padded to m = padded_length(stop - lo + taps), with the taps of
+    nu_max, the largest nu among the drivers meant to share the spectrum.
+    sample_macroscopic_noise reads every slice at nu_max = 1 (m = 1215 for
+    nt = 1001 at dt = 0.0025); criterion 7's solve window, the last 201 of
+    those slices, reads W[760:1001] at nu_max = 0.2 (m = 288)."""
     if model.kind != "mollified_white":
         raise ValidationFault(f"no spectral driver for {model.kind} noise")
     if not model.nu <= nu_max <= 1.0:

@@ -28,10 +28,10 @@ driver, so a solve that asks for the shift at i_rhd = 0 runs the direct one.
 
 The solver never transforms white noise: solve_stack reads each sample's
 driving field on its window_slices as the rfft half spectrum over space,
-the representation its driver stage and stepping loop work in.  The
-one-sample callers take the rfft_space of a field's solve_window; the
-harness's coupled cells hand over the half spectra of the noise module's
-spectral drivers as they come, never in real space.
+the representation its driver stage and stepping loop work in.  A field's
+window_spectrum gives it; the harness's coupled cells hand over the half
+spectra of the noise module's spectral drivers as they come, never in real
+space.
 build_stationary_shift is the general shift, for every stationary order
 and noise kind.
 """
@@ -136,6 +136,12 @@ def window_slices(fs: LatticeSpec, spec: LatticeSpec, cfg: SolveConfig) -> slice
 def solve_window(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarray:
     """The window_slices of a driving field: a view into field.data."""
     return field.data[window_slices(field.spec, spec, cfg)]
+
+
+def window_spectrum(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.ndarray:
+    """The solve_window of a driving field as solve_stack reads it: its
+    rfft_space half spectrum, (slices, n, ..., n // 2 + 1)."""
+    return rfft_space(solve_window(field, spec, cfg), spec.d)
 
 
 def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
@@ -282,10 +288,9 @@ def solve_mild(
     phi_init: Field,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """The direct path for one sample: solve_stack on the half spectrum of
-    the solve_window of `noise` (none: the undriven equation)."""
-    spec = phi_init.spec
-    window = None if noise is None else rfft_space(solve_window(noise, spec, cfg)[None], spec.d)
+    """The direct path for one sample: solve_stack on the window_spectrum
+    of `noise` (none: the undriven equation)."""
+    window = None if noise is None else window_spectrum(noise, phi_init.spec, cfg)[None]
     return solve_stack(model, counterterms, phi_init, cfg, noise=window)[0]
 
 
@@ -326,13 +331,11 @@ def solve_decomposed(
     phi_init: Field,
     cfg: SolveConfig,
 ) -> SolveResult:
-    """The shift path for one sample: solve_stack with S the half spectrum
-    of the solve_window of the sample's stationary shift Phi_shift, or
-    solve_mild where
+    """The shift path for one sample: solve_stack with S the window_spectrum
+    of the sample's stationary shift Phi_shift, or solve_mild where
     builds_shift says no shift is built."""
     if not builds_shift(model, True):
         return solve_mild(model, counterterms, noise, phi_init, cfg)
-    spec = phi_init.spec
     shift = build_stationary_shift(model, counterterms, noise)
-    window = rfft_space(solve_window(shift, spec, cfg)[None], spec.d)
+    window = window_spectrum(shift, phi_init.spec, cfg)[None]
     return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]
