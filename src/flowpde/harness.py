@@ -23,6 +23,9 @@ their own, and hand its window_spectrum to the solver.
 A run builds every cell's driver first (a history too short for the shift
 faults before any flow runs), then one flow.flow_stack for the counterterms
 of all cells without counterterm_overrides, then solves block by block.
+The cells share the lattice and the SolveConfig, so all cells whose forces
+have the same terms, with their own coefficients, and the same kind of
+drive solve a block as one solver.solve_stack.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import ValidationFault
 from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
-from .model import ModelSpec, RenormScheme, relevant_filtered
+from .model import ModelSpec, RenormScheme, compile_force, relevant_filtered
 from .kernels import check_fluctuation_window
 from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
 from .solver import (
@@ -53,10 +56,11 @@ from .solver import (
 )
 from .solver import solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
 
-# samples per block.  A block holds every cell's solve windows at once, as
-# half spectra (cells x STACK_SIZE complex windows of n // 2 + 1 modes per
-# slice), so each sample's white spectrum is built once for all cells, and
-# the memory of a run stays bounded at any size
+# rows per block: a block holds STACK_SIZE // cells samples (at least one)
+# of every cell, its solve windows as half spectra of n // 2 + 1 modes per
+# slice, so each sample's white spectrum is built once for all cells; one
+# stepping loop runs over about STACK_SIZE rows, and the memory of a run
+# stays bounded at any size
 STACK_SIZE = 32
 
 
@@ -100,9 +104,13 @@ class ExperimentPlan:
     flow_nodes_per_octave: int = 8
 
     def __post_init__(self):
-        for name in ("variants", "observables"):
+        for name in ("variants", "nu_schedule", "observables"):
             if not getattr(self, name):
                 raise ValidationFault(f"plan needs at least one entry in plan.{name}")
+        labels = [label for label, _ in self.variants]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValidationFault(f"plan.variants lists the label {label!r} more than once")
         for name in ("samples", "flow_j_levels", "flow_nodes_per_octave"):
             if getattr(self, name) < 1:
                 raise ValidationFault(f"plan.{name} must be at least 1, got {getattr(self, name)}")
@@ -237,14 +245,10 @@ def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict)
     return cell.driver.window(spectra[key])
 
 
-def _run_cell(plan: ExperimentPlan, cell: _Cell, stack: np.ndarray) -> tuple:
+def _run_cell(plan: ExperimentPlan, results: list) -> tuple:
     """Observable values and blow-up count of one cell's block of samples,
-    solved as one stack from their drive windows."""
-    spec = plan.lattice()
-    psi = _smearing_function(spec)
-    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    kind = "shift" if builds_shift(cell.model, plan.use_shift) else "noise"
-    results = solve_stack(cell.model, cell.cterms, zero, plan.solve, **{kind: stack})
+    from their solve results."""
+    psi = _smearing_function(plan.lattice())
     values = {
         o.name: np.array([_observable_value(o, res, psi) for res in results])
         for o in plan.observables
@@ -254,27 +258,44 @@ def _run_cell(plan: ExperimentPlan, cell: _Cell, stack: np.ndarray) -> tuple:
 
 def _run_cells(plan: ExperimentPlan, cells: list) -> list:
     """(values, blow-ups) per cell: the per-sample observable values and
-    the blow-up count.  Sample-major within each block of STACK_SIZE
-    samples: each sample's white spectrum is built once per master seed
-    and every cell's window is taken from it as a half spectrum; then each
-    cell solves its block as one stack."""
+    the blow-up count.  Sample-major within each block of STACK_SIZE rows
+    (samples x cells, at least one sample): each sample's white spectrum is
+    built once per master seed and every cell's window is taken from it as
+    a half spectrum.  Cells whose forces have the same terms (m, a) and the
+    same kind of drive form a group, which solves its block as one stack,
+    from rows laid out group by group."""
+    spec = plan.lattice()
+    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
+    groups = {}
+    for c, cell in enumerate(cells):
+        kind = "shift" if builds_shift(cell.model, plan.use_shift) else "noise"
+        terms = compile_force(cell.model, cell.cterms, cell.nu, spec).shape
+        groups.setdefault((kind, terms), []).append(c)
+    order = [c for members in groups.values() for c in members]
     values = [{o.name: np.full(plan.samples, np.nan) for o in plan.observables} for _ in cells]
     blowups = [0] * len(cells)
-    for first in range(0, plan.samples, STACK_SIZE):
-        block = range(first, min(first + STACK_SIZE, plan.samples))
+    per_block = max(STACK_SIZE // len(cells), 1)
+    for first in range(0, plan.samples, per_block):
+        block = range(first, min(first + per_block, plan.samples))
         stacks = None
         for i, sample in enumerate(block):
             spectra = {}
-            for c, cell in enumerate(cells):
-                window = _drive_window(plan, cell, sample, spectra)
+            for row, c in enumerate(order):
+                window = _drive_window(plan, cells[c], sample, spectra)
                 if stacks is None:
                     stacks = np.empty((len(cells), len(block), *window.shape), dtype=complex)
-                stacks[c, i] = window
-        for c, cell in enumerate(cells):
-            block_values, block_blowups = _run_cell(plan, cell, stacks[c])
-            blowups[c] += block_blowups
-            for name, v in block_values.items():
-                values[c][name][block.start : block.stop] = v
+                stacks[row, i] = window
+        lo = 0
+        for (kind, _), members in groups.items():
+            rows = stacks[lo : lo + len(members)].reshape(-1, *stacks.shape[2:])
+            forces = [(cells[c].model, cells[c].cterms) for c in members]
+            results = solve_stack(forces, zero, plan.solve, **{kind: rows})
+            for q, c in enumerate(members):
+                block_values, block_blowups = _run_cell(plan, results[q * len(block) : (q + 1) * len(block)])
+                blowups[c] += block_blowups
+                for name, v in block_values.items():
+                    values[c][name][block.start : block.stop] = v
+            lo += len(members)
     return list(zip(values, blowups))
 
 

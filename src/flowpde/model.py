@@ -282,18 +282,32 @@ class CompiledForce:
     monomials, then the relevant_filtered keys, in that order.  `mults` maps
     each nonzero a_q to its derivative multiplier.  `terms` holds each
     nonzero term as (its scalar (-1)^|a| lambda^i coeff, m, a or None when
-    no factor carries a derivative), built once.
+    no factor carries a derivative), built once; stack_forces makes each
+    scalar a column of one value per row of a stack.
     """
 
     lam: float
     table: dict
     mults: dict
-    terms: tuple = field(init=False, repr=False, compare=False)
+    terms: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = [((-1.0) ** sum(map(sum, a)) * self.lam**i * c, m, a if any(map(any, a)) else None)
-                 for (i, m, a), c in self.table.items() if c != 0.0]
-        object.__setattr__(self, "terms", tuple(terms))
+        if self.terms is None:
+            terms = [((-1.0) ** sum(map(sum, a)) * self.lam**i * c, m, a if any(map(any, a)) else None)
+                     for (i, m, a), c in self.table.items() if c != 0.0]
+            object.__setattr__(self, "terms", tuple(terms))
+
+    @property
+    def shape(self) -> tuple:
+        """The (m, a) of each term: forces of one shape stack."""
+        return tuple((m, a) for _, m, a in self.terms)
+
+    def take(self, rows) -> "CompiledForce":
+        """The force of the stack rows `rows` (itself when its scalars are
+        shared by every row)."""
+        if all(np.ndim(s) == 0 for s, _, _ in self.terms):
+            return self
+        return replace(self, terms=tuple((s[rows], m, a) for s, m, a in self.terms))
 
     def monomial(self, factors, a: tuple):
         """prod_q d^(a_q) factors[q]; the scalar 1.0 when m = 0."""
@@ -332,6 +346,22 @@ def compile_force(spec: ModelSpec, counterterms, nu: float, lattice: LatticeSpec
         raise ValidationFault(f"counterterms for non-relevant or filtered indices: {stray}")
     mults = {aq: derivative_multiplier(lattice, aq) for (_, _, a) in table for aq in a if any(aq)}
     return CompiledForce(spec.lam, table, mults)
+
+
+def stack_forces(forces: list, rows: int, d: int) -> CompiledForce:
+    """One force for a stack of len(forces) groups of `rows` rows each, in
+    order, on a lattice of dimension d: each term's scalar becomes a column
+    of one value per row, (rows in all, 1, ..., 1), so every row's product
+    is scaled by its own value, bit for bit.  The forces must share their
+    shape; the stack keeps the first one's table and lam."""
+    first = forces[0]
+    if any(f.shape != first.shape for f in forces):
+        raise ValidationFault("the forces of one stack must share their terms (m, a)")
+    if len(forces) == 1 or not first.terms:
+        return first
+    scales = np.repeat([[s for s, _, _ in f.terms] for f in forces], rows, axis=0)
+    columns = scales.T.reshape(len(first.terms), -1, *(1,) * d)
+    return replace(first, terms=tuple((c, m, a) for c, (_, m, a) in zip(columns, first.terms)))
 
 
 def evaluate_force(

@@ -7,13 +7,15 @@ and phi-function weights on the force (ETD1 / ETD2RK), all on the rfft half
 of the modes, blow-up monitor included.  The initial pairing delta_0 x phi
 enters exactly as the semigroup image of phi, never as a grid delta.
 
-solve_stack is the one solve: it compiles the force, runs the stepping loop
-for a stack of samples along a leading axis (each sample matches its own
-solve bit for bit) and owns the one solve rule, the Da Prato-Debussche split
-Phi = D + R.  All of the noise sits in the driver D = S - e^(-t|k|^sigma) S(0),
-zero at t = 0: S = G * (1_[0,inf) Xi) on the direct path, by the trapezoid
-rule of kernels.convolve, and Phi_shift = (G - G_1) * f_shift from the
-pathwise hierarchy on the shift path.  The remainder R starts at phi and
+solve_stack is the one solve: it compiles the force of each group of rows,
+runs one stepping loop for a stack of samples along a leading axis, whose
+row groups share the force's terms but not its coefficients (each sample
+matches its own solve bit for bit), and owns the one solve rule, the
+Da Prato-Debussche split Phi = D + R.  All of the noise sits in the driver
+D = S - e^(-t|k|^sigma) S(0), zero at t = 0: S = G * (1_[0,inf) Xi) on the
+direct path, by the trapezoid rule of kernels.convolve, and
+Phi_shift = (G - G_1) * f_shift from the pathwise hierarchy on the shift
+path.  The remainder R starts at phi and
 solves Q R = N[R + D], with N = F_nu - Xi_nu the polynomial part of the
 force, so the dealias mask only sees N and the blow-up monitor measures R.
 solve_mild, solve_with_patching and solve_decomposed are its one-sample
@@ -31,7 +33,9 @@ driving field on its window_slices as the rfft half spectrum over space,
 the representation its driver stage and stepping loop work in.  A field's
 window_spectrum gives it; the harness's coupled cells hand over the half
 spectra of the noise module's spectral drivers as they come, never in real
-space.
+space.  The driver stage turns those spectra into D's in place, and the
+stepping loop makes D real a chunk of slices at a time, so a stack holds
+no real drive beside its trajectory.
 build_stationary_shift is the general shift, for every stationary order
 and noise kind.
 """
@@ -46,13 +50,17 @@ import numpy as np
 from .errors import NumericalFault, ValidationFault
 from .kernels import DEFAULT_EPS, check_fluctuation_window
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, irfft_space, rfft_space
-from .model import ModelSpec, compile_force
+from .model import ModelSpec, compile_force, stack_forces
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
 from .norms import c_gamma_multiplier
 from .norms import c_gamma_norm  # noqa: F401  looked up here by perfbench/tracing.py
 
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
+
+# slices of a stack's driver made real at a time, so the stepping loop
+# never holds the whole real drive of its samples
+DRIVE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -147,15 +155,18 @@ def window_spectrum(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.nda
 def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
-    `phi` holds the initial slices of R; `drive`, when given, each sample's
-    driver D on its solve_window slices, and the force is N[R + D].  The
-    state is R's rfft half; its linear part is exact per mode, the force
-    gets ETD1 / ETD2RK phi-function weights.  At the end of each local
-    window of t_local the state restarts from its real slice, as a fresh
-    solve from that slice would.  A sample whose c_gamma norm, read from
-    the state, reaches the blow-up radius stops there and leaves the
-    stack; a non-finite slice in the stack faults.  Returns one
-    SolveResult per sample.
+    `phi` holds the initial slices of R; `drive` each sample's driver D on
+    its solve_window slices as a half spectrum, made real DRIVE_CHUNK
+    slices at a time, and the force is N[R + D].  The state is R's rfft
+    half; its linear part is exact per mode, the force gets ETD1 / ETD2RK
+    phi-function weights, and one inverse transform of (state,
+    (1 + |k|^gamma) state) gives R's slice and its c_gamma monitor.  At the
+    end of each local window of t_local the state restarts from its real
+    slice, as a fresh solve from that slice would.  A sample whose monitor
+    reaches the blow-up radius stops there and leaves the stack with its
+    force scalars and drive rows; a non-finite slice in the stack faults.
+    Returns one SolveResult per sample: R + D, written straight into the
+    trajectory, and the norms of R.
     """
     dt = spec.dt
     n_steps = _n_steps(spec, cfg)
@@ -169,53 +180,64 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     w2 = dt * _phi2(lin)
     mask = _dealias_mask(spec)[..., :half] if cfg.dealias else None
     d = spec.d
+    space = tuple(range(-d, 0))
 
-    def force_hat(data: np.ndarray, j: int) -> np.ndarray:
-        f = rfft_space(force(data if drive is None else data + drive[:, j]), d)
+    def force_hat(data: np.ndarray) -> np.ndarray:
+        f = rfft_space(force(data), d)
         return f if mask is None else f * mask
 
-    def monitor(phi_hat: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(irfft_space(norm_mult * phi_hat, spec)), axis=tuple(range(-d, 0)))
+    def real_and_norm(phi_hat: np.ndarray) -> tuple:
+        both = irfft_space(np.stack((phi_hat, norm_mult * phi_hat)), spec)
+        return both[0], np.max(np.abs(both[1]), axis=space)
 
     samples = phi.shape[0]
     traj = np.empty((samples, n_steps + 1, *spec.space_shape()))
     norms = np.full((samples, n_steps + 1), np.nan)
-    traj[:, 0] = phi
     last = np.full(samples, n_steps)
     breve_T = np.empty(samples)
     blown = np.zeros(samples, dtype=bool)
     live = np.arange(samples)
-    t_win, j_win = 0.0, 0
+    t_win, j_win, c_lo = 0.0, 0, 0
+    chunk = irfft_space(drive[:, :DRIVE_CHUNK], spec)
     phi_hat = rfft_space(phi, d)
-    norms[:, 0] = monitor(phi_hat)
-    data = irfft_space(phi_hat, spec)
+    data, norms[:, 0] = real_and_norm(phi_hat)
+    total = data + chunk[:, 0]
+    traj[:, 0] = phi + chunk[:, 0]
     for j in range(1, n_steps + 1):
-        f0 = force_hat(data, j - 1)
+        if j == c_lo + DRIVE_CHUNK:
+            c_lo = j
+            rows = drive[:, j : j + DRIVE_CHUNK] if live.size == samples else drive[live, j : j + DRIVE_CHUNK]
+            chunk = irfft_space(rows, spec)
+        f0 = force_hat(total)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
             a_data = irfft_space(phi_hat, spec)
-            phi_hat = phi_hat + w2 * (force_hat(a_data, j) - f0)
-        data = irfft_space(phi_hat, spec)
+            phi_hat = phi_hat + w2 * (force_hat(a_data + chunk[:, j - c_lo]) - f0)
+        data, sup = real_and_norm(phi_hat)
         if not np.all(np.isfinite(data)):
             raise NumericalFault(
                 f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
             )
-        traj[live, j] = data
-        norms[live, j] = sup = monitor(phi_hat)
+        total = data + chunk[:, j - c_lo]
+        at = slice(None) if live.size == samples else live
+        traj[at, j] = total
+        norms[at, j] = sup
         stop = sup >= cfg.blow_up_radius
         if stop.any():
             last[live[stop]] = j
             breve_T[live[stop]] = t_win + (j - j_win) * dt
             blown[live[stop]] = True
             keep = ~stop
-            live, phi_hat, data = live[keep], phi_hat[keep], data[keep]
-            drive = None if drive is None else drive[keep]
+            live, phi_hat, data, total = live[keep], phi_hat[keep], data[keep], total[keep]
+            force = force.take(keep)
+            chunk = chunk[keep]
             if not live.size:
                 break
         if j % per_window == 0 and j < n_steps:
             t_win, j_win = t_win + per_window * dt, j
             phi_hat = rfft_space(data, d)
             data = irfft_space(phi_hat, spec)
+            total = data + chunk[:, j - c_lo]
     breve_T[live] = t_win + (n_steps - j_win) * dt
     out = []
     for s in range(samples):
@@ -227,39 +249,42 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
 
 
 def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None, shift: np.ndarray | None):
-    """solve_stack's driver D = S - e^(-t|k|^sigma) S[:, 0] in real space,
-    zero at t = 0, from the half spectrum of each sample's noise window
-    (S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule: dt on
-    every slice of [0, t], half of it at t) or of its shift window
-    (S = shift); None when neither is given.  Its inputs stay as they are."""
+    """solve_stack's driver D = S - e^(-t|k|^sigma) S[:, 0] as a half
+    spectrum, zero at t = 0, from the half spectrum of each sample's noise
+    window (S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule:
+    dt on every slice of [0, t], half of it at t) or of its shift window
+    (S = shift); None when neither is given.  It works in place: the
+    spectrum it is given becomes D's and is returned."""
     s_hat = shift if noise is None else noise
     if s_hat is None:
         return None
     ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
     heat = np.exp(-np.multiply.outer(spec.dt * np.arange(s_hat.shape[1]), ks))
     if noise is not None:
-        acc = noise.copy()
-        for j in range(1, acc.shape[1]):
-            acc[:, j] += heat[1] * acc[:, j - 1]
-        acc -= 0.5 * noise
-        s_hat = spec.dt * acc
-    drive = irfft_space(s_hat - heat * s_hat[:, :1], spec)
-    drive[:, 0] = 0.0
-    return drive
+        # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
+        acc = noise[:, 0].copy()
+        for j in range(noise.shape[1]):
+            x = noise[:, j]
+            if j:
+                np.add(x, np.multiply(heat[1], acc, out=acc), out=acc)
+            np.subtract(acc, np.multiply(0.5, x, out=x), out=x)
+        noise *= spec.dt
+    s0 = s_hat[:, :1].copy()
+    for lo in range(0, s_hat.shape[1], DRIVE_CHUNK):
+        s_hat[:, lo : lo + DRIVE_CHUNK] -= heat[lo : lo + DRIVE_CHUNK] * s0
+    s_hat[:, 0] = 0.0
+    return s_hat
 
 
-def solve_stack(
-    model: ModelSpec,
-    counterterms,
-    phi_init: Field,
-    cfg: SolveConfig,
-    noise: np.ndarray | None = None,
-    shift: np.ndarray | None = None,
-) -> list:
+def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None, shift=None) -> list:
     """Solve a stack of samples from phi_init at t = 0, each sample's
     driving field given along the leading axis as the rfft_space half
     spectrum of its solve_window slices, (samples, slices, n, ..., n // 2 + 1)
-    (one sample, undriven, when neither is given).
+    (one sample with D = 0 when neither is given).  `forces` holds one
+    (model, counterterms) per group of rows: the samples split into
+    len(forces) equal groups in that order, and the groups' forces must
+    share their terms (model.stack_forces).  The spectra given may be
+    overwritten: the driver stage works in place.
 
     The one rule of the module docstring, with S = G * (1_[0,inf) noise) or
     S = shift: R starts at phi_init and solves N[R + D] with the driver
@@ -268,17 +293,19 @@ def solve_stack(
     spec = phi_init.spec
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
-    nu = model.noise.nu if model.noise is not None else 1.0
-    force = compile_force(model, counterterms, nu, spec)
+    compiled = [
+        compile_force(model, ct, model.noise.nu if model.noise is not None else 1.0, spec)
+        for model, ct in forces
+    ]
     drive = _driver_stage(spec, noise, shift)
-    samples = 1 if drive is None else drive.shape[0]
+    if drive is None:
+        drive = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.space_shape()[:-1], spec.n // 2 + 1), dtype=complex)
+    samples = drive.shape[0]
+    if samples % len(compiled):
+        raise ValidationFault(f"{samples} samples do not split into {len(compiled)} equal groups")
+    force = stack_forces(compiled, samples // len(compiled), spec.d)
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
-    results = _march(force, phi, drive, cfg, spec)
-    if drive is not None:
-        for res, dr in zip(results, drive):
-            rem = res.trajectory
-            res.trajectory = Field(rem.spec, rem.data + dr[: rem.data.shape[0]], SPACE_TIME)
-    return results
+    return _march(force, phi, drive, cfg, spec)
 
 
 def solve_mild(
@@ -291,7 +318,7 @@ def solve_mild(
     """The direct path for one sample: solve_stack on the window_spectrum
     of `noise` (none: the undriven equation)."""
     window = None if noise is None else window_spectrum(noise, phi_init.spec, cfg)[None]
-    return solve_stack(model, counterterms, phi_init, cfg, noise=window)[0]
+    return solve_stack([(model, counterterms)], phi_init, cfg, noise=window)[0]
 
 
 def solve_with_patching(
@@ -338,4 +365,4 @@ def solve_decomposed(
         return solve_mild(model, counterterms, noise, phi_init, cfg)
     shift = build_stationary_shift(model, counterterms, noise)
     window = window_spectrum(shift, phi_init.spec, cfg)[None]
-    return solve_stack(model, counterterms, phi_init, cfg, shift=window)[0]
+    return solve_stack([(model, counterterms)], phi_init, cfg, shift=window)[0]

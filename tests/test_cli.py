@@ -337,6 +337,14 @@ def _universality_argv(tmp_path, key, value, block=None):
     return ["universality", "--plan", str(path), "--out", str(tmp_path / "out")]
 
 
+def _duplicate_variant_argv(tmp_path):
+    """`flowpde universality` on the smoke plan with its first variant listed twice."""
+    plan = json.loads(Path(PLAN).read_text())
+    plan["variants"].insert(1, plan["variants"][0])
+    path = _write(tmp_path, json.dumps(plan), "plan.json")
+    return ["universality", "--plan", str(path), "--out", str(tmp_path / "out")]
+
+
 def _truncated_field_argv(tmp_path):
     spec = LatticeSpec(1, 64, 0.05, 0.0, 0.5, 0.5)
     fld = tmp_path / "f.fld"
@@ -362,6 +370,10 @@ CLI_FAULTS = {
         lambda p: _universality_argv(p, "flow_nodes_per_octave", -2),
         "plan.flow_nodes_per_octave",
     ),
+    # no cell to run, and a report of 0 cells is no comparison
+    "empty-nu_schedule": (lambda p: _universality_argv(p, "nu_schedule", []), "plan.nu_schedule"),
+    # the second cell of a label would overwrite the first and be compared with itself
+    "duplicate-variant-label": (_duplicate_variant_argv, "label 'bump' more than once"),
     "truncated-fld1": (_truncated_field_argv, ""),
     "nan-blow_up_radius": (
         lambda p: _universality_argv(p, "blow_up_radius", float("nan"), "solve"),

@@ -12,7 +12,7 @@ from flowpde.harness import (
 )
 from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
-from flowpde.lattice import SPACE_ONLY, Field, padded_length, rfft_space
+from flowpde.lattice import SPACE_ONLY, Field, irfft_space, padded_length, rfft_space
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, solve_window
 
@@ -63,6 +63,11 @@ def test_plan_validation():
         _small_plan(observables=(Observable("slice_moment", p=2, time=0.9),))
     with pytest.raises(ValidationFault, match="plan.observables"):
         _small_plan(observables=())
+    with pytest.raises(ValidationFault, match="plan.nu_schedule"):
+        _small_plan(nu_schedule=())
+    # a second cell of one label would overwrite the first in the report
+    with pytest.raises(ValidationFault, match="label 'bump' more than once"):
+        _small_plan(variants=(_variant("bump"), _variant("skew"), _variant("bump")))
     # the history sets how far back W is drawn and where a driver's tail starts
     for history in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValidationFault, match="plan.history must be finite and non-negative"):
@@ -152,13 +157,95 @@ def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_l
     expected, expected_blowups = [], 0
     for s in range(plan.samples):
         window = cell.driver.window(cell.driver.spectrum(s))
-        res = solve_stack(cell.model, cell.cterms, zero, plan.solve, noise=window[None])[0]
+        res = solve_stack([(cell.model, cell.cterms)], zero, plan.solve, noise=window[None])[0]
         assert res.breve_T > plan.dt
         expected_blowups += res.status == STATUS_BLEW_UP
         expected.append(harness._observable_value(plan.observables[0], res, psi))
     assert 0 < expected_blowups < plan.samples
     assert blowups == expected_blowups
     np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+
+
+def _record_stacks(monkeypatch) -> list:
+    """(row groups, rows) of every solve_stack the harness runs from here on."""
+    calls = []
+    solve = harness.solve_stack
+
+    def recorded(forces, phi_init, cfg, **drive):
+        [rows] = drive.values()
+        calls.append((len(forces), rows.shape[0]))
+        return solve(forces, phi_init, cfg, **drive)
+
+    monkeypatch.setattr(harness, "solve_stack", recorded)
+    return calls
+
+
+def _own_values(plan, cell) -> tuple:
+    """The values and blow-ups of one cell solved alone: all its samples'
+    drive windows as one solve_stack."""
+    spec = plan.lattice()
+    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
+    windows = np.stack([harness._drive_window(plan, cell, s, {}) for s in range(plan.samples)])
+    return harness._run_cell(plan, solve_stack([(cell.model, cell.cterms)], zero, plan.solve, noise=windows))
+
+
+def _assert_cells_equal_their_own_stacks(plan, cells, runs):
+    for cell, (values, blowups) in zip(cells, runs):
+        own_values, own_blowups = _own_values(plan, cell)
+        assert blowups == own_blowups
+        for name, v in own_values.items():
+            np.testing.assert_array_equal(values[name], v)
+
+
+@pytest.mark.parametrize(
+    "scheme, t_local, strength",
+    [("etd1", 0.25, {}), ("etd_rk2", 0.07, {}), ("etd_rk2", 0.07, UNSTABLE)],
+    ids=["etd1", "etd_rk2-windows", "etd_rk2-blow-ups"],
+)
+def test_block_of_cells_is_one_stack_equal_to_each_cells_own(monkeypatch, scheme, t_local, strength):
+    """Two families x two nu share one term table, so each block of the
+    plan is one solve_stack of all four cells (three samples: 12 rows), and
+    every cell's values and blow-ups equal those of its own stack, bit for
+    bit.  With the growing cubic and a radius of 5 some rows blow up
+    mid-block and leave the stack while the others run on."""
+    calls = _record_stacks(monkeypatch)
+    cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=5.0)
+    plan = _small_plan(samples=3, solve=cfg, variants=(_variant("bump", **strength), _variant("skew", **strength)))
+    cells = harness._make_cells(plan)
+    runs = harness._run_cells(plan, cells)
+    assert calls == [(4, 12)]
+    blowups = sum(b for _, b in runs)
+    assert (0 < blowups < 12) if strength else blowups == 0
+    _assert_cells_equal_their_own_stacks(plan, cells, runs)
+
+
+def test_cells_with_other_terms_run_in_their_own_group(monkeypatch):
+    """An override that zeroes bump's mass counterterm leaves its force with
+    the cubic alone: bump's cells and skew's cells solve as two stacks per
+    block, and each cell still equals its own stack."""
+    calls = _record_stacks(monkeypatch)
+    zero = (((1, 1, ((0,),)), 0.0),)
+    plan = _small_plan(samples=2, counterterm_overrides=(("bump", zero),))
+    cells = harness._make_cells(plan)
+    runs = harness._run_cells(plan, cells)
+    assert calls == [(2, 4), (2, 4)]
+    _assert_cells_equal_their_own_stacks(plan, cells, runs)
+
+
+def test_fewer_rows_than_cells_run_one_sample_per_block(monkeypatch):
+    """With STACK_SIZE below the plan's four cells each block holds one
+    sample of every cell, and the values are those of the default blocks."""
+    plan = _small_plan(samples=3)
+    cells = harness._make_cells(plan)
+    default = harness._run_cells(plan, cells)
+    calls = _record_stacks(monkeypatch)
+    monkeypatch.setattr(harness, "STACK_SIZE", 3)
+    runs = harness._run_cells(plan, cells)
+    assert calls == [(4, 4)] * 3
+    for (values, blowups), (expected, expected_blowups) in zip(runs, default):
+        assert blowups == expected_blowups
+        for name, v in expected.items():
+            np.testing.assert_array_equal(values[name], v)
 
 
 # criterion 7's lattice, where the taps of nu = 0.2 and of nu <= 0.1 would
@@ -225,10 +312,10 @@ def test_tail_drives_equal_the_full_window_drives(history):
         driver = cell.driver
         assert driver.rows == ((760, 1001) if history == 2.0 else (0, 221))
         for s in (0, 3):
-            tail = solver._driver_stage(spec, driver.window(driver.spectrum(s))[None], None)[0]
+            tail = irfft_space(solver._driver_stage(spec, driver.window(driver.spectrum(s))[None], None)[0], spec)
             xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=history)
             window = rfft_space(solve_window(xi, spec, plan.solve), spec.d)
-            full = solver._driver_stage(spec, window[None], None)[0]
+            full = irfft_space(solver._driver_stage(spec, window[None], None)[0], spec)
             assert tail.shape == full.shape == (201, spec.n)
             assert np.max(np.abs(full)) > 1.0
             assert np.max(np.abs(tail - full)) <= 1e-13 * np.max(np.abs(full))

@@ -6,7 +6,7 @@ import pytest
 from flowpde.errors import NumericalFault, ValidationFault
 from flowpde.kernels import DEFAULT_EPS, SpectralKernel, convolve, heat_multiplier
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, rfft_space
-from flowpde.model import ModelSpec, Monomial, evaluate_force, preset, relevant_filtered
+from flowpde.model import CompiledForce, ModelSpec, Monomial, evaluate_force, preset, relevant_filtered
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
 from flowpde.solver import (
@@ -14,6 +14,7 @@ from flowpde.solver import (
     STATUS_COMPLETED,
     SolveConfig,
     _dealias_mask,
+    _driver_stage,
     _phi1,
     _phi2,
     build_stationary_shift,
@@ -130,7 +131,7 @@ def test_decomposed_solution_structure(desk_noise, rng):
     phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
     window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
-    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=rfft_space(window[None], 1))
+    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, shift=rfft_space(window[None], 1))
     assert res.status == STATUS_COMPLETED
     assert np.all(np.isfinite(res.trajectory.data))
     assert res.trajectory.data.shape[0] == window.shape[0]
@@ -154,7 +155,7 @@ def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
     gamma = spec.sigma - DEFAULT_EPS
     assert c_gamma_norm(Field(spec, start, SPACE_ONLY), gamma) > 5 * cfg.blow_up_radius
     shift = _free_decay(spec, spec.nt, start)
-    [res] = solve_stack(model, CT_DESK, phi0, cfg, shift=rfft_space(shift[None], 1))
+    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, shift=rfft_space(shift[None], 1))
     assert res.status == STATUS_COMPLETED
     assert res.breve_T == pytest.approx(spec.t_max)
     np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
@@ -413,7 +414,7 @@ def test_stack_equals_per_sample_reference(desk_noise, shifted, scheme, t_local)
     zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
     drive = _windows(model, ct, spec, cfg, range(4), shifted)
     kind = "shift" if shifted else "noise"
-    results = solve_stack(model, ct, zero, cfg, **{kind: rfft_space(drive, 1)})
+    results = solve_stack([(model, ct)], zero, cfg, **{kind: rfft_space(drive, 1)})
     assert len(results) == 4
     for res, window in zip(results, drive):
         traj, norms, status = _reference_solve(model, ct, zero, cfg, **{kind: window})
@@ -432,7 +433,7 @@ def test_stack_sample_blows_up_while_others_complete():
     x = spec.coords()[0]
     shape = (spec.nt, spec.n)
     noise = np.stack([np.full(shape, 0.5 * np.cos(x)), np.full(shape, 40.0), np.zeros(shape)])
-    results = solve_stack(model, CT_DESK, zero, cfg, noise=rfft_space(noise, 1))
+    results = solve_stack([(model, CT_DESK)], zero, cfg, noise=rfft_space(noise, 1))
     assert [r.status for r in results] == [STATUS_COMPLETED, STATUS_BLEW_UP, STATUS_COMPLETED]
     blown = results[1]
     assert blown.slice_norms[-1] >= 10.0 and np.all(blown.slice_norms[:-1] < 10.0)
@@ -455,7 +456,7 @@ def test_non_finite_step_in_stack_faults():
     noise = np.zeros((3, spec.nt, spec.n))
     noise[1, 5, 3] = np.nan
     with pytest.raises(NumericalFault, match="numerical overflow"):
-        solve_stack(model, CT_DESK, zero, cfg, noise=rfft_space(noise, 1))
+        solve_stack([(model, CT_DESK)], zero, cfg, noise=rfft_space(noise, 1))
 
 
 def test_solve_window_checks_lattice_and_range(desk_noise):
@@ -487,3 +488,66 @@ def test_solve_window_rejects_a_field_off_the_solve_time_grid():
     xi = Field(shifted, np.zeros((shifted.nt, shifted.n)), SPACE_TIME)
     with pytest.raises(ValidationFault, match="integer multiple of dt"):
         solve_window(xi, spec, SolveConfig())
+
+
+def test_row_groups_of_one_stack_equal_their_own_stacks(monkeypatch):
+    """Two row groups with their own force scalars (lam 1 and 0.5, the
+    growing cubic) solved as one stack: the row driven at 40 reaches the
+    blow-up radius mid-run and leaves the stack with its force scalar and
+    its drive rows, and every row's trajectory, norms, status and breve_T
+    equal those of its group solved alone, bit for bit."""
+    rows = []
+    call = CompiledForce.__call__
+
+    def recorded(self, phi):
+        rows.append(({len(s) for s, _, _ in self.terms if np.ndim(s)}, phi.shape[0]))
+        return call(self, phi)
+
+    monkeypatch.setattr(CompiledForce, "__call__", recorded)
+    spec = LatticeSpec(1, 16, 0.001, 0.0, 0.3, 0.5)
+    cfg = SolveConfig(scheme="etd_rk2", blow_up_radius=10.0, max_horizon=0.3, t_local=0.1)
+    zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    models = [preset("phi4_desk", lam=1.0, base=1.0), preset("phi4_desk", lam=0.5, base=1.0)]
+    x = spec.coords()[0]
+    shape = (spec.nt, spec.n)
+    noise = np.stack([np.full(shape, 0.5 * np.cos(x)), np.full(shape, 40.0), np.zeros(shape), np.full(shape, np.sin(x))])
+    forces = [(model, CT_DESK) for model in models]
+    results = solve_stack(forces, zero, cfg, noise=rfft_space(noise, 1))
+    assert [r.status for r in results] == [STATUS_COMPLETED, STATUS_BLEW_UP, STATUS_COMPLETED, STATUS_COMPLETED]
+    assert 1 < len(results[1].slice_norms) < spec.nt
+    assert ({4}, 4) in rows and ({3}, 3) in rows and all(scales == {n} for scales, n in rows)
+    rows.clear()
+    for g, model in enumerate(models):
+        alone = solve_stack([(model, CT_DESK)], zero, cfg, noise=rfft_space(noise[2 * g : 2 * g + 2], 1))
+        for res, own in zip(results[2 * g : 2 * g + 2], alone):
+            assert res.status == own.status and res.breve_T == own.breve_T
+            np.testing.assert_array_equal(res.trajectory.data, own.trajectory.data)
+            np.testing.assert_array_equal(res.slice_norms, own.slice_norms)
+    assert all(scales == set() for scales, _ in rows)
+
+
+def test_stack_groups_must_split_the_rows_and_share_their_terms():
+    spec = LatticeSpec(1, 16, 0.01, 0.0, 0.1, 0.5)
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.1)
+    zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    noise = rfft_space(np.zeros((3, spec.nt, spec.n)), 1)
+    model = preset("phi4_desk", lam=0.3)
+    with pytest.raises(ValidationFault, match="3 samples do not split into 2 equal groups"):
+        solve_stack([(model, CT_DESK)] * 2, zero, cfg, noise=noise)
+    massive = {(1, 1, ((0,),)): -0.4}
+    with pytest.raises(ValidationFault, match="share their terms"):
+        solve_stack([(model, CT_DESK), (model, massive)], zero, cfg, noise=noise[:2])
+
+
+def test_driver_stage_works_in_place_on_the_spectrum_it_is_given(desk_noise):
+    """The driver stage turns the noise's half spectrum into D's, in place
+    and without a real array: its inverse transform is the reference
+    driver bit for bit."""
+    spec = LatticeSpec(1, 64, 0.005, 0.0, 0.5, 0.5)
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.5)
+    xi = sample_macroscopic_noise(desk_noise, spec, 2, history=2.0)
+    window = solve_window(xi, spec, cfg)
+    spectrum = rfft_space(window[None], 1)
+    drive = _driver_stage(spec, spectrum, None)
+    assert drive is spectrum
+    np.testing.assert_array_equal(np.fft.irfft(drive[0], spec.n), _reference_drive(spec, window, None))
