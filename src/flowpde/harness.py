@@ -245,6 +245,21 @@ def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict)
     return cell.driver.window(spectra[key])
 
 
+def _block_windows(plan: ExperimentPlan, cells: list, block: range) -> np.ndarray:
+    """The drive windows of a block of samples, (cells, samples, slices, n,
+    ..., n // 2 + 1), sample-major: each sample's white spectrum is built
+    once per master seed and freed before the block is solved."""
+    stacks = None
+    for i, sample in enumerate(block):
+        spectra = {}
+        for row, cell in enumerate(cells):
+            window = _drive_window(plan, cell, sample, spectra)
+            if stacks is None:
+                stacks = np.empty((len(cells), len(block), *window.shape), dtype=complex)
+            stacks[row, i] = window
+    return stacks
+
+
 def _run_cell(plan: ExperimentPlan, results: list) -> tuple:
     """Observable values and blow-up count of one cell's block of samples,
     from their solve results."""
@@ -258,12 +273,10 @@ def _run_cell(plan: ExperimentPlan, results: list) -> tuple:
 
 def _run_cells(plan: ExperimentPlan, cells: list) -> list:
     """(values, blow-ups) per cell: the per-sample observable values and
-    the blow-up count.  Sample-major within each block of STACK_SIZE rows
-    (samples x cells, at least one sample): each sample's white spectrum is
-    built once per master seed and every cell's window is taken from it as
-    a half spectrum.  Cells whose forces have the same terms (m, a) and the
-    same kind of drive form a group, which solves its block as one stack,
-    from rows laid out group by group."""
+    the blow-up count, solved in blocks of STACK_SIZE rows (samples x
+    cells, at least one sample).  Cells whose forces have the same terms
+    (m, a) and the same kind of drive form a group, which solves its block
+    as one stack, from rows laid out group by group."""
     spec = plan.lattice()
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     groups = {}
@@ -271,20 +284,12 @@ def _run_cells(plan: ExperimentPlan, cells: list) -> list:
         kind = "shift" if builds_shift(cell.model, plan.use_shift) else "noise"
         terms = compile_force(cell.model, cell.cterms, cell.nu, spec).shape
         groups.setdefault((kind, terms), []).append(c)
-    order = [c for members in groups.values() for c in members]
     values = [{o.name: np.full(plan.samples, np.nan) for o in plan.observables} for _ in cells]
     blowups = [0] * len(cells)
     per_block = max(STACK_SIZE // len(cells), 1)
     for first in range(0, plan.samples, per_block):
         block = range(first, min(first + per_block, plan.samples))
-        stacks = None
-        for i, sample in enumerate(block):
-            spectra = {}
-            for row, c in enumerate(order):
-                window = _drive_window(plan, cells[c], sample, spectra)
-                if stacks is None:
-                    stacks = np.empty((len(cells), len(block), *window.shape), dtype=complex)
-                stacks[row, i] = window
+        stacks = _block_windows(plan, [cells[c] for members in groups.values() for c in members], block)
         lo = 0
         for (kind, _), members in groups.items():
             rows = stacks[lo : lo + len(members)].reshape(-1, *stacks.shape[2:])

@@ -303,11 +303,8 @@ class CompiledForce:
         return tuple((m, a) for _, m, a in self.terms)
 
     def take(self, rows) -> "CompiledForce":
-        """The force of the stack rows `rows` (itself when its scalars are
-        shared by every row)."""
-        if all(np.ndim(s) == 0 for s, _, _ in self.terms):
-            return self
-        return replace(self, terms=tuple((s[rows], m, a) for s, m, a in self.terms))
+        """The force of the stack rows `rows`: its scalar columns cut to them."""
+        return replace(self, terms=tuple((s if np.ndim(s) == 0 else s[rows], m, a) for s, m, a in self.terms))
 
     def monomial(self, factors, a: tuple):
         """prod_q d^(a_q) factors[q]; the scalar 1.0 when m = 0."""

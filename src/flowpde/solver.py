@@ -59,8 +59,9 @@ STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
 
 # slices of a stack's driver made real at a time, so the stepping loop
-# never holds the whole real drive of its samples
-DRIVE_CHUNK = 32
+# holds no more real drive than a few of its steps need (at 24 rows of 256
+# points, 8 slices are 0.4 MB against 1.6 MB at 32, for about 0.6 ms more)
+DRIVE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,10 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     total = data + chunk[:, 0]
     traj[:, 0] = phi + chunk[:, 0]
     for j in range(1, n_steps + 1):
+        at = slice(None) if live.size == samples else live  # plain slices while no sample has left
         if j == c_lo + DRIVE_CHUNK:
             c_lo = j
-            rows = drive[:, j : j + DRIVE_CHUNK] if live.size == samples else drive[live, j : j + DRIVE_CHUNK]
-            chunk = irfft_space(rows, spec)
+            chunk = irfft_space(drive[at, j : j + DRIVE_CHUNK], spec)
         f0 = force_hat(total)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
@@ -219,7 +220,6 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
                 f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
             )
         total = data + chunk[:, j - c_lo]
-        at = slice(None) if live.size == samples else live
         traj[at, j] = total
         norms[at, j] = sup
         stop = sup >= cfg.blow_up_radius
