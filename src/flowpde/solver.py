@@ -58,10 +58,10 @@ from .norms import c_gamma_norm  # noqa: F401  looked up here by perfbench/traci
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
 
-# slices of a stack's driver made real at a time, so the stepping loop
-# holds no more real drive than a few of its steps need (at 24 rows of 256
-# points, 8 slices are 0.4 MB against 1.6 MB at 32, for about 0.6 ms more)
-DRIVE_CHUNK = 8
+# sample slices of a stack's driver worked on at a time: DRIVE_ROWS // samples
+# slices of every sample (at least one), so the driver stage and the stepping
+# loop hold a bounded piece of the drive however many samples a stack has
+DRIVE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
     `phi` holds the initial slices of R; `drive` each sample's driver D on
-    its solve_window slices as a half spectrum, made real DRIVE_CHUNK
-    slices at a time, and the force is N[R + D].  The state is R's rfft
+    its solve_window slices as a half spectrum, made real DRIVE_ROWS
+    sample slices at a time, and the force is N[R + D].  The state is R's rfft
     half; its linear part is exact per mode, the force gets ETD1 / ETD2RK
     phi-function weights, and one inverse transform of (state,
     (1 + |k|^gamma) state) gives R's slice and its c_gamma monitor.  At the
@@ -188,8 +188,8 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
         return f if mask is None else f * mask
 
     def real_and_norm(phi_hat: np.ndarray) -> tuple:
-        both = irfft_space(np.stack((phi_hat, norm_mult * phi_hat)), spec)
-        return both[0], np.max(np.abs(both[1]), axis=space)
+        both = irfft_space(np.concatenate((phi_hat, norm_mult * phi_hat)), spec)
+        return both[: len(phi_hat)], np.max(np.abs(both[len(phi_hat) :]), axis=space)
 
     samples = phi.shape[0]
     traj = np.empty((samples, n_steps + 1, *spec.space_shape()))
@@ -199,16 +199,17 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     blown = np.zeros(samples, dtype=bool)
     live = np.arange(samples)
     t_win, j_win, c_lo = 0.0, 0, 0
-    chunk = irfft_space(drive[:, :DRIVE_CHUNK], spec)
+    width = max(DRIVE_ROWS // samples, 1)
+    chunk = irfft_space(drive[:, :width], spec)
     phi_hat = rfft_space(phi, d)
     data, norms[:, 0] = real_and_norm(phi_hat)
     total = data + chunk[:, 0]
     traj[:, 0] = phi + chunk[:, 0]
     for j in range(1, n_steps + 1):
         at = slice(None) if live.size == samples else live  # plain slices while no sample has left
-        if j == c_lo + DRIVE_CHUNK:
+        if j == c_lo + width:
             c_lo = j
-            chunk = irfft_space(drive[at, j : j + DRIVE_CHUNK], spec)
+            chunk = irfft_space(drive[at, j : j + width], spec)
         f0 = force_hat(total)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
@@ -263,15 +264,15 @@ def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None, shift: np.ndarray
     if noise is not None:
         # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
         acc = noise[:, 0].copy()
-        for j in range(noise.shape[1]):
-            x = noise[:, j]
+        for j, x in enumerate(np.moveaxis(noise, 1, 0)):
             if j:
                 np.add(x, np.multiply(heat[1], acc, out=acc), out=acc)
             np.subtract(acc, np.multiply(0.5, x, out=x), out=x)
         noise *= spec.dt
     s0 = s_hat[:, :1].copy()
-    for lo in range(0, s_hat.shape[1], DRIVE_CHUNK):
-        s_hat[:, lo : lo + DRIVE_CHUNK] -= heat[lo : lo + DRIVE_CHUNK] * s0
+    width = max(DRIVE_ROWS // len(s_hat), 1)
+    for lo in range(0, s_hat.shape[1], width):
+        s_hat[:, lo : lo + width] -= heat[lo : lo + width] * s0
     s_hat[:, 0] = 0.0
     return s_hat
 
