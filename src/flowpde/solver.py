@@ -15,9 +15,9 @@ Da Prato-Debussche split Phi = D + R.  All of the noise sits in the driver
 D = S - e^(-t|k|^sigma) S(0), zero at t = 0: S = G * (1_[0,inf) Xi) on the
 direct path, by the trapezoid rule of kernels.convolve, and
 Phi_shift = (G - G_1) * f_shift from the pathwise hierarchy on the shift
-path.  The remainder R starts at phi and
-solves Q R = N[R + D], with N = F_nu - Xi_nu the polynomial part of the
-force, so the dealias mask only sees N and the blow-up monitor measures R.
+path.  The remainder R starts at phi and solves Q R = N[R + D], with
+N = F_nu - Xi_nu the polynomial part of the force, so the dealias mask only
+sees N and the blow-up monitor measures R.
 solve_mild, solve_with_patching and solve_decomposed are its one-sample
 callers.
 
@@ -157,8 +157,8 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
     `phi` holds the initial slices of R; `drive` each sample's driver D on
-    its solve_window slices as a half spectrum, made real DRIVE_ROWS
-    sample slices at a time, and the force is N[R + D].  The state is R's rfft
+    its solve_window slices as a half spectrum, made real DRIVE_ROWS sample
+    slices at a time, and the force is N[R + D].  The state is R's rfft
     half; its linear part is exact per mode, the force gets ETD1 / ETD2RK
     phi-function weights, and one inverse transform of (state,
     (1 + |k|^gamma) state) gives R's slice and its c_gamma monitor.  At the
