@@ -30,7 +30,7 @@ from .lattice import SPACE_ONLY, Field, LatticeSpec, read_fld1, write_fld1
 from .model import ModelSpec, Monomial, RenormScheme, _norm_index
 from .noise import NoiseModel, estimate_cumulants, sample_macroscopic_noise
 from .norms import scale_norm
-from .solver import SolveConfig, solve_decomposed, solve_with_patching
+from .solver import SolveConfig, solve_with_patching
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -193,7 +193,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
     where = "plan"
     allowed = (
         "variants", "nu_schedule", "samples", "n", "dt", "t_max", "observables", "scheme",
-        "counterterm_overrides", "solve", "history", "use_shift", "flow_j_levels",
+        "counterterm_overrides", "solve", "history", "flow_j_levels",
         "flow_nodes_per_octave",
     )
     _keys(cfg, where, allowed)
@@ -216,7 +216,7 @@ def plan_from_config(cfg: dict) -> ExperimentPlan:
         _keys(o, at, ("label", "entries"))
         overrides.append((_get(o, "label", str, at), _entries(o.get("entries"), d, f"{at}.entries")))
     kinds = {
-        "samples": int, "n": int, "dt": float, "t_max": float, "history": float, "use_shift": bool,
+        "samples": int, "n": int, "dt": float, "t_max": float, "history": float,
         "flow_j_levels": int, "flow_nodes_per_octave": int,
     }
     return ExperimentPlan(
@@ -396,10 +396,7 @@ def cmd_simulate(args) -> int:
     _, ct = flow_expected(model, spec, model.noise.nu, scheme)
     noise = sample_macroscopic_noise(model.noise, spec, args.sample, history=2.0)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    if args.shift:
-        res = solve_decomposed(model, ct, noise, zero, solve_cfg)
-    else:
-        res = solve_with_patching(model, ct, noise, zero, solve_cfg)
+    res = solve_with_patching(model, ct, noise, zero, solve_cfg)
     out = _outdir(args)
     write_fld1(out / "trajectory.fld", res.trajectory)
     tspec = res.trajectory.spec
@@ -494,16 +491,12 @@ def build_parser() -> _Parser:
     e.add_argument("--out", default="out")
     e.set_defaults(func=cmd_expand)
 
-    s = sub.add_parser("simulate", help="solve the mild equation")
+    simulate_help = "solve the mild equation: Phi = D + R, D = G * noise; norms.csv monitors R"
+    s = sub.add_parser("simulate", help=simulate_help)
     s.add_argument("--model", required=True)
     s.add_argument("--nu", type=float, default=None)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--sample", type=int, default=0)
-    shift_help = (
-        "drive with the stationary shift, not G * noise, where it is built (i_rhd >= 1); "
-        "at i_rhd = 0 both settings run one solve. norms.csv monitors R on both paths"
-    )
-    s.add_argument("--shift", action="store_true", help=shift_help)
     s.add_argument("--out", default="out")
     s.set_defaults(func=cmd_simulate)
 

@@ -125,7 +125,12 @@ def expand_pathwise(
     i_max: int,
 ) -> dict:
     """Pathwise stationary hierarchy at mu = 1: fields f^i and their
-    smoothed versions Psi^i = (G - G_1) * f^i."""
+    smoothed versions Psi^i = (G - G_1) * f^i.  The noise window must hold
+    the support [0, 2] of G - G_1 for it to act on the window's interior."""
+    if noise.spec.t_max - noise.spec.t_min < 2.0:
+        raise ValidationFault(
+            "noise window too short for the fluctuation kernel support (needs >= 2)"
+        )
     f = effective_force_series(model, counterterms, noise, None, i_max, mu=1.0)
     kernel = fluctuation_kernel(noise.spec, 1.0)
     psi = {i: convolve(kernel, fi) for i, fi in f.items()}

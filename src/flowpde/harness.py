@@ -7,25 +7,21 @@ moment observables across variants.  Coupling means every (variant, nu) cell
 consumes the same white-noise substreams per sample index, so cross-cell
 gaps are paired differences with strongly reduced variance.
 
-A plan's use_shift asks for the stationary shift, which is built only at
-stationary order i_rhd >= 1 (solver.builds_shift): at i_rhd = 0 use_shift
-True and False run one solve, the direct one, and give identical reports.
-
-Where a cell is driven by mollified white noise W on the direct path, the
-cells share W itself: per sample index, W is drawn once and the tail of it
+Every cell runs the direct solve, solver.solve_stack on its noise, at any
+stationary order i_rhd.  Where cells are driven by mollified white noise W,
+they share W itself: per sample index, W is drawn once and the tail of it
 that the solve windows read is transformed once per master seed
 (noise.white_spectrum), padded for the taps of the plan's largest nu; each
 cell takes its solve window from that spectrum through its own multiplier
 (noise.SpectralDriver), as the half spectrum the solver reads.  Shot noise
-and shifts of order i_rhd >= 1 sample, shift and cut each cell's window on
-their own, and hand its window_spectrum to the solver.
+samples and cuts each cell's window on its own, and hands its
+window_spectrum to the solver.
 
-A run builds every cell's driver first (a history too short for the shift
-faults before any flow runs), then one flow.flow_stack for the counterterms
-of all cells without counterterm_overrides, then solves block by block.
-The cells share the lattice and the SolveConfig, so all cells whose forces
-have the same terms, with their own coefficients, and the same kind of
-drive solve a block as one solver.solve_stack.
+A run builds every cell's driver first, then one flow.flow_stack for the
+counterterms of all cells without counterterm_overrides, then solves block
+by block.  The cells share the lattice and the SolveConfig, so all cells
+whose forces have the same terms, with their own coefficients, solve a
+block as one solver.solve_stack.
 """
 
 from __future__ import annotations
@@ -42,19 +38,16 @@ from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, compile_force, relevant_filtered
-from .kernels import check_fluctuation_window
 from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
 from .solver import (
     STATUS_BLEW_UP,
     SolveConfig,
     SolveResult,
-    build_stationary_shift,
-    builds_shift,
     solve_stack,
     window_slices,
     window_spectrum,
 )
-from .solver import solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
+from .solver import solve_mild as solve_decomposed  # noqa: F401  looked up here by perfbench/tracing.py
 
 # rows per block: a block holds STACK_SIZE // cells samples (at least one)
 # of every cell, its solve windows as half spectra of n // 2 + 1 modes per
@@ -99,7 +92,6 @@ class ExperimentPlan:
     counterterm_overrides: tuple = ()  # (label, ((key, value), ...)) forcing counterterms
     solve: SolveConfig = field(default_factory=SolveConfig)
     history: float = 2.0
-    use_shift: bool = True  # the stationary shift, built at i_rhd >= 1 only (solver.builds_shift)
     flow_j_levels: int = 8
     flow_nodes_per_octave: int = 8
 
@@ -190,11 +182,10 @@ def _smearing_function(spec: LatticeSpec) -> Field:
 
 class _Cell(NamedTuple):
     """One (variant, nu) cell: its model at nu, its counterterms and, when
-    it is driven by mollified white noise on the direct path, its
-    SpectralDriver, built for the plan's solve window and padded for the
-    plan's largest nu, so all cells of one master seed share its spectrum
-    (None: the general path of sample, shift where one is built, and
-    window_spectrum per sample)."""
+    it is driven by mollified white noise, its SpectralDriver, built for the
+    plan's solve window and padded for the plan's largest nu, so all cells
+    of one master seed share its spectrum (None: shot noise, sampled and
+    cut by window_spectrum per sample)."""
 
     label: str
     nu: float
@@ -215,9 +206,7 @@ def _make_cells(plan: ExperimentPlan) -> list:
     for (label, base), nu in itertools.product(plan.variants, plan.nu_schedule):
         model = dataclasses.replace(base, noise=base.noise.with_nu(nu))
         driver = None
-        if builds_shift(model, plan.use_shift):
-            check_fluctuation_window(ext)
-        elif model.noise.kind == "mollified_white":
+        if model.noise.kind == "mollified_white":
             driver = spectral_driver(model.noise, spec, plan.history, reads, max(plan.nu_schedule))
         made.append(_Cell(label, nu, model, overrides.get(label), driver))
     anchors = dict(plan.scheme_values)
@@ -229,15 +218,13 @@ def _make_cells(plan: ExperimentPlan) -> list:
 
 
 def _drive_window(plan: ExperimentPlan, cell: _Cell, sample: int, spectra: dict) -> np.ndarray:
-    """The half spectrum of the solve window of one sample's noise (direct
-    path) or shift, as solve_stack reads it.  A driver reads the sample's
-    white spectrum from `spectra`, adding it on first use, so cells that
-    share a master seed share one transform of W."""
+    """The half spectrum of the solve window of one sample's noise, as
+    solve_stack reads it.  A driver reads the sample's white spectrum from
+    `spectra`, adding it on first use, so cells that share a master seed
+    share one transform of W."""
     spec = plan.lattice()
     if cell.driver is None:
         drive = sample_macroscopic_noise(cell.model.noise, spec, sample, history=plan.history)
-        if builds_shift(cell.model, plan.use_shift):
-            drive = build_stationary_shift(cell.model, cell.cterms, drive)
         return window_spectrum(drive, spec, plan.solve)
     key = cell.driver.key
     if key not in spectra:
@@ -275,15 +262,14 @@ def _run_cells(plan: ExperimentPlan, cells: list) -> list:
     """(values, blow-ups) per cell: the per-sample observable values and
     the blow-up count, solved in blocks of STACK_SIZE rows (samples x
     cells, at least one sample).  Cells whose forces have the same terms
-    (m, a) and the same kind of drive form a group, which solves its block
-    as one stack, from rows laid out group by group."""
+    (m, a) form a group, which solves its block as one stack, from rows
+    laid out group by group."""
     spec = plan.lattice()
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     groups = {}
     for c, cell in enumerate(cells):
-        kind = "shift" if builds_shift(cell.model, plan.use_shift) else "noise"
         terms = compile_force(cell.model, cell.cterms, cell.nu, spec).shape
-        groups.setdefault((kind, terms), []).append(c)
+        groups.setdefault(terms, []).append(c)
     values = [{o.name: np.full(plan.samples, np.nan) for o in plan.observables} for _ in cells]
     blowups = [0] * len(cells)
     per_block = max(STACK_SIZE // len(cells), 1)
@@ -291,10 +277,10 @@ def _run_cells(plan: ExperimentPlan, cells: list) -> list:
         block = range(first, min(first + per_block, plan.samples))
         stacks = _block_windows(plan, [cells[c] for members in groups.values() for c in members], block)
         lo = 0
-        for (kind, _), members in groups.items():
+        for members in groups.values():
             rows = stacks[lo : lo + len(members)].reshape(-1, *stacks.shape[2:])
             forces = [(cells[c].model, cells[c].cterms) for c in members]
-            results = solve_stack(forces, zero, plan.solve, **{kind: rows})
+            results = solve_stack(forces, zero, plan.solve, noise=rows)
             for q, c in enumerate(members):
                 block_values, block_blowups = _run_cell(plan, results[q * len(block) : (q + 1) * len(block)])
                 blowups[c] += block_blowups

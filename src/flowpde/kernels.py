@@ -151,19 +151,10 @@ def cutoff_heat(spec: LatticeSpec, mu: float) -> SpectralKernel:
     return _scale_kernel(spec, mu, lambda t, mu: chi(t / mu), cut=False)
 
 
-def check_fluctuation_window(spec: LatticeSpec) -> None:
-    """ValidationFault unless the window is long enough for G - G_1 to act
-    on its interior: the kernel's support [0, 2] fits in it."""
-    if spec.t_max - spec.t_min < 2.0:
-        raise ValidationFault(
-            "noise window too short for the fluctuation kernel support (needs >= 2)"
-        )
-
-
 @functools.lru_cache(maxsize=2)
 def fluctuation_kernel(spec: LatticeSpec, mu: float) -> SpectralKernel:
     """G - G_mu = (1 - chi(t/mu)) G, supported in t in [0, 2mu].  Cached and
-    read-only: every shift on one lattice convolves with the same kernel,
+    read-only: every Psi^i on one lattice convolves with the same kernel,
     whose time spectrum then stays on it."""
     kernel = _scale_kernel(spec, mu, fluctuation_weight, cut=True)
     kernel.mult.setflags(write=False)

@@ -124,8 +124,9 @@ class ModelSpec:
 
     @property
     def i_rhd(self) -> int:
-        """Largest i with rho(i, 0, 0) + sigma <= 0 (order of the stationary
-        truncation used by the Da Prato-Debussche shift)."""
+        """Largest i with rho(i, 0, 0) + sigma <= 0: the order of the
+        stationary truncation of solver.build_stationary_shift, a field of
+        the analysis; every solve is the direct one at any i_rhd."""
         i = -1
         while self.rho(i + 1, 0) + self.sigma <= 0:
             i += 1

@@ -22,9 +22,9 @@ from one sample (harness) builds the spectrum once for all of them, and the
 solver reads the half spectra as they come (solver.solve_stack);
 sample_macroscopic_noise reads every slice and takes them to real space.
 
-No stationary shift is built here: at i_rhd = 0 the shift path runs the
-direct solve (solver.builds_shift), and a shift of order i_rhd >= 1 is
-built per sample by solver.build_stationary_shift.
+Every solve reads these fields as its noise, at every stationary order
+(solver.solve_stack drives with G * (1_[0,inf) Xi)); no solve is driven by
+a stationary shift.
 
 Every realized field is real, so it carries the Hermitian part of the
 spatial mollifier multiplier; _spatial_multiplier returns that part, and the

@@ -1,5 +1,5 @@
-"""Mild-equation solver: exponential time differencing, the stationary
-shift decomposition, window patching and blow-up detection.
+"""Mild-equation solver: exponential time differencing, the split of the
+solution into driver and remainder, window patching and blow-up detection.
 
 The mild macroscopic equation Phi = G * (1_[0,inf) F_nu[Phi] + delta_0 x phi)
 is advanced per Fourier mode with the exact linear factor exp(-dt |k|^sigma)
@@ -12,21 +12,18 @@ runs one stepping loop for a stack of samples along a leading axis, whose
 row groups share the force's terms but not its coefficients (each sample
 matches its own solve bit for bit), and owns the one solve rule, the
 Da Prato-Debussche split Phi = D + R.  All of the noise sits in the driver
-D = S - e^(-t|k|^sigma) S(0), zero at t = 0: S = G * (1_[0,inf) Xi) on the
-direct path, by the trapezoid rule of kernels.convolve, and
-Phi_shift = (G - G_1) * f_shift from the pathwise hierarchy on the shift
-path.  The remainder R starts at phi and solves Q R = N[R + D], with
-N = F_nu - Xi_nu the polynomial part of the force, so the dealias mask only
-sees N and the blow-up monitor measures R.
-solve_mild, solve_with_patching and solve_decomposed are its one-sample
-callers.
+D = S - e^(-t|k|^sigma) S(0), zero at t = 0, with S = G * (1_[0,inf) Xi)
+by the trapezoid rule of kernels.convolve.  The remainder R starts at phi
+and solves Q R = N[R + D], with N = F_nu - Xi_nu the polynomial part of the
+force, so the dealias mask only sees N and the blow-up monitor measures R.
+solve_mild and solve_with_patching are its one-sample callers.
 
-A stationary shift is built only at stationary order i_rhd >= 1
-(builds_shift; the harness and solve_decomposed, hence the CLI's --shift,
-read it).  At i_rhd = 0 the shift is (G - G_1) * Xi, and since
-Q (G - G_1) = delta - chi'.G its driver is the direct one less
-G * (1_[0,inf) c), c = (chi'.G) * Xi: adding c back gives the direct
-driver, so a solve that asks for the shift at i_rhd = 0 runs the direct one.
+No solve reads the stationary shift Phi_shift = (G - G_1) * f_shift of the
+effective force at scale 1 (build_stationary_shift, flow.expand_pathwise);
+that field serves the analysis.  Since Q (G - G_1) = delta - chi'.G, a
+drive by it solves this equation only once G * (1_[0,inf) c),
+c = (chi'.G) * f_shift - (f_shift - Xi), is added back, and that sum is the
+direct driver plus a free decay.
 
 The solver never transforms white noise: solve_stack reads each sample's
 driving field on its window_slices as the rfft half spectrum over space,
@@ -36,8 +33,6 @@ spectra of the noise module's spectral drivers as they come, never in real
 space.  The driver stage turns those spectra into D's in place, and the
 stepping loop makes D real a chunk of slices at a time, so a stack holds
 no real drive beside its trajectory.
-build_stationary_shift is the general shift, for every stationary order
-and noise kind.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS, check_fluctuation_window
+from .kernels import DEFAULT_EPS
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, irfft_space, rfft_space
 from .model import ModelSpec, compile_force, stack_forces
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -127,7 +122,7 @@ def _n_steps(spec: LatticeSpec, cfg: SolveConfig) -> int:
 
 
 def window_slices(fs: LatticeSpec, spec: LatticeSpec, cfg: SolveConfig) -> slice:
-    """The time slices of a noise or shift field on `fs` that a solve on
+    """The time slices of a noise field on `fs` that a solve on
     `spec` from t = 0 reads: one per step and the end slice (read by the
     second ETD2RK stage and by the decomposed total).  The field must share
     the solve's d, n, dt and sigma, and t = 0 must be one of its slices."""
@@ -249,46 +244,43 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     return out
 
 
-def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None, shift: np.ndarray | None):
+def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None):
     """solve_stack's driver D = S - e^(-t|k|^sigma) S[:, 0] as a half
     spectrum, zero at t = 0, from the half spectrum of each sample's noise
-    window (S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule:
-    dt on every slice of [0, t], half of it at t) or of its shift window
-    (S = shift); None when neither is given.  It works in place: the
-    spectrum it is given becomes D's and is returned."""
-    s_hat = shift if noise is None else noise
-    if s_hat is None:
+    window: S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule
+    (dt on every slice of [0, t], half of it at t); None without noise.  It
+    works in place: the spectrum it is given becomes D's and is returned."""
+    if noise is None:
         return None
     ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
-    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(s_hat.shape[1]), ks))
-    if noise is not None:
-        # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
-        acc = noise[:, 0].copy()
-        for j, x in enumerate(np.moveaxis(noise, 1, 0)):
-            if j:
-                np.add(x, np.multiply(heat[1], acc, out=acc), out=acc)
-            np.subtract(acc, np.multiply(0.5, x, out=x), out=x)
-        noise *= spec.dt
-    s0 = s_hat[:, :1].copy()
-    width = max(DRIVE_ROWS // len(s_hat), 1)
-    for lo in range(0, s_hat.shape[1], width):
-        s_hat[:, lo : lo + width] -= heat[lo : lo + width] * s0
-    s_hat[:, 0] = 0.0
-    return s_hat
+    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(noise.shape[1]), ks))
+    # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
+    acc = noise[:, 0].copy()
+    for j, x in enumerate(np.moveaxis(noise, 1, 0)):
+        if j:
+            np.add(x, np.multiply(heat[1], acc, out=acc), out=acc)
+        np.subtract(acc, np.multiply(0.5, x, out=x), out=x)
+    noise *= spec.dt
+    s0 = noise[:, :1].copy()
+    width = max(DRIVE_ROWS // len(noise), 1)
+    for lo in range(0, noise.shape[1], width):
+        noise[:, lo : lo + width] -= heat[lo : lo + width] * s0
+    noise[:, 0] = 0.0
+    return noise
 
 
-def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None, shift=None) -> list:
+def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None) -> list:
     """Solve a stack of samples from phi_init at t = 0, each sample's
     driving field given along the leading axis as the rfft_space half
     spectrum of its solve_window slices, (samples, slices, n, ..., n // 2 + 1)
-    (one sample with D = 0 when neither is given).  `forces` holds one
+    (one sample with D = 0 when none is given).  `forces` holds one
     (model, counterterms) per group of rows: the samples split into
     len(forces) equal groups in that order, and the groups' forces must
     share their terms (model.stack_forces).  The spectra given may be
     overwritten: the driver stage works in place.
 
-    The one rule of the module docstring, with S = G * (1_[0,inf) noise) or
-    S = shift: R starts at phi_init and solves N[R + D] with the driver
+    The one rule of the module docstring, with S = G * (1_[0,inf) noise):
+    R starts at phi_init and solves N[R + D] with the driver
     D = S - e^(-t|k|^sigma) S[:, 0], set to zero at t = 0; each result holds
     the total R + D, and its slice_norms are those of R."""
     spec = phi_init.spec
@@ -298,7 +290,7 @@ def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None, shift=Non
         compile_force(model, ct, model.noise.nu if model.noise is not None else 1.0, spec)
         for model, ct in forces
     ]
-    drive = _driver_stage(spec, noise, shift)
+    drive = _driver_stage(spec, noise)
     if drive is None:
         drive = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.space_shape()[:-1], spec.n // 2 + 1), dtype=complex)
     samples = drive.shape[0]
@@ -337,33 +329,9 @@ def solve_with_patching(
 def build_stationary_shift(model: ModelSpec, counterterms, noise: Field) -> Field:
     """Phi_shift = (G - G_1) * f_shift with f_shift = sum_(i <= i_rhd)
     lambda^i f^i from the pathwise hierarchy, to the model's stationary
-    truncation order i_rhd."""
+    truncation order i_rhd: a field of the analysis that no solve reads
+    (module docstring)."""
     from .flow import expand_pathwise, stationary_sum
 
-    check_fluctuation_window(noise.spec)
     expansion = expand_pathwise(model, counterterms, noise, model.i_rhd)
     return stationary_sum(expansion, model.lam, model.i_rhd)
-
-
-def builds_shift(model: ModelSpec, use_shift: bool) -> bool:
-    """Whether a solve that asks for the stationary shift (`use_shift`)
-    builds one: only at stationary order i_rhd >= 1.  At i_rhd = 0 both
-    settings run the direct solve (module docstring)."""
-    return use_shift and model.i_rhd >= 1
-
-
-def solve_decomposed(
-    model: ModelSpec,
-    counterterms,
-    noise: Field,
-    phi_init: Field,
-    cfg: SolveConfig,
-) -> SolveResult:
-    """The shift path for one sample: solve_stack with S the window_spectrum
-    of the sample's stationary shift Phi_shift, or solve_mild where
-    builds_shift says no shift is built."""
-    if not builds_shift(model, True):
-        return solve_mild(model, counterterms, noise, phi_init, cfg)
-    shift = build_stationary_shift(model, counterterms, noise)
-    window = window_spectrum(shift, phi_init.spec, cfg)[None]
-    return solve_stack([(model, counterterms)], phi_init, cfg, shift=window)[0]

@@ -333,7 +333,6 @@ def _universality_plan(samples, overrides=()):
         counterterm_overrides=overrides,
         solve=SolveConfig(scheme="etd1", blow_up_radius=50.0, max_horizon=0.5, t_local=0.5),
         history=2.0,
-        use_shift=True,
         flow_j_levels=8,
         flow_nodes_per_octave=8,
     )

@@ -8,6 +8,7 @@ import pytest
 
 from flowpde.cli import (
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VALIDATION,
     _load_config,
     lattice_from_config,
@@ -124,16 +125,21 @@ def test_simulate_command_deterministic(tmp_path):
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 
-def test_simulate_shift_at_order_zero_writes_the_direct_outputs(tmp_path):
-    """phi4_desk has stationary order i_rhd = 0, where no shift is built:
-    --shift runs the direct solve and writes the same bytes."""
-    outs = []
-    for extra in ([], ["--shift"]):
-        out = tmp_path / ("shift" if extra else "direct")
-        assert main(["simulate", "--model", MODEL, "--sample", "1", "--out", str(out), *extra]) == EXIT_OK
-        outs.append(out)
-    for name in ("trajectory.fld", "norms.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+def test_removed_shift_options_exit_cleanly(tmp_path, capsys):
+    """Every solve is the direct one, so the shift's two switches are gone:
+    a plan that still sets use_shift is a validation fault naming the key,
+    and simulate --shift is a usage error; neither prints a traceback or
+    writes an output."""
+    rc = main(_universality_argv(tmp_path, "use_shift", True))
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("validation fault: unknown key(s) ['use_shift'] in plan") and "Traceback" not in err, err
+    out = tmp_path / "simulate"
+    rc = main(["simulate", "--model", MODEL, "--shift", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert "unrecognized arguments: --shift" in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists() and not out.exists()
 
 
 def test_universality_command(tmp_path):

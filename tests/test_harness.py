@@ -14,7 +14,7 @@ from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
 from flowpde.lattice import SPACE_ONLY, Field, irfft_space, padded_length, rfft_space
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
-from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_decomposed, solve_stack, solve_window
+from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_mild, solve_stack, solve_window
 
 
 def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
@@ -132,38 +132,66 @@ def test_counterterm_override_changes_cells():
     assert max(diffs) > 0.0
 
 
-@pytest.mark.parametrize(
-    "use_shift, scheme, t_local, radius, strength",
-    [(True, "etd1", 0.25, 5.0, UNSTABLE), (False, "etd_rk2", 0.07, 5.0, UNSTABLE)],
-    ids=["shift-etd1", "direct-etd_rk2-windows"],
-)
-def test_stacked_cell_equals_per_sample_loop(monkeypatch, use_shift, scheme, t_local, radius, strength):
-    """A cell solved in stacks (of two here, so five samples make three
-    blocks) gives the values and blow-up count of the per-sample loop, bit
-    for bit: each sample's noise window taken from the cell's driver on its
-    own and solved alone.  A shift plan at i_rhd = 0 runs the direct solve
-    too.  The radii make some samples blow up after t = 0 and others
-    complete."""
-    monkeypatch.setattr(harness, "STACK_SIZE", 2)
-    cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
-    variants = (_variant("bump", **strength),)
-    plan = _small_plan(samples=5, use_shift=use_shift, solve=cfg, variants=variants)
-    [cell] = harness._make_cells(replace(plan, variants=plan.variants[:1], nu_schedule=(0.1,)))
-    [(values, blowups)] = harness._run_cells(plan, [cell])
-
+def _assert_cells_equal_their_per_sample_solves(plan, cells, runs):
+    """Each cell's values and blow-up count equal those of its samples'
+    noise windows, taken from the cell's driver one by one and solved
+    alone, bit for bit; every solve runs past t = 0.  Returns the blow-ups
+    of all cells."""
     spec = plan.lattice()
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
-    expected, expected_blowups = [], 0
-    for s in range(plan.samples):
-        window = cell.driver.window(cell.driver.spectrum(s))
-        res = solve_stack([(cell.model, cell.cterms)], zero, plan.solve, noise=window[None])[0]
-        assert res.breve_T > plan.dt
-        expected_blowups += res.status == STATUS_BLEW_UP
-        expected.append(harness._observable_value(plan.observables[0], res, psi))
-    assert 0 < expected_blowups < plan.samples
-    assert blowups == expected_blowups
-    np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+    total = 0
+    for cell, (values, blowups) in zip(cells, runs):
+        results = []
+        for s in range(plan.samples):
+            window = cell.driver.window(cell.driver.spectrum(s))
+            results.append(solve_stack([(cell.model, cell.cterms)], zero, plan.solve, noise=window[None])[0])
+        assert all(res.breve_T > plan.dt for res in results)
+        assert blowups == sum(res.status == STATUS_BLEW_UP for res in results)
+        expected = [harness._observable_value(plan.observables[0], res, psi) for res in results]
+        np.testing.assert_array_equal(values[plan.observables[0].name], expected)
+        total += blowups
+    return total
+
+
+@pytest.mark.parametrize(
+    "scheme, t_local, radius, strength",
+    [("etd1", 0.25, 5.0, UNSTABLE), ("etd_rk2", 0.07, 5.0, UNSTABLE)],
+    ids=["direct-etd1", "direct-etd_rk2-windows"],
+)
+def test_stacked_cell_equals_per_sample_loop(monkeypatch, scheme, t_local, radius, strength):
+    """A cell solved in stacks (of two here, so five samples make three
+    blocks) gives the values and blow-up count of the per-sample loop, bit
+    for bit: each sample's noise window taken from the cell's driver on its
+    own and solved alone.  The radii make some samples blow up after t = 0
+    and others complete."""
+    monkeypatch.setattr(harness, "STACK_SIZE", 2)
+    cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local, blow_up_radius=radius)
+    variants = (_variant("bump", **strength),)
+    plan = _small_plan(samples=5, solve=cfg, variants=variants)
+    [cell] = harness._make_cells(replace(plan, variants=plan.variants[:1], nu_schedule=(0.1,)))
+    runs = harness._run_cells(plan, [cell])
+    assert 0 < _assert_cells_equal_their_per_sample_solves(plan, [cell], runs) < plan.samples
+
+
+def test_first_order_stationary_plan_runs_the_direct_solve():
+    """phi4_desk at dim_lambda 0.25 has stationary order i_rhd = 1 and the
+    relevant indices (1, 1, 0) and (2, 1, 0); the flow supplies both
+    counterterms, the second through the sunset integrals.  Every cell is
+    driven by its SpectralDriver, as at i_rhd = 0, and its values equal
+    those of its samples solved one by one, bit for bit."""
+    variants = tuple((label, replace(model, dim_lambda=0.25)) for label, model in _small_plan().variants)
+    plan = _small_plan(samples=3, variants=variants)
+    assert all(model.i_rhd == 1 for _, model in plan.variants)
+    cells = harness._make_cells(plan)
+    assert len(cells) == 4
+    for cell in cells:
+        assert isinstance(cell.driver, noise.SpectralDriver)
+        assert set(cell.cterms) == set(relevant_filtered(cell.model)) == {(1, 1, ((0,),)), (2, 1, ((0,),))}
+        assert all(np.isfinite(v) and v != 0.0 for v in cell.cterms.values())
+    runs = harness._run_cells(plan, cells)
+    _assert_cells_equal_their_per_sample_solves(plan, cells, runs)
+    assert all(np.all(np.isfinite(values[plan.observables[0].name])) for values, _ in runs)
 
 
 def _record_stacks(monkeypatch) -> list:
@@ -171,10 +199,9 @@ def _record_stacks(monkeypatch) -> list:
     calls = []
     solve = harness.solve_stack
 
-    def recorded(forces, phi_init, cfg, **drive):
-        [rows] = drive.values()
-        calls.append((len(forces), rows.shape[0]))
-        return solve(forces, phi_init, cfg, **drive)
+    def recorded(forces, phi_init, cfg, noise):
+        calls.append((len(forces), noise.shape[0]))
+        return solve(forces, phi_init, cfg, noise=noise)
 
     monkeypatch.setattr(harness, "solve_stack", recorded)
     return calls
@@ -312,10 +339,10 @@ def test_tail_drives_equal_the_full_window_drives(history):
         driver = cell.driver
         assert driver.rows == ((760, 1001) if history == 2.0 else (0, 221))
         for s in (0, 3):
-            tail = irfft_space(solver._driver_stage(spec, driver.window(driver.spectrum(s))[None], None)[0], spec)
+            tail = irfft_space(solver._driver_stage(spec, driver.window(driver.spectrum(s))[None])[0], spec)
             xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=history)
             window = rfft_space(solve_window(xi, spec, plan.solve), spec.d)
-            full = irfft_space(solver._driver_stage(spec, window[None], None)[0], spec)
+            full = irfft_space(solver._driver_stage(spec, window[None])[0], spec)
             assert tail.shape == full.shape == (201, spec.n)
             assert np.max(np.abs(full)) > 1.0
             assert np.max(np.abs(tail - full)) <= 1e-13 * np.max(np.abs(full))
@@ -331,19 +358,13 @@ def _second_order_variant():
     return (label, replace(model, dim_lambda=0.1))
 
 
-@pytest.mark.parametrize(
-    "variant, nu_schedule",
-    [(_shot_variant(), (1.0, 0.5)), (_second_order_variant(), (0.2, 0.1))],
-    ids=["poisson_shot", "i_rhd-2"],
-)
+@pytest.mark.parametrize("variant, nu_schedule", [(_shot_variant(), (1.0, 0.5))], ids=["poisson_shot"])
 def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
-    """Shot noise and a shift of order i_rhd >= 1 keep the general path:
-    each sample's noise sampled, its shift built where one is (i_rhd >= 1;
-    the shot plan has i_rhd = 0 and runs the direct solve) and its window
-    cut on its own, giving the values of solve_decomposed bit for bit."""
+    """Shot noise keeps the general path: each sample's noise sampled and
+    its window cut on its own, giving the values of solve_mild bit for
+    bit."""
     label, model = variant
-    # forced counterterms: no Wick sums for shot noise, and the flow stops
-    # short of the relevant orders i >= 3 that dim_lambda = 0.1 brings
+    # forced counterterms: no Wick sums for shot noise
     forced = tuple((key, 0.0) for key in relevant_filtered(model))
     plan = _small_plan(
         variants=(variant,),
@@ -351,7 +372,7 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
         samples=2,
         counterterm_overrides=((label, forced),),
     )
-    assert plan.use_shift and (model.noise.kind == "poisson_shot" or model.i_rhd == 2)
+    assert model.noise.kind == "poisson_shot"
     spec = plan.lattice()
     psi = harness._smearing_function(spec)
     zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
@@ -361,7 +382,7 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
         expected = []
         for s in range(plan.samples):
             xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=plan.history)
-            res = solve_decomposed(cell.model, cell.cterms, xi, zero, plan.solve)
+            res = solve_mild(cell.model, cell.cterms, xi, zero, plan.solve)
             expected.append(harness._observable_value(plan.observables[0], res, psi))
         np.testing.assert_array_equal(values[plan.observables[0].name], expected)
 
@@ -381,43 +402,21 @@ def _record_flow_nodes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize(
-    "use_shift, second_order",
-    [(True, True), (False, True), (True, False)],
-    ids=["shift", "direct", "shift-i_rhd-0"],
-)
-def test_short_history_faults_on_the_shift_path_only(monkeypatch, use_shift, second_order):
-    """A history too short for the support of G - G_1 is a ValidationFault
-    where a shift is built (i_rhd = 2 here), raised before the flow runs:
-    the flow's own fault for this plan, relevant orders i >= 3 out of reach,
-    would come next.  The direct path needs no history, nor does a shift
-    plan at i_rhd = 0, which runs the direct solve."""
-    calls = _record_flow_nodes(monkeypatch)
+@pytest.mark.parametrize("second_order", [True, False], ids=["i_rhd-2", "i_rhd-0"])
+def test_short_history_runs_the_direct_solve_at_every_order(second_order):
+    """A history of 1, shorter than the support [0, 2] of G - G_1, is no
+    fault: every plan runs the direct solve, which reads no stationary
+    shift, at i_rhd = 2 as at i_rhd = 0.  The i_rhd = 2 plan forces its
+    counterterms, since the flow stops short of the relevant orders i >= 3
+    that dim_lambda = 0.1 brings."""
     label, model = _second_order_variant() if second_order else _variant("bump")
-    plan = _small_plan(samples=1, history=1.0, use_shift=use_shift, variants=((label, model),))
-    if use_shift and second_order:
-        with pytest.raises(ValidationFault, match="too short"):
-            run_universality(plan)
-        assert calls == []
-        return
+    plan = _small_plan(samples=1, history=1.0, variants=((label, model),))
+    assert model.i_rhd == (2 if second_order else 0)
     if second_order:
         forced = tuple((key, 0.0) for key in relevant_filtered(model))
         plan = replace(plan, counterterm_overrides=((label, forced),))
     report = run_universality(plan)
     assert all(np.isfinite(cell["estimate"]) for cell in report.cells.values())
-
-
-def test_shift_plan_at_order_zero_is_the_direct_plan():
-    """At i_rhd = 0 no shift is built: use_shift True and False give
-    identical reports."""
-    plan = _small_plan(samples=2)
-    assert plan.use_shift and all(model.i_rhd == 0 for _, model in plan.variants)
-    shift = run_universality(plan)
-    direct = run_universality(_small_plan(samples=2, use_shift=False))
-    assert shift.cells == direct.cells
-    assert shift.gaps == direct.gaps
-    assert shift.drifts == direct.drifts
-    assert shift.verdict == direct.verdict
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowpde.errors import NumericalFault, ValidationFault
+from flowpde.flow import expand_pathwise
 from flowpde.kernels import DEFAULT_EPS, SpectralKernel, convolve, heat_multiplier
 from flowpde.lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, rfft_space
 from flowpde.model import CompiledForce, ModelSpec, Monomial, evaluate_force, preset, relevant_filtered
@@ -17,7 +18,6 @@ from flowpde.solver import (
     _driver_stage,
     _phi1,
     _phi2,
-    build_stationary_shift,
     solve_mild,
     solve_stack,
     solve_window,
@@ -111,7 +111,7 @@ def test_shift_requires_long_window(desk_noise):
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     xi = sample_macroscopic_noise(desk_noise, spec, 0)
     with pytest.raises(ValidationFault, match="window too short"):
-        build_stationary_shift(model, CT_DESK, xi)
+        expand_pathwise(model, CT_DESK, xi, model.i_rhd)
 
 
 def _free_decay(spec, slices, start):
@@ -122,31 +122,35 @@ def _free_decay(spec, slices, start):
 
 
 def test_decomposed_solution_structure(desk_noise, rng):
-    """solve_stack on a shift: Phi = D + R with the driver
-    D = shift - e^(-t|k|^sigma) shift(0), zero at t = 0.  Phi starts at phi0
-    exactly, and the monitor reads the norms of R = Phi - D."""
-    spec = LatticeSpec(1, 32, 0.005, -2.5, 1.0, 0.5)
+    """solve_stack on a noise: Phi = D + R with the driver
+    D = S - e^(-t|k|^sigma) S(0), zero at t = 0, and S = G * (1_[0,inf) Xi)
+    by kernels.convolve.  Phi starts at phi0 exactly, and the monitor reads
+    the norms of R = Phi - D."""
+    spec = LatticeSpec(1, 32, 0.005, 0.0, 0.3, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
-    xi = sample_macroscopic_noise(desk_noise, spec, 1)
+    xi = sample_macroscopic_noise(desk_noise, spec, 1, history=2.0)
     phi0 = Field(spec, 0.1 * rng.standard_normal(spec.n), SPACE_ONLY)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3)
-    window = solve_window(build_stationary_shift(model, CT_DESK, xi), spec, cfg)
-    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, shift=rfft_space(window[None], 1))
+    window = solve_window(xi, spec, cfg)
+    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, noise=rfft_space(window[None], 1))
     assert res.status == STATUS_COMPLETED
     assert np.all(np.isfinite(res.trajectory.data))
     assert res.trajectory.data.shape[0] == window.shape[0]
     np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
-    remainder = res.trajectory.data - (window - _free_decay(spec, len(window), window[0]))
+    heat = heat_multiplier(spec, spec.dt * np.arange(len(window)))
+    s = convolve(SpectralKernel(spec, heat), Field(spec, window.copy(), SPACE_TIME)).data
+    remainder = res.trajectory.data - (s - _free_decay(spec, len(window), s[0]))
+    assert np.max(np.abs(s)) > 1.0
     gamma = spec.sigma - DEFAULT_EPS
     norms = [c_gamma_norm(Field(spec, r, SPACE_ONLY), gamma) for r in remainder]
     np.testing.assert_allclose(res.slice_norms, norms, rtol=1e-12)
 
 
-def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
-    """A shift whose t = 0 slice alone is far above the blow-up radius does
+def test_monitor_starts_at_phi0(desk_noise, rng):
+    """A noise whose t = 0 slice alone is far above the blow-up radius does
     not stop the solve: the monitor measures the remainder, which starts at
-    phi0.  Here the shift is the free decay of its t = 0 slice, so the
-    driver is zero up to round-off and the remainder stays small."""
+    phi0.  Here the noise is zero after t = 0, so the driver is the free
+    decay of dt/2 times that slice and the remainder stays small."""
     spec = LatticeSpec(1, 32, 0.005, 0.0, 0.3, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3, blow_up_radius=10.0)
@@ -154,8 +158,9 @@ def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
     start = 30.0 * np.cos(spec.coords()[0])
     gamma = spec.sigma - DEFAULT_EPS
     assert c_gamma_norm(Field(spec, start, SPACE_ONLY), gamma) > 5 * cfg.blow_up_radius
-    shift = _free_decay(spec, spec.nt, start)
-    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, shift=rfft_space(shift[None], 1))
+    noise = np.zeros((spec.nt, spec.n))
+    noise[0] = start
+    [res] = solve_stack([(model, CT_DESK)], phi0, cfg, noise=rfft_space(noise[None], 1))
     assert res.status == STATUS_COMPLETED
     assert res.breve_T == pytest.approx(spec.t_max)
     np.testing.assert_array_equal(res.trajectory.data[0], phi0.data)
@@ -188,6 +193,36 @@ def test_direct_path_is_the_trapezoid_heat_convolution_of_the_noise(desk_noise):
     assert np.all(res.slice_norms == 0.0)
 
 
+def test_direct_path_converges_to_the_duhamel_integral_under_dt_refinement():
+    """Driven by the smooth field cos(omega t) (cos x + cos(3x) / 2), the
+    direct path of linear_desk is the Duhamel integral of each mode,
+    integral_0^t e^(-(t - s)|k|^sigma) cos(omega s) ds, up to a quadrature
+    error.  Halving dt twice divides the error by 4.00 each time: the
+    trapezoid rule's second order, one better than the first order that a
+    leftover S(0) = dt/2 Xi(0) term would allow."""
+    model = preset("linear_desk")
+    ct = {key: 0.0 for key in relevant_filtered(model)}
+    omega, modes = 7.0, {1: 1.0, 3: 0.5}
+    cfg = SolveConfig(scheme="etd1", t_local=1.0, max_horizon=1.0)
+    errors = []
+    for dt in (0.01, 0.005, 0.0025):
+        spec = LatticeSpec(1, 16, dt, 0.0, 1.0, 0.5)
+        x, t = spec.coords()[0], dt * np.arange(spec.nt)
+        data = np.cos(omega * t)[:, None] * sum(a * np.cos(k * x) for k, a in modes.items())
+        zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+        res = solve_mild(model, ct, Field(spec, data, SPACE_TIME), zero, cfg)
+        exact = np.zeros_like(data)
+        for k, a in modes.items():
+            rate = k**spec.sigma
+            duhamel = rate * np.cos(omega * t) + omega * np.sin(omega * t) - rate * np.exp(-rate * t)
+            exact += a * (duhamel / (rate**2 + omega**2))[:, None] * np.cos(k * x)
+        assert res.status == STATUS_COMPLETED and res.trajectory.data.shape == data.shape
+        errors.append(np.max(np.abs(res.trajectory.data - exact)))
+    assert errors[0] < 1e-3 * np.max(np.abs(exact))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    np.testing.assert_allclose(ratios, 4.0, rtol=0.01)
+
+
 def test_dealias_mask_never_sees_the_noise(desk_noise):
     """The 2/3 mask acts on the polynomial force only: on linear_desk,
     which has none, dealias on and off give the same direct trajectory."""
@@ -216,35 +251,33 @@ def test_missing_coefficient_faults_before_any_step(desk_noise):
             solve_mild(model, None, None, phi0, cfg)
 
 
-def _reference_drive(spec, noise, shift):
+def _reference_drive(spec, noise):
     """The driver of one sample from its solve_window slices: S is
-    G * (1_[0,inf) noise), stepped slice by slice with trapezoid weights,
-    or the shift itself; the driver is S less the free decay of its t = 0
-    slice, on the rfft half of the modes, and zero at t = 0."""
-    drive = shift if noise is None else noise
-    if drive is None:
+    G * (1_[0,inf) noise), stepped slice by slice with trapezoid weights;
+    the driver is S less the free decay of its t = 0 slice, on the rfft
+    half of the modes, and zero at t = 0."""
+    if noise is None:
         return None
     axes = tuple(range(1, spec.d + 1))
     ks = (spec.k_norm() ** spec.sigma)[..., : spec.n // 2 + 1]
-    s_hat = np.fft.rfftn(drive, axes=axes)
-    if noise is not None:
-        acc = s_hat.copy()
-        for j in range(1, len(acc)):
-            acc[j] += np.exp(-spec.dt * ks) * acc[j - 1]
-        s_hat = spec.dt * (acc - 0.5 * s_hat)
-    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(len(drive)), ks))
+    s_hat = np.fft.rfftn(noise, axes=axes)
+    acc = s_hat.copy()
+    for j in range(1, len(acc)):
+        acc[j] += np.exp(-spec.dt * ks) * acc[j - 1]
+    s_hat = spec.dt * (acc - 0.5 * s_hat)
+    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(len(noise)), ks))
     drive = np.fft.irfftn(s_hat - heat * s_hat[0], spec.space_shape(), axes)
     drive[0] = 0.0
     return drive
 
 
-def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
+def _reference_solve(model, counterterms, phi0, cfg, noise=None):
     """The per-sample solver on a d = 1 lattice: the rfft half of R stepped
     with the force evaluated afresh by evaluate_force at every stage, a
     restart from the real slice at every seam of t_local, the c_gamma norm
-    read from the half spectrum and a stop at the blow-up radius.  noise /
-    shift are the sample's solve_window slices; the remainder starts at
-    phi0 and the total R + D is returned.
+    read from the half spectrum and a stop at the blow-up radius.  noise
+    holds the sample's solve_window slices; the remainder starts at phi0
+    and the total R + D is returned.
     The reference for the compiled force and the stacked loop."""
     spec = phi0.spec
     dt = spec.dt
@@ -254,7 +287,7 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None, shift=None):
     lin = -dt * (spec.k_norm() ** spec.sigma)[:half]
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     norm_mult = 1.0 + spec.k_norm()[:half] ** (spec.sigma - DEFAULT_EPS)
-    drive = _reference_drive(spec, noise, shift)
+    drive = _reference_drive(spec, noise)
 
     def force_hat(phi_hat, j):
         phi = np.fft.irfft(phi_hat, spec.n)
@@ -301,7 +334,7 @@ def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
     lin = -dt * spec.k_norm() ** spec.sigma
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     norm_mult = 1.0 + spec.k_norm() ** (spec.sigma - DEFAULT_EPS)
-    drive = _reference_drive(spec, noise, None)
+    drive = _reference_drive(spec, noise)
 
     def inverse(coeffs):
         return np.fft.ifftn(coeffs, axes=axes).real
@@ -389,22 +422,21 @@ def test_compiled_force_trajectory_matches_per_step_evaluation(desk_noise, rng):
     )
 
 
-def _windows(model, ct, spec, cfg, samples, shifted):
-    """Each sample's solve_window slices of its noise or its shift."""
+def _windows(model, spec, cfg, samples):
+    """Each sample's solve_window slices of its noise."""
     out = []
     for s in samples:
         xi = sample_macroscopic_noise(model.noise, spec, s, history=2.0)
-        drive = build_stationary_shift(model, ct, xi) if shifted else xi
-        out.append(solve_window(drive, spec, cfg).copy())
+        out.append(solve_window(xi, spec, cfg).copy())
     return np.stack(out)
 
 
 @pytest.mark.parametrize(
-    "shifted, scheme, t_local",
-    [(True, "etd1", 0.25), (False, "etd_rk2", 0.07)],
-    ids=["shift-etd1-one-window", "direct-etd_rk2-four-windows"],
+    "scheme, t_local",
+    [("etd1", 0.25), ("etd_rk2", 0.07)],
+    ids=["direct-etd1-one-window", "direct-etd_rk2-four-windows"],
 )
-def test_stack_equals_per_sample_reference(desk_noise, shifted, scheme, t_local):
+def test_stack_equals_per_sample_reference(desk_noise, scheme, t_local):
     """A stack of samples solved together gives each sample's trajectory,
     norms and status of the per-sample reference, bit for bit."""
     spec = LatticeSpec(1, 64, 0.01, 0.0, 0.25, 0.5)
@@ -412,12 +444,11 @@ def test_stack_equals_per_sample_reference(desk_noise, shifted, scheme, t_local)
     ct = {(1, 1, ((0,),)): -0.4}
     cfg = SolveConfig(scheme=scheme, max_horizon=0.25, t_local=t_local)
     zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
-    drive = _windows(model, ct, spec, cfg, range(4), shifted)
-    kind = "shift" if shifted else "noise"
-    results = solve_stack([(model, ct)], zero, cfg, **{kind: rfft_space(drive, 1)})
+    drive = _windows(model, spec, cfg, range(4))
+    results = solve_stack([(model, ct)], zero, cfg, noise=rfft_space(drive, 1))
     assert len(results) == 4
     for res, window in zip(results, drive):
-        traj, norms, status = _reference_solve(model, ct, zero, cfg, **{kind: window})
+        traj, norms, status = _reference_solve(model, ct, zero, cfg, noise=window)
         assert res.status == status == STATUS_COMPLETED
         np.testing.assert_array_equal(res.trajectory.data, traj)
         np.testing.assert_array_equal(res.slice_norms, norms)
@@ -548,6 +579,6 @@ def test_driver_stage_works_in_place_on_the_spectrum_it_is_given(desk_noise):
     xi = sample_macroscopic_noise(desk_noise, spec, 2, history=2.0)
     window = solve_window(xi, spec, cfg)
     spectrum = rfft_space(window[None], 1)
-    drive = _driver_stage(spec, spectrum, None)
+    drive = _driver_stage(spec, spectrum)
     assert drive is spectrum
-    np.testing.assert_array_equal(np.fft.irfft(drive[0], spec.n), _reference_drive(spec, window, None))
+    np.testing.assert_array_equal(np.fft.irfft(drive[0], spec.n), _reference_drive(spec, window))
