@@ -157,7 +157,9 @@ def _assert_cells_equal_their_per_sample_solves(plan, cells, runs):
 @pytest.mark.parametrize(
     "scheme, t_local, radius, strength",
     [("etd1", 0.25, 5.0, UNSTABLE), ("etd_rk2", 0.07, 5.0, UNSTABLE)],
-    ids=["direct-etd1", "direct-etd_rk2-windows"],
+    # the etd1 case ran a shift plan while the shift was a solve path; its
+    # id is kept so the case keeps its name
+    ids=["shift-etd1", "direct-etd_rk2-windows"],
 )
 def test_stacked_cell_equals_per_sample_loop(monkeypatch, scheme, t_local, radius, strength):
     """A cell solved in stacks (of two here, so five samples make three
@@ -402,18 +404,28 @@ def _record_flow_nodes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("second_order", [True, False], ids=["i_rhd-2", "i_rhd-0"])
-def test_short_history_runs_the_direct_solve_at_every_order(second_order):
-    """A history of 1, shorter than the support [0, 2] of G - G_1, is no
-    fault: every plan runs the direct solve, which reads no stationary
-    shift, at i_rhd = 2 as at i_rhd = 0.  The i_rhd = 2 plan forces its
-    counterterms, since the flow stops short of the relevant orders i >= 3
-    that dim_lambda = 0.1 brings."""
+@pytest.mark.parametrize(
+    "builds_shift, second_order",
+    [(True, True), (False, True), (True, False)],
+    ids=["shift", "direct", "shift-i_rhd-0"],
+)
+def test_short_history_faults_on_the_shift_path_only(builds_shift, second_order):
+    """A history of 1, shorter than the support [0, 2] of G - G_1, faults
+    only where a stationary shift is built: build_stationary_shift reads
+    the window through expand_pathwise, which raises at i_rhd = 2 as at
+    i_rhd = 0.  No solve builds one, so every plan runs the direct solve on
+    that history.  The i_rhd = 2 plan forces its counterterms, since the
+    flow stops short of the relevant orders i >= 3 that dim_lambda = 0.1
+    brings."""
     label, model = _second_order_variant() if second_order else _variant("bump")
     plan = _small_plan(samples=1, history=1.0, variants=((label, model),))
     assert model.i_rhd == (2 if second_order else 0)
+    forced = tuple((key, 0.0) for key in relevant_filtered(model))
+    if builds_shift:
+        xi = sample_macroscopic_noise(model.noise, plan.lattice(), 0, history=plan.history)
+        with pytest.raises(ValidationFault, match="too short"):
+            solver.build_stationary_shift(model, dict(forced), xi)
     if second_order:
-        forced = tuple((key, 0.0) for key in relevant_filtered(model))
         plan = replace(plan, counterterm_overrides=((label, forced),))
     report = run_universality(plan)
     assert all(np.isfinite(cell["estimate"]) for cell in report.cells.values())

@@ -146,11 +146,13 @@ def test_decomposed_solution_structure(desk_noise, rng):
     np.testing.assert_allclose(res.slice_norms, norms, rtol=1e-12)
 
 
-def test_monitor_starts_at_phi0(desk_noise, rng):
+def test_shift_path_monitor_starts_at_phi0(desk_noise, rng):
     """A noise whose t = 0 slice alone is far above the blow-up radius does
     not stop the solve: the monitor measures the remainder, which starts at
     phi0.  Here the noise is zero after t = 0, so the driver is the free
-    decay of dt/2 times that slice and the remainder stays small."""
+    decay of dt/2 times that slice and the remainder stays small.  (The
+    name is that of the test's shift-driven form, kept since the shift
+    stopped being a solve path.)"""
     spec = LatticeSpec(1, 32, 0.005, 0.0, 0.3, 0.5)
     model = preset("phi4_desk", lam=0.3, noise=desk_noise)
     cfg = SolveConfig(scheme="etd1", max_horizon=0.3, blow_up_radius=10.0)
@@ -434,7 +436,9 @@ def _windows(model, spec, cfg, samples):
 @pytest.mark.parametrize(
     "scheme, t_local",
     [("etd1", 0.25), ("etd_rk2", 0.07)],
-    ids=["direct-etd1-one-window", "direct-etd_rk2-four-windows"],
+    # the one-window case drove with a stationary shift while the shift was
+    # a solve path; its id is kept so the case keeps its name
+    ids=["shift-etd1-one-window", "direct-etd_rk2-four-windows"],
 )
 def test_stack_equals_per_sample_reference(desk_noise, scheme, t_local):
     """A stack of samples solved together gives each sample's trajectory,
