@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, isfinite, prod
 
 import numpy as np
 
@@ -302,92 +302,136 @@ def _check_moment_index(a: tuple, d: int, sigma: float) -> None:
 MOMENT_BLOCK = 4  # time slices per inverse transform in dot_G_moment_norms
 
 
-def _time_gradient(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """np.gradient(f, h, axis=0) written into `out`: central differences
-    inside, first-order one-sided differences at both ends."""
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * h
-    out[0] = (f[1] - f[0]) / h
-    out[-1] = (f[-1] - f[-2]) / h
+def _sin_shift(x: np.ndarray, out: np.ndarray, axis: int, parity: int | None) -> np.ndarray:
+    """out = (x[k - 1] - x[k + 1]) / 2 along `axis`, which times 1/i is the
+    spectrum of sin(x) times the field x is the spectrum of.  `parity` is
+    None on a full periodic axis; on the rfft half of the last axis it is
+    the table's parity in that frequency, which supplies the entries past
+    the half: x[-1] = parity x[1] and x[n/2 + 1] = parity x[n/2 - 1]."""
+    x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(x[:-2], x[2:], out=o[1:-1])
+    lo, hi = (x[-1], x[0]) if parity is None else (parity * x[1], parity * x[-2])
+    np.subtract(lo, x[1], out=o[0])
+    np.subtract(x[-2], hi, out=o[-1])
+    o *= 0.5
     return out
 
 
 def dot_G_moment_norms(
     spec: LatticeSpec,
     mu_grid,
-    a: tuple,
+    indices: tuple,
     nu: float = 1.0,
     g: int | None = None,
     eps: float = DEFAULT_EPS,
     nt_local: int = 96,
-):
-    """L1 norms of the moment-weighted scale derivative, per mu.
+) -> dict:
+    """L1 norms of the moment-weighted scale derivative, per multi-index
+    and per mu.
 
-    Returns a list of dicts with keys mu, raw (||X^a dG_mu||_L1) and
-    dressed (||R_nu P_mu^g X^a dG_mu||_L1).  Each mu gets its own fine time
-    grid over (mu, 2mu) (the support), so slopes are quadrature-clean.
+    Returns {a: rows} for each multi-index a of the tuple `indices`, with
+    one dict per mu in rows: keys mu, raw (||X^a dG_mu||_L1) and dressed
+    (||R_nu P_mu^g X^a dG_mu||_L1).  Each mu gets its own fine time grid of
+    nt_local slices over (mu, 2mu) (the support), so slopes are
+    quadrature-clean.
 
-    The kernel is real in x, so its multiplier is Hermitian and is held on
-    the rfft half of the last axis only, as a real table times the phase
-    (-i)^|abar| of the sin weights.  P_mu^g's time factor is np.gradient's
-    stencil on that table, and each norm sums |irfftn| over MOMENT_BLOCK
-    time slices at a time, which bounds the size of the real-space arrays.
+    The moment weight X^a = t^{a0}/a0! * prod sin(x_c)^{a_c}/a_c! is a time
+    weight per slice times a spatial weight per point.  The kernel is real
+    in x, so every table lives on the rfft half of the last axis.  Per mu
+    the heat table e^{-t|k|^sigma} is built once, and one inverse transform
+    of it gives every raw norm: each index weights |G(t, x)| by
+    |dot_weight(t, mu)| t^{a0} / (a0! a1! ... ad!) per slice and by
+    prod |sin(x_c)|^{a_c} per point.  The dressed norm keeps the spatial
+    weight spectral (see the comment below) and applies P_mu^g's time
+    factor, np.gradient's stencil, as one (nt_local x nt_local) matrix that
+    also carries the time weight.  Transforms run over MOMENT_BLOCK time
+    slices at a time, which bounds the size of the real-space arrays.
 
     Expected scaling: raw ~ [mu]^{[a]}; dressed ~ [nu v mu]^{sigma-eps} *
     [mu]^{eps-sigma+[a]} -- at fixed nu >= mu the dressed log-log slope in
     [mu] is [a] - sigma + eps.
     """
-    _check_moment_index(a, spec.d, spec.sigma)
+    for a in indices:
+        _check_moment_index(a, spec.d, spec.sigma)
+    if nt_local < 3:
+        # the two ends of (mu, 2mu) are zeros of dG_mu
+        raise ValidationFault(f"nt_local must be at least 3, got {nt_local}")
+    if not all(isfinite(mu) and mu > 0 for mu in mu_grid):
+        raise ValidationFault("every mu must be positive and finite")
     if g is None:
         g = default_g(spec.sigma)
-    rows = []
-    a0, abar = a[0], a[1:]
     half = spec.n // 2 + 1
-    # a sin weight on the last axis rolls across the half-spectrum's edge,
-    # so that table is built on the full grid and cut after the rolls
-    full = abar[-1] > 0
     ks = spec.k_norm()[..., :half]
-    ks_sigma = (spec.k_norm() if full else ks) ** spec.sigma
-    phase = (-1j) ** sum(abar)
+    ks_sigma = ks**spec.sigma
     r_mult = 1.0 + (spec.scale_of(nu) * ks) ** (spec.sigma - eps)
     axes = tuple(range(-spec.d, 0))
     per_slice = (...,) + (None,) * spec.d
+    sin_x = np.abs(np.sin(spec.dx * np.arange(spec.n)))
+    space_weights = np.stack(
+        [functools.reduce(np.multiply.outer, [sin_x**c for c in a[1:]]).ravel() for a in indices]
+    )
+    heat = np.empty((nt_local, *ks.shape))
+    tables = (np.empty_like(heat), np.empty_like(heat))
+    c_block = np.empty((MOMENT_BLOCK, *ks.shape), dtype=complex)
+    r_block = np.empty((MOMENT_BLOCK, *spec.space_shape()))
 
-    def l1(table, dtl):
-        total = 0.0
+    def abs_blocks(table, phase):
+        """(lo, |irfftn(phase * table[lo : lo + MOMENT_BLOCK])|) per block."""
         for lo in range(0, nt_local, MOMENT_BLOCK):
-            real = np.fft.irfftn(phase * table[lo : lo + MOMENT_BLOCK], s=spec.space_shape(), axes=axes)
-            total += float(np.sum(np.abs(real)))
-        return total * spec.dx**spec.d * dtl
+            part = table[lo : lo + MOMENT_BLOCK]
+            c, r = c_block[: len(part)], r_block[: len(part)]
+            if phase == 1:
+                np.copyto(c, part)
+            else:
+                np.multiply(part, phase, out=c)
+            for axis in axes[:-1]:
+                np.fft.ifft(c, axis=axis, out=c)
+            np.fft.irfft(c, spec.n, axis=-1, out=r)
+            yield lo, np.abs(r, out=r)
 
+    rows = {a: [] for a in indices}
     for mu in mu_grid:
         lam = spec.scale_of(mu)
         t = np.linspace(mu, 2.0 * mu, nt_local)
         dtl = t[1] - t[0]
-        # moment weight X^a = t^{a0}/a0! * prod sin(x_c)^{a_c}/a_c! on dG_mu
-        table = np.exp(-t[per_slice] * ks_sigma[None])
-        table *= (dot_weight(t, mu) * t**a0 / factorial(a0))[per_slice]
-        # Periodic realization of the spatial moment weight: sin(x) per
-        # axis, equal to x + O(x^3) where the kernel concentrates as
-        # mu -> 0, and smooth across the torus seam (a raw x weight has a
-        # seam jump whose slow spectral tail the P_mu factors would
-        # amplify).  Applied spectrally -- sin(x) f is the rolled
-        # difference (f(k - 1) - f(k + 1)) / 2i, whose 1/i is `phase` -- so
-        # the kernel's e^{-t|k|^sigma} tail stays exact and the large
-        # dressing factors never act on round-trip float noise.
-        for axis, deg in zip(axes, abar):
-            for _ in range(deg):
-                table = (np.roll(table, 1, axis) - np.roll(table, -1, axis)) / 2.0
-            if deg:
-                table /= factorial(deg)
-        table = table[..., :half]
-        raw = l1(table, dtl)
+        measure = spec.dx**spec.d * dtl
+        np.multiply(-t[per_slice], ks_sigma, out=heat)
+        np.exp(heat, out=heat)
+        dw = dot_weight(t, mu)
+        slice_sums = np.empty((nt_local, len(indices)))
+        for lo, r in abs_blocks(heat, 1):
+            np.matmul(r.reshape(len(r), -1), space_weights.T, out=slice_sums[lo : lo + len(r)])
         # dressed norm: R_nu P_mu^g applied to the weighted kernel
-        wk = table * ((1.0 + lam**2 * ks**2) ** g * r_mult)
-        dd = np.empty_like(wk)
-        for _ in range(g):
-            wk += mu * _time_gradient(wk, dtl, dd)
-        rows.append({"mu": float(mu), "raw": raw, "dressed": l1(wk, dtl)})
+        eye = np.eye(nt_local)
+        time_factor = np.linalg.matrix_power(eye + mu * np.gradient(eye, dtl, axis=0), g)
+        dress = (1.0 + lam**2 * ks**2) ** g * r_mult
+        for i, a in enumerate(indices):
+            weight = dw * t ** a[0] / prod(map(factorial, a))  # X^a's time part, per slice
+            raw = float(np.abs(weight) @ slice_sums[:, i])
+            abar = a[1:]
+            # Periodic realization of the spatial moment weight: sin(x) per
+            # axis, equal to x + O(x^3) where the kernel concentrates as
+            # mu -> 0, and smooth across the torus seam (a raw x weight has
+            # a seam jump whose slow spectral tail the P_mu factors would
+            # amplify).  Applied spectrally, with its 1/i in the phase
+            # below, so the kernel's e^{-t|k|^sigma} tail stays exact and
+            # the large dressing factors never act on round-trip float
+            # noise.  The heat table is even in every frequency, and each
+            # shift flips its parity in the shifted one.
+            table = heat
+            for axis, deg in zip(axes, abar):
+                for j in range(deg):
+                    spare = tables[1] if table is tables[0] else tables[0]
+                    table = _sin_shift(table, spare, axis, (-1) ** j if axis == -1 else None)
+            if table is heat:
+                table = np.multiply(heat, dress, out=tables[0])
+            else:
+                table *= dress
+            out = tables[1] if table is tables[0] else tables[0]
+            step = time_factor * weight  # P_mu^g's time factor after the time weight
+            np.matmul(step, table.reshape(nt_local, -1), out=out.reshape(nt_local, -1))
+            dressed = sum(float(np.sum(r)) for _, r in abs_blocks(out, (-1j) ** sum(abar)))
+            rows[a].append({"mu": float(mu), "raw": raw * measure, "dressed": dressed * measure})
     return rows
 
 
@@ -485,7 +529,7 @@ def invariant_battery(d: int = 1, sigma: float = 0.5, n: int = 64) -> list:
     # norm is checked here)...
     mu_grid = 2.0 ** -np.arange(2, 7, dtype=float)
     a0 = (0,) * (1 + d)
-    norms = dot_G_moment_norms(spec, mu_grid, a0, nt_local=48)
+    norms = dot_G_moment_norms(spec, mu_grid, (a0,), nt_local=48)[a0]
     lam = [spec.scale_of(m) for m in mu_grid]
     row(
         "raw_slope",
@@ -500,9 +544,9 @@ def invariant_battery(d: int = 1, sigma: float = 0.5, n: int = 64) -> list:
     spec2 = LatticeSpec(2, 256, 0.02, 0.0, 1.0, 2.0)
     mu_grid2 = 2.0 ** -np.arange(3, 10, dtype=float)
     lam2 = [spec2.scale_of(m) for m in mu_grid2]
-    for a in [(0, 0, 0), (1, 0, 0), (0, 1, 0)]:
+    indices = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    for a, norms in dot_G_moment_norms(spec2, mu_grid2, indices, nt_local=48).items():
         deg = spacetime_degree(a, spec2.sigma)
-        norms = dot_G_moment_norms(spec2, mu_grid2, a, nt_local=48)
         raw_slope = fit_loglog_slope(lam2, [r["raw"] for r in norms])
         dressed_slope = fit_loglog_slope(lam2[2:], [r["dressed"] for r in norms][2:])
         tag = f"d=2,sigma=2.0,a={a}"

@@ -133,7 +133,7 @@ def test_moment_norm_raw_slope(desk_spec):
     # at sigma = 1/2 only the zero multi-index clears the degree cap
     a = (0, 0)
     mu_grid = 0.5 * 2.0 ** -np.arange(4)
-    rows = dot_G_moment_norms(desk_spec, mu_grid, a)
+    rows = dot_G_moment_norms(desk_spec, mu_grid, (a,))[a]
     lams = [desk_spec.scale_of(r["mu"]) for r in rows]
     slope = fit_loglog_slope(lams, [r["raw"] for r in rows])
     assert slope == pytest.approx(spacetime_degree(a, desk_spec.sigma), abs=0.1)
@@ -141,13 +141,32 @@ def test_moment_norm_raw_slope(desk_spec):
 
 def test_moment_index_degree_cap(desk_spec):
     with pytest.raises(ValidationFault, match="truncation depth"):
-        dot_G_moment_norms(desk_spec, [0.5], (0, 1))
+        dot_G_moment_norms(desk_spec, [0.5], ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "mu_grid, nt_local, match",
+    [
+        ([0.25, 0.0], 48, "positive and finite"),
+        ([-0.25], 48, "positive and finite"),
+        ([0.25, float("nan")], 48, "positive and finite"),
+        ([float("inf")], 48, "positive and finite"),
+        # one slice has no spacing; two are both support ends, where dG_mu vanishes
+        ([0.25], 1, "at least 3"),
+        ([0.25], 2, "at least 3"),
+    ],
+    ids=["mu-zero", "mu-negative", "mu-nan", "mu-inf", "nt_local-1", "nt_local-2"],
+)
+def test_moment_norms_reject_misuse(desk_spec, mu_grid, nt_local, match):
+    with pytest.raises(ValidationFault, match=match):
+        dot_G_moment_norms(desk_spec, mu_grid, ((0, 0),), nt_local=nt_local)
 
 
 def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
     """Reference for dot_G_moment_norms: the formula it had before the half
-    spectrum and the time blocks -- the weighted kernel on the full
-    frequency grid, complex ifftn and np.gradient, every slice at once."""
+    spectrum, the time blocks and the shared heat stack -- one index, the
+    weighted kernel on the full frequency grid, complex ifftn and
+    np.gradient, every slice at once."""
     g = default_g(spec.sigma)
     ks = spec.k_norm()
     r_mult = 1.0 + ks ** (spec.sigma - DEFAULT_EPS)  # nu = 1
@@ -174,32 +193,44 @@ def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
     return rows
 
 
+# a: the multi-indices of one call
 @pytest.mark.parametrize(
     "d, n, sigma, a",
     [
-        (1, 64, 0.5, (0, 0)),
-        (2, 64, 2.0, (0, 0, 0)),
-        (2, 64, 2.0, (1, 0, 0)),
-        (2, 64, 2.0, (0, 1, 0)),
-        # a weight on the last axis rolls on the full grid before the cut
-        (2, 64, 2.0, (0, 0, 1)),
-        (3, 16, 3.0, (0, 1, 0, 1)),
+        (1, 64, 0.5, ((0, 0),)),
+        (2, 64, 2.0, ((0, 0, 0),)),
+        (2, 64, 2.0, ((1, 0, 0),)),
+        (2, 64, 2.0, ((0, 1, 0),)),
+        # a weight on the last axis shifts across the rfft half's edges
+        (2, 64, 2.0, ((0, 0, 1),)),
+        # two shifts on the last axis: the second sees the odd table
+        (3, 16, 3.0, ((0, 1, 0, 1), (0, 0, 0, 2))),
+        # every index of the lattice in one call, from one heat table
+        (2, 64, 2.0, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
     ],
 )
 def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
     spec = LatticeSpec(d, n, 0.02, 0.0, 1.0, sigma)
     mu_grid = 2.0 ** -np.arange(2, 6, dtype=float)
-    rows = dot_G_moment_norms(spec, mu_grid, a, nt_local=48)
-    for row, (raw, dressed) in zip(rows, _full_grid_moment_norms(spec, mu_grid, a, 48)):
-        assert row["raw"] == pytest.approx(raw, rel=1e-12, abs=0)
-        assert row["dressed"] == pytest.approx(dressed, rel=1e-12, abs=0)
+    norms = dot_G_moment_norms(spec, mu_grid, a, nt_local=48)
+    assert list(norms) == list(a)
+    for index, rows in norms.items():
+        reference = _full_grid_moment_norms(spec, mu_grid, index, 48)
+        for row, (raw, dressed) in zip(rows, reference, strict=True):
+            assert row["raw"] == pytest.approx(raw, rel=1e-12, abs=0)
+            assert row["dressed"] == pytest.approx(dressed, rel=1e-12, abs=0)
 
 
 # Peak traced allocation of one mu on the battery's d = 2, n = 256 lattice:
 # 169 MiB with a = (0, 0, 0) and 265 MiB with a = (0, 1, 0) for the
-# full-grid formula, about 50 MiB for either on the half spectrum.  The
-# bounds are half the full-grid peaks.
-@pytest.mark.parametrize("a, bound_mib", [((0, 0, 0), 84), ((0, 1, 0), 132)])
+# full-grid formula; on the half spectrum about 50 MiB for either alone
+# with a heat table per index, and 43 MiB for the battery's three indices
+# in one call from one heat table.  The bounds are half the full-grid
+# peaks.
+@pytest.mark.parametrize(
+    "a, bound_mib",
+    [(((0, 0, 0),), 84), (((0, 1, 0),), 132), (((0, 0, 0), (1, 0, 0), (0, 1, 0)), 84)],
+)
 def test_moment_norms_peak_memory(a, bound_mib):
     spec = LatticeSpec(2, 256, 0.02, 0.0, 1.0, 2.0)
     tracemalloc.start()
