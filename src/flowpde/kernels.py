@@ -290,7 +290,7 @@ def spacetime_degree(a: tuple, sigma: float) -> float:
 
 
 def _check_moment_index(a: tuple, d: int, sigma: float) -> None:
-    if len(a) != 1 + d or any(ai < 0 for ai in a):
+    if not isinstance(a, tuple) or len(a) != 1 + d or any(ai < 0 for ai in a):
         raise ValidationFault(f"multi-index {a} must have 1+d nonnegative entries")
     if sum(a) > sigma_diamond(sigma):
         raise ValidationFault(
@@ -299,7 +299,9 @@ def _check_moment_index(a: tuple, d: int, sigma: float) -> None:
         )
 
 
-MOMENT_BLOCK = 4  # time slices per inverse transform in dot_G_moment_norms
+# time slices per inverse transform in dot_G_moment_norms: of the heat
+# stack that serves every raw norm, and of each index's dressed table
+MOMENT_BLOCK = 4
 
 
 def _sin_shift(x: np.ndarray, out: np.ndarray, axis: int, parity: int | None) -> np.ndarray:
@@ -353,6 +355,7 @@ def dot_G_moment_norms(
     """
     for a in indices:
         _check_moment_index(a, spec.d, spec.sigma)
+    mu_grid = [float(mu) for mu in mu_grid]
     if nt_local < 3:
         # the two ends of (mu, 2mu) are zeros of dG_mu
         raise ValidationFault(f"nt_local must be at least 3, got {nt_local}")
@@ -431,7 +434,7 @@ def dot_G_moment_norms(
             step = time_factor * weight  # P_mu^g's time factor after the time weight
             np.matmul(step, table.reshape(nt_local, -1), out=out.reshape(nt_local, -1))
             dressed = sum(float(np.sum(r)) for _, r in abs_blocks(out, (-1j) ** sum(abar)))
-            rows[a].append({"mu": float(mu), "raw": raw * measure, "dressed": dressed * measure})
+            rows[a].append({"mu": mu, "raw": raw * measure, "dressed": dressed * measure})
     return rows
 
 

@@ -144,6 +144,11 @@ def test_moment_index_degree_cap(desk_spec):
         dot_G_moment_norms(desk_spec, [0.5], ((0, 1),))
 
 
+def test_moment_norms_take_a_tuple_of_indices(desk_spec):
+    with pytest.raises(ValidationFault, match="multi-index 0"):
+        dot_G_moment_norms(desk_spec, [0.5], (0, 0))
+
+
 @pytest.mark.parametrize(
     "mu_grid, nt_local, match",
     [
