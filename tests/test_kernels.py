@@ -228,10 +228,9 @@ def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
 
 # Peak traced allocation of one mu on the battery's d = 2, n = 256 lattice:
 # 169 MiB with a = (0, 0, 0) and 265 MiB with a = (0, 1, 0) for the
-# full-grid formula; on the half spectrum about 50 MiB for either alone
-# with a heat table per index, and 43 MiB for the battery's three indices
-# in one call from one heat table.  The bounds are half the full-grid
-# peaks.
+# full-grid formula; about 43 MiB on the half spectrum, for either alone
+# and for the battery's three indices in one call, which share one heat
+# stack.  The bounds are half the full-grid peaks.
 @pytest.mark.parametrize(
     "a, bound_mib",
     [(((0, 0, 0),), 84), (((0, 1, 0),), 132), (((0, 0, 0), (1, 0, 0), (0, 1, 0)), 84)],
