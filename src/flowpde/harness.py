@@ -9,11 +9,13 @@ gaps are paired differences with strongly reduced variance.
 
 Every cell runs the direct solve, solver.solve_stack on its noise, at any
 stationary order i_rhd.  Where cells are driven by mollified white noise W,
-they share W itself: per sample index, W is drawn once and the tail of it
-that the solve windows read is transformed once per master seed
-(noise.white_spectrum), padded for the taps of the plan's largest nu; each
-cell takes its solve window from that spectrum through its own multiplier
-(noise.SpectralDriver), as the half spectrum the solver reads.  Shot noise
+they share W itself: per sample index and master seed, only the blocks of W
+that cover the tail the solve windows read are drawn, and that tail is
+transformed once (noise.white_spectrum), padded for the taps of the plan's
+largest nu; each cell takes its solve window from that spectrum through its
+own multiplier (noise.SpectralDriver), as the half spectrum the solver
+reads.  W's slices do not depend on the history, which only sets how far
+back the window reaches.  Shot noise
 samples and cuts each cell's window on its own, and hands its
 window_spectrum to the solver.
 

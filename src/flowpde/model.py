@@ -99,10 +99,6 @@ class ModelSpec:
     def dim_xi(self) -> float:
         return (self.d + self.sigma) / 2.0
 
-    @property
-    def boundary_case(self) -> bool:
-        return self.dim_phi == 0.0
-
     def rho(self, i: int, m: int, a=0) -> float:
         """Scaling exponent rho(i, m, a); a may be a total spatial degree or
         a tuple of multi-indices."""
@@ -218,8 +214,16 @@ def allowed_by_symmetry(spec: ModelSpec, i: int, m: int, a) -> bool:
 
 def relevant_filtered(spec: ModelSpec):
     """Relevant indices surviving the declared symmetry: the keys a
-    renormalization scheme must supply."""
-    return [k for k in spec.relevant_indices() if allowed_by_symmetry(spec, *k)]
+    renormalization scheme must supply, as a fresh list.  Cached on the
+    fields the set depends on, not on the noise or the coefficients."""
+    monomials = tuple((mo.i, mo.m, tuple(sorted(mo.a))) for mo in spec.monomials)
+    return list(_relevant_filtered(spec.d, spec.sigma, spec.dim_lambda, spec.symmetry, monomials))
+
+
+@functools.lru_cache(maxsize=64)
+def _relevant_filtered(d: int, sigma: float, dim_lambda: float, symmetry: str, monomials: tuple) -> tuple:
+    spec = ModelSpec(d, sigma, dim_lambda, 0.0, tuple(Monomial(i, m, a) for i, m, a in monomials), symmetry)
+    return tuple(k for k in spec.relevant_indices() if allowed_by_symmetry(spec, *k))
 
 
 @dataclass(frozen=True)

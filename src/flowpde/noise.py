@@ -7,19 +7,26 @@ integral and finite dependence range.  Its macroscopic counterpart is
 
 For mollified white noise Xi = M * W this is equivalent in law to convolving
 a macroscopic space-time white noise with the L1-normalized rescaled
-mollifier nu^(-1) [nu]^(-d) M(x0/nu, xbar/[nu]).  We generate the white noise
-once per (master_seed, sample_index) substream, so every nu and every
-mollifier family in an experiment is driven by the same realization: the
-coupling used in the nu -> 0 comparisons, and a large variance reduction.
+mollifier nu^(-1) [nu]^(-d) M(x0/nu, xbar/[nu]).  The white noise W of a
+(master_seed, sample_index) pair is one realization, so every nu and every
+mollifier family in an experiment is driven by it: the coupling used in the
+nu -> 0 comparisons, and a large variance reduction.
+
+W is drawn in blocks of WHITE_BLOCK time slices, block b covering the
+absolute steps [b WHITE_BLOCK, (b + 1) WHITE_BLOCK) counted from the
+lattice's t = 0, each from its own substream (master_seed, sample_index,
+"white:<b>").  A slice's value depends only on the seed, the sample, the
+lattice and its step, so a caller draws only the blocks that cover the rows
+it reads (white_noise_slab), and a tail of W equals the same slices of a
+full draw, whatever the history before it.
 
 This module is the one place where W is transformed.  white_spectrum takes
 the rows of W a driver reads to their white spectrum (rfft over space,
 zero-padded FFT along time), and a SpectralDriver turns that into the drive
 by one multiplier and one inverse time FFT, as the rfft half spectrum of
-the slices it is built for.  W is drawn in full whatever the rows, so the
-realization does not depend on them.  A caller that drives several cells
-from one sample (harness) builds the spectrum once for all of them, and the
-solver reads the half spectra as they come (solver.solve_stack);
+the slices it is built for.  A caller that drives several cells from one
+sample (harness) builds the spectrum once for all of them, and the solver
+reads the half spectra as they come (solver.solve_stack);
 sample_macroscopic_noise reads every slice and takes them to real space.
 
 Every solve reads these fields as its noise, at every stationary order
@@ -48,6 +55,10 @@ from .errors import ValidationFault
 from .lattice import SPACE_TIME, Field, LatticeSpec, fft_time, irfft_space, padded_length, rfft_space
 
 MOLLIFIER_FAMILIES = ("bump", "skew")
+
+# time slices per substream block of W: drawing whole blocks costs little
+# beyond the rows read, and a full window takes few substream set-ups
+WHITE_BLOCK = 64
 
 
 def substream(master_seed: int, sample_index: int, label: str) -> np.random.Generator:
@@ -182,10 +193,24 @@ def extended_window(spec: LatticeSpec, history: float) -> LatticeSpec:
     return spec.with_window(spec.t_min - pad, spec.t_max)
 
 
-def white_noise_slab(spec: LatticeSpec, rng: np.random.Generator) -> np.ndarray:
-    """Discrete space-time white noise: iid N(0, 1/(dt dx^d)) per cell."""
-    scale = 1.0 / np.sqrt(spec.dt * spec.dx**spec.d)
-    return rng.standard_normal((spec.nt, *spec.space_shape())) * scale
+def white_noise_slab(spec: LatticeSpec, master_seed: int, sample_index: int, rows: tuple) -> np.ndarray:
+    """Discrete space-time white noise, iid N(0, 1/(dt dx^d)) per cell, on
+    the slices rows = (lo, stop) of `spec`.  Slice j sits at the absolute
+    step round(t_min / dt) + j; only the WHITE_BLOCK-slice blocks covering
+    the rows are drawn, each in full from its own substream, into one
+    buffer, of which the rows are returned."""
+    lo, stop = rows
+    origin = int(round(spec.t_min / spec.dt))
+    first = (origin + lo) // WHITE_BLOCK
+    last = (origin + stop - 1) // WHITE_BLOCK
+    buf = np.empty(((last + 1 - first) * WHITE_BLOCK, *spec.space_shape()))
+    for i, block in enumerate(range(first, last + 1)):
+        rng = substream(master_seed, sample_index, f"white:{block}")
+        rng.standard_normal(out=buf[i * WHITE_BLOCK : (i + 1) * WHITE_BLOCK])
+    start = origin + lo - first * WHITE_BLOCK
+    w = buf[start : start + stop - lo]
+    w *= 1.0 / np.sqrt(spec.dt * spec.dx**spec.d)
+    return w
 
 
 def sample_macroscopic_noise(
@@ -254,14 +279,15 @@ def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> 
 
 
 def white_spectrum(master_seed: int, sample_index: int, spec: LatticeSpec, m: int, rows: tuple) -> np.ndarray:
-    """The white spectrum of one sample: the white noise W of the
-    (master_seed, sample_index) substream on `spec`, drawn in full, its
-    slices rows = (lo, stop), rfft over space, then the FFT along time
-    zero-padded to m points, time-last: shape (n, ..., n // 2 + 1, m).
-    Every drive of the sample is this spectrum times one multiplier, so W
-    is drawn and transformed once however many cells read it."""
-    w = white_noise_slab(spec, substream(master_seed, sample_index, "white"))
-    return fft_time(rfft_space(w[rows[0] : rows[1]], spec.d), m)
+    """The white spectrum of one sample: the slices rows = (lo, stop) of
+    the white noise W of (master_seed, sample_index) on `spec`, drawn by
+    white_noise_slab (the blocks covering them only), rfft over space, then
+    the FFT along time zero-padded to m points, time-last: shape (n, ...,
+    n // 2 + 1, m).  Every drive of the sample is this spectrum times one
+    multiplier, so W is drawn and transformed once however many cells read
+    it."""
+    w = white_noise_slab(spec, master_seed, sample_index, rows)
+    return fft_time(rfft_space(w, spec.d), m)
 
 
 class SpectralDriver(NamedTuple):
@@ -319,6 +345,8 @@ def spectral_driver(
     driver transforms the rows W[lo:stop], lo = max(0, start - (taps - 1)),
     zero-padded to m = padded_length(stop - lo + taps), with the taps of
     nu_max, the largest nu among the drivers meant to share the spectrum.
+    Only the blocks of W that cover those rows are drawn, and they hold the
+    values a full draw gives them.
     sample_macroscopic_noise reads every slice at nu_max = 1 (m = 1215 for
     nt = 1001 at dt = 0.0025); criterion 7's solve window, the last 201 of
     those slices, reads W[760:1001] at nu_max = 0.2 (m = 288)."""

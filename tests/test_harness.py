@@ -23,9 +23,10 @@ def _variant(family, nu=0.2, seed=7, lam=0.3, base=-1.0):
 
 
 # a cubic of the growing sign at strong coupling: its remainders peak at
-# norms 3.8-6.2 by t = 0.25 with etd1 in one window and 3.7-11.4 with
-# etd_rk2 in windows of 0.07 (bump, nu = 0.1, seed 7, samples 0-4), so a
-# radius of 5 stops some samples mid-run and lets others complete
+# norms 4.6-5.6 by t = 0.25 with etd1 in one window and with etd_rk2 in
+# windows of 0.07, and one sample runs away (bump, nu = 0.1, seed 7,
+# samples 0-4), so a radius of 5 stops some samples mid-run and lets
+# others complete
 UNSTABLE = dict(lam=10.0, base=1.0)
 
 
@@ -350,6 +351,20 @@ def test_tail_drives_equal_the_full_window_drives(history):
             assert np.max(np.abs(tail - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+def test_coupled_cells_do_not_depend_on_the_history():
+    """W's slices are keyed by their absolute step, and the solve windows
+    read the same tail of it at any history long enough for the taps: a
+    coupled plan's cells come out bit for bit equal at history 2 and 3."""
+    plan = _small_plan(samples=3)
+    report = run_universality(plan)
+    longer = run_universality(replace(plan, history=3.0))
+    assert [c.driver.rows for c in harness._make_cells(plan)] == [(190, 226)] * 4
+    assert [c.driver.rows for c in harness._make_cells(replace(plan, history=3.0))] == [(290, 326)] * 4
+    assert report.cells == longer.cells
+    assert report.gaps == longer.gaps
+    assert all(np.isfinite(cell["estimate"]) for cell in report.cells.values())
+
+
 def _shot_variant():
     nm = NoiseModel("poisson_shot", 1.0, 7, "bump", resolution_policy="spectral")
     return ("shot", preset("phi4_desk", lam=0.3, noise=nm))
@@ -431,14 +446,42 @@ def test_short_history_faults_on_the_shift_path_only(builds_shift, second_order)
     assert all(np.isfinite(cell["estimate"]) for cell in report.cells.values())
 
 
+def _peak_norms(monkeypatch, plan: ExperimentPlan, nu: float) -> np.ndarray:
+    """(variants, samples): each sample's largest norm over the steps
+    before the last at `nu`, from solves stopped only at a radius of 1000.
+    A sample whose norm reaches the radius only at the last step keeps its
+    value."""
+    captured = []
+    run_cell = harness._run_cell
+    last = int(round(plan.solve.max_horizon / plan.dt))
+
+    def recorded(plan, results):
+        captured.append([np.max(res.slice_norms[:last]) for res in results])
+        return run_cell(plan, results)
+
+    monkeypatch.setattr(harness, "_run_cell", recorded)
+    free = replace(plan, solve=replace(plan.solve, blow_up_radius=1e3))
+    for cell in harness._make_cells(free):
+        if cell.nu == nu:
+            harness._run_cells(free, [cell])
+    monkeypatch.undo()
+    return np.array(captured)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verdict_reports_compared_variants_and_dropped_samples():
+def test_verdict_reports_compared_variants_and_dropped_samples(monkeypatch):
     variants = (_variant("bump", **UNSTABLE), _variant("skew", **UNSTABLE))
-    cfg = SolveConfig(scheme="etd1", max_horizon=0.25, blow_up_radius=4.55)
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.25)
     plan = _small_plan(samples=3, solve=cfg, variants=variants)
+    # a radius between the smallest and the next of the samples' peak norms
+    # (the larger of the two variants') stops all samples but one in a
+    # variant at the final nu
+    lowest, second = np.sort(np.max(_peak_norms(monkeypatch, plan, 0.1), axis=0))[:2]
+    assert 1.0 < lowest < second
+    plan = replace(plan, solve=replace(cfg, blow_up_radius=0.5 * (lowest + second)))
     report = run_universality(plan)
-    # one sample (of peak norm 4.3) is finite in both variants: no standard
-    # error, and the verdict says so instead of failing silently on a NaN
+    # one sample is finite in both variants: no standard error, and the
+    # verdict says so instead of failing silently on a NaN
     final = report.gaps[("moment2@t0.25", 0.1)]
     assert final["samples"] == 1 and np.isnan(final["se"]) and np.isfinite(final["gap"])
     assert report.verdict["label"] == "distinct"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from flowpde.model import (
 def test_desk_model_dimensions(desk_model):
     assert desk_model.dim_phi == pytest.approx(0.25)
     assert desk_model.dim_xi == pytest.approx(0.75)
-    assert not desk_model.boundary_case
     # the cubic itself sits above criticality: it needs no renormalization
     assert desk_model.rho(1, 3, 0) == pytest.approx(0.3)
     # its linear descendant is the only relevant direction after parity
@@ -34,6 +35,27 @@ def test_desk_model_classification(desk_model):
     assert cubic in desk_model.enumerate_indices() and desk_model.rho(*cubic) > 0
     assert desk_model.i_diamond >= 1
     assert desk_model.m_flat == 3
+
+
+def test_relevant_filtered_is_cached_per_classification(desk_model):
+    """The set is cached on (d, sigma, dim_lambda, symmetry, monomials):
+    another noise or coupling shares it, another symmetry or monomial gets
+    its own, and each call returns a list of its own."""
+    other_noise = replace(desk_model, lam=2.0, noise=desk_model.noise.with_nu(0.05))
+    assert relevant_filtered(other_noise) == relevant_filtered(desk_model) == [(1, 1, ((0,),))]
+    unfiltered = replace(desk_model, symmetry="none")
+    assert relevant_filtered(unfiltered) == unfiltered.relevant_indices()
+    assert len(relevant_filtered(unfiltered)) > 1
+    # phi^4_3 with a linear force reaches arity 1 only: no (1, 3) key
+    cubic = preset("phi4_3d")
+    linear = replace(cubic, monomials=(Monomial(i=1, m=1, a=0, base=-1.0),))
+    zero = (0, 0, 0)
+    assert (1, 3, (zero, zero, zero)) in relevant_filtered(cubic)
+    assert relevant_filtered(linear) == [(1, 1, (zero,)), (2, 1, (zero,))]
+    first = relevant_filtered(desk_model)
+    first.append((9, 9, ()))
+    first[0] = None
+    assert relevant_filtered(desk_model) == [(1, 1, ((0,),))]
 
 
 def test_phi4_3d_classification():

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowpde import noise
 from flowpde.errors import ValidationFault
 from flowpde.flow import WickCalculator
 from flowpde.kernels import fluctuation_kernel
 from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, fft_time, irfft_space, padded_length
 from flowpde.noise import (
+    WHITE_BLOCK,
     MollifierProfile,
     NoiseModel,
     _cached_multiplier,
@@ -87,24 +91,88 @@ def test_extended_window_keeps_grid():
     assert abs((SPEC.t_min - ext.t_min) / SPEC.dt % 1.0) < 1e-9
 
 
+# W on a window reaching back to t = -2: 241 slices at the absolute steps
+# -200..40, in the blocks -4..0 of WHITE_BLOCK = 64 slices
+W_WINDOW = extended_window(SPEC, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, W_WINDOW.nt - 1), st.integers(1, W_WINDOW.nt))
+def test_white_noise_rows_equal_the_full_draw(lo, size):
+    """Any rows of W, across block edges and in the negative blocks before
+    t = 0, equal those slices of the full draw bit for bit."""
+    stop = min(lo + size, W_WINDOW.nt)
+    full = white_noise_slab(W_WINDOW, 7, 3, (0, W_WINDOW.nt))
+    rows = white_noise_slab(W_WINDOW, 7, 3, (lo, stop))
+    assert rows.shape == (stop - lo, SPEC.n)
+    np.testing.assert_array_equal(rows, full[lo:stop])
+
+
+@pytest.mark.parametrize("spec", [SPEC, LatticeSpec(2, 8, 0.01, 0.0, 0.25, 1.5)], ids=["d1", "d2"])
+def test_white_noise_slices_are_keyed_by_absolute_step(spec):
+    """Block b holds the absolute steps [64 b, 64 (b + 1)) from the lattice's
+    t = 0, drawn in full from the substream "white:<b>": a slice's value
+    does not depend on the history before it."""
+    scale = 1.0 / np.sqrt(spec.dt * spec.dx**spec.d)
+    block = substream(7, 3, "white:-1").standard_normal((WHITE_BLOCK, *spec.space_shape())) * scale
+    for history in (0.3, 0.77, 2.0):
+        ext = extended_window(spec, history)
+        back = int(round(-ext.t_min / ext.dt))
+        w = white_noise_slab(ext, 7, 3, (0, ext.nt))
+        np.testing.assert_array_equal(w[back:], white_noise_slab(spec, 7, 3, (0, spec.nt)))
+        k = min(back, WHITE_BLOCK)  # the slices of block -1 the window holds
+        np.testing.assert_array_equal(w[back - k : back], block[WHITE_BLOCK - k :])
+    assert not np.array_equal(white_noise_slab(spec, 7, 3, (0, 4)), white_noise_slab(spec, 7, 4, (0, 4)))
+
+
+def test_criterion_7_tail_draws_only_its_covering_blocks(monkeypatch):
+    """Criterion 7's cells read W[760:1001] of the window [-2, 0.5], the
+    absolute steps -40..200: the draw allocates the five blocks -1..3 that
+    cover them, not the 1,001 slices of the window."""
+    spec = LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5)
+    model = NoiseModel("mollified_white", 0.05, 11, "skew", resolution_policy="spectral")
+    cfg = SolveConfig(scheme="etd1", max_horizon=0.5, t_local=0.5)
+    ext = extended_window(spec, 2.0)
+    driver = spectral_driver(model, spec, 2.0, window_slices(ext, spec, cfg), 0.2)
+    assert driver.rows == (760, 1001)
+    slabs = []
+
+    def recorded(*args):
+        slabs.append(white_noise_slab(*args))
+        return slabs[-1]
+
+    monkeypatch.setattr(noise, "white_noise_slab", recorded)
+    driver.spectrum(0)
+    [w] = slabs
+    assert w.shape == (241, 256)
+    assert w.base.nbytes <= 5 * WHITE_BLOCK * 256 * 8 < ext.nt * 256 * 8
+    tracemalloc.start()
+    white_noise_slab(ext, 11, 0, driver.rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 5 * WHITE_BLOCK * 256 * 8 + 4096
+
+
 def test_white_noise_variance_scaling():
     """Mollified white noise at lag 0: variance matches the discrete
-    convolution-squared of the mollifier against 1/(dt dx) white noise."""
+    convolution-squared of the mollifier against 1/(dt dx) white noise.
+    On SPEC alone W is one block; a history of 0.5 reaches into block -1,
+    so the field is drawn across a block edge."""
     model = NoiseModel("mollified_white", 0.1, 5, "bump", resolution_policy="spectral")
-    fields = [sample_macroscopic_noise(model, SPEC, i) for i in range(150)]
-    est = estimate_cumulants(fields, 2, [(0, 0)])
-    # independent prediction from the sampling contract: the temporal taps
-    # and spatial multiplier are deterministic, so Var = dt * sum(taps^2)
-    # * mean(mult^2) / dx
-    from flowpde.noise import _spatial_multiplier, _temporal_taps
-
-    taps = _temporal_taps(model, SPEC)
-    mult = _spatial_multiplier(model, SPEC)
-    # causal convolution ramps up near t_min: slice j only sees taps[0..j]
-    partial = np.cumsum(taps**2)
-    per_slice = partial[np.minimum(np.arange(SPEC.nt), len(taps) - 1)]
-    pred = SPEC.dt * float(np.mean(per_slice)) * float(np.mean(np.abs(mult) ** 2)) / SPEC.dx
-    assert est.values[0] == pytest.approx(pred, abs=4 * est.standard_errors[0])
+    for history in (0.0, 0.5):
+        fields = [sample_macroscopic_noise(model, SPEC, i, history=history) for i in range(150)]
+        est = estimate_cumulants(fields, 2, [(0, 0)])
+        # independent prediction from the sampling contract: the temporal taps
+        # and spatial multiplier are deterministic, so Var = dt * sum(taps^2)
+        # * mean(mult^2) / dx
+        spec = fields[0].spec
+        taps = _temporal_taps(model, spec)
+        mult = _spatial_multiplier(model, spec)
+        # causal convolution ramps up near t_min: slice j only sees taps[0..j]
+        partial = np.cumsum(taps**2)
+        per_slice = partial[np.minimum(np.arange(spec.nt), len(taps) - 1)]
+        pred = spec.dt * float(np.mean(per_slice)) * float(np.mean(np.abs(mult) ** 2)) / spec.dx
+        assert est.values[0] == pytest.approx(pred, abs=4 * est.standard_errors[0])
 
 
 def test_shot_noise_third_cumulant_matches_oracle():
@@ -204,8 +272,7 @@ def _axis0_mollified_white(model, spec, sample_index):
     before the noise became a spectral multiplier on the white spectrum.
     A full complex spatial transform, the mollifier multiplier, the real
     part, then the causal temporal convolution along axis 0."""
-    rng = substream(model.master_seed, sample_index, "white")
-    w = white_noise_slab(spec, rng)
+    w = white_noise_slab(spec, model.master_seed, sample_index, (0, spec.nt))
     what = np.fft.fftn(w, axes=tuple(range(1, spec.d + 1)))
     what *= _spatial_multiplier(model, spec)[None]
     w = np.fft.ifftn(what, axes=tuple(range(1, spec.d + 1))).real
@@ -294,7 +361,7 @@ def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
     taps = _temporal_taps(model, ext)
     assert driver.time.size == 1440 >= ext.nt + len(taps) - 1
     sample = sample_macroscopic_noise(model, spec, 3, history=2.0)
-    w = white_noise_slab(ext, substream(model.master_seed, 3, "white"))
+    w = white_noise_slab(ext, model.master_seed, 3, (0, ext.nt))
     space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
     w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
     ref = np.zeros_like(w)
@@ -332,7 +399,7 @@ def test_longest_taps_do_not_wrap_on_the_tail_spectrum(history, rows, start, m):
     assert ((lo, stop), reads.start, len(taps)) == (rows, start, 41)
     assert driver.time.size == m >= stop - lo + len(taps) - 1
     got = irfft_space(driver.window(driver.spectrum(3)), ext)
-    w = white_noise_slab(ext, substream(model.master_seed, 3, "white"))
+    w = white_noise_slab(ext, model.master_seed, 3, (0, ext.nt))
     space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
     w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
     ref = np.zeros_like(w)
