@@ -29,12 +29,22 @@ pairs of a degree-m monomial into a degree m - 2k coefficient carries the
 pairing count m! / ((m - 2k)! k! 2^k).  Order i = 2 is provided for the
 cubic Z2 class through the closed sunset form (see flow_expected).
 
-Node spectra.  KernelSpectra builds the time spectra S, S_dot of Ghat_mu,
-Gdot_mu on the distinct |k|^sigma.  Taps T enter a Wick sum only through
-|T|^2, as conj(S T) (S_dot T) = conj(S) S_dot |T|^2, so wick_sums forms
-|S|^2 and Re(conj(S) S_dot) once per node, at the cells' longest pad, and
-each cell is one weighted sum of them over frequencies (Parseval weights
-times |T|^2) and columns (its |M|^2 folded onto the distinct |k|^sigma).
+Lag identity.  A kernel weight(t) G enters a Wick sum through its slices
+j <= ceil(2 mu / dt): s(j) = dt weight(j dt), halved at j = 0, times
+exp(-j dt |k|^sigma) on mode k.  With the noise's taps T and mode weights w
+(|M|^2 folded onto the distinct |k|^sigma, times the cell variance), the
+sum over all slices is exactly
+
+    < (s1 G * Xi)(x) (s2 G * Xi)(x) >
+        = sum_(|l| < L) R(l) sum_j s1(j) s2(j + l) h(2 j + l),
+
+R(l) = sum_i T_i T_(i + l) the autocorrelation of the L taps and h(n) =
+sum_k w_k exp(-n dt |k|^sigma) the heat trace.  Both kernels vanish past
+their last slice, so the sum is finite; it equals the Parseval sum over
+zero-padded time spectra whenever the pad leaves no wrap.  C(mu) takes
+s1 = s2 = s of G - G_mu, D(mu) takes s2 = s_dot of dG_mu.  (R, w) is the
+noise's separable second moment, and a node costs O(rows x taps) whatever
+the lattice size n.
 """
 
 from __future__ import annotations
@@ -150,115 +160,138 @@ def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
 # -- discrete Wick sums ----------------------------------------------------
 
 
-class KernelSpectra:
-    """Time spectra of G - G_mu and dG_mu on one lattice, without taps, on
-    the distinct |k|^sigma (`inverse` maps each mode to its column).  The
-    heat table is built once."""
+class DistinctModes:
+    """The distinct values of |k|^sigma on one lattice (`inverse` maps each
+    mode to its column), which the WickCalculators of its cells share."""
+
+    # entries of the heat table per block of modes
+    BLOCK = 1 << 16
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
         k_sigma = spec.k_norm().ravel() ** spec.sigma
         self.k_sigma, self.inverse = np.unique(k_sigma, return_inverse=True)
-        self._t = np.zeros(0)
 
-    def _rfft(self, mult: np.ndarray, lo: int, n_pad: int) -> np.ndarray:
-        """Time rfft of quadrature-weighted slices placed from slice lo."""
-        arr = np.zeros((lo + len(mult), mult.shape[1]))
-        arr[lo:] = self.spec.dt * mult
-        if lo == 0:
-            arr[0] *= 0.5
-        return np.fft.rfft(arr, n=n_pad, axis=0)
-
-    def at(self, mu: float, n_pad: int, dot: bool) -> list:
-        """[fluctuation spectrum] or, with `dot`, [fluctuation, dot kernel
-        from slice floor(mu / dt)] at mu, from rows j <= ceil(2 mu / dt) of
-        one heat table e^(-j dt |k|^sigma) built for max(1, mu)."""
-        hi = int(np.ceil(2.0 * mu / self.spec.dt))
-        if hi >= len(self._t):
-            self._t = self.spec.dt * np.arange(max(hi, int(np.ceil(2.0 / self.spec.dt))) + 1)
-            self._heat = np.exp(-np.outer(self._t, self.k_sigma))
-        t, heat = self._t[: hi + 1], self._heat[: hi + 1]
-        spectra = [self._rfft(fluctuation_weight(t, mu)[:, None] * heat, 0, n_pad)]
-        if dot:
-            lo = int(np.floor(mu / self.spec.dt))
-            spectra.append(self._rfft(dot_weight(t[lo:], mu)[:, None] * heat[lo:], lo, n_pad))
-        return spectra
+    def heat_traces(self, weights: list, terms: int) -> list:
+        """h(n) = sum_k w_k exp(-n dt |k|^sigma) for n < terms, one per mode
+        weight vector w in `weights`, from a heat table built in blocks of
+        modes of about BLOCK entries.  Each trace is its own matvec per
+        block, so it does not depend on the other weights."""
+        n_dt = self.spec.dt * np.arange(terms)
+        traces = [np.zeros(terms) for _ in weights]
+        step = max(self.BLOCK // terms, 1)
+        for lo in range(0, len(self.k_sigma), step):
+            heat = np.outer(-n_dt, self.k_sigma[lo : lo + step])
+            np.exp(heat, out=heat)
+            for h, w in zip(traces, weights):
+                h += heat @ w[lo : lo + step]
+            del heat  # one block alive at a time
+        return traces
 
 
 class WickCalculator:
     """Exact second moments of mollified white noise on the lattice, with
     the conventions of the sampler and the convolution operator: mollifier
     taps and multiplier, cell variance 1/(dt dx^d), half-weight at a
-    kernel's t = 0 tap.  < (K1 * Xi)(x) (K2 * Xi)(x) > = sum over columns k
-    and frequencies w of mode_weights_k time_weights_w Re(conj(S1) S2)_wk
-    (module docstring); tadpole and flow_node are one-cell wick_sums."""
+    kernel's t = 0 tap.  The noise enters the Wick sums only through its
+    separable second-moment pair: the taps' autocorrelation R in time and
+    mode_weights, |M|^2 folded onto the distinct |k|^sigma, over space
+    (the lag identity of the module docstring).  tadpole and flow_node are
+    one-cell, one-node wick_sums."""
 
-    def __init__(self, spec: LatticeSpec, model: NoiseModel, kernels: KernelSpectra | None = None):
+    def __init__(self, spec: LatticeSpec, model: NoiseModel, modes: DistinctModes | None = None):
         if model.kind != "mollified_white":
             raise ValidationFault("Wick sums implemented for mollified_white noise")
         self.spec = spec
         self.model = model
-        self.kernels = kernels if kernels is not None else KernelSpectra(spec)
+        self.modes = modes if modes is not None else DistinctModes(spec)
         self.mhat2 = np.abs(_spatial_multiplier(model, spec)).ravel() ** 2
         self.taps = _temporal_taps(model, spec)
         self.prefactor = spec.dt / (spec.dx**spec.d * spec.n**spec.d)
-        self.mode_weights = self.prefactor * np.bincount(self.kernels.inverse, weights=self.mhat2)
-        self._time_weights = {}
-
-    def time_weights(self, n_pad: int) -> np.ndarray:
-        """|rfft(taps, n_pad)|^2 times the rfft Parseval weights (1 at
-        frequency 0 and at an even pad's last, 2 elsewhere) over n_pad."""
-        if n_pad not in self._time_weights:
-            T = np.fft.rfft(self.taps, n=n_pad)
-            w = (2.0 / n_pad) * (T.real**2 + T.imag**2)
-            w[0] *= 0.5
-            if n_pad % 2 == 0:
-                w[-1] *= 0.5
-            self._time_weights[n_pad] = w
-        return self._time_weights[n_pad]
+        self.mode_weights = self.prefactor * np.bincount(self.modes.inverse, weights=self.mhat2)
+        T, L = self.taps, len(self.taps)
+        self.autocorrelation = np.array([T[: L - l] @ T[l:] for l in range(L)])  # R(l), l < L
 
     def tadpole(self, mu: float) -> float:
         """C(mu) = < ((G - G_mu) * Xi)(x)^2 >."""
-        return float(wick_sums([self], mu, dot=False)[0, 0])
+        return float(wick_sums([self], [mu], dot=False)[0, 0, 0])
 
     def tadpole_derivative_half(self, mu: float) -> float:
         """D(mu) = < ((G - G_mu) * Xi) ((dG_mu) * Xi) > = -C'(mu)/2."""
         return self.flow_node(mu)[1]
 
     def flow_node(self, mu: float) -> tuple:
-        """(C(mu), D(mu)) from one spectrum of each kernel: the values of
-        tadpole and tadpole_derivative_half at a node of the flow."""
-        return tuple(float(v) for v in wick_sums([self], mu, dot=True)[0])
+        """(C(mu), D(mu)) from one pass: the values of tadpole and
+        tadpole_derivative_half at a node of the flow."""
+        return tuple(float(v) for v in wick_sums([self], [mu], dot=True)[0, 0])
 
     def covariance_kernel(self, n_lags: int) -> np.ndarray:
         """P(t_lag, x) = < (Ghat_1 * Xi)(0) (Ghat_1 * Xi)(t_lag, x) > for
         t_lag = 0..n_lags-1, as real-space slices (used by the sunset
-        integrals)."""
-        hi = int(np.ceil(2.0 / self.spec.dt))
+        integrals), from the time spectrum of G - G_1 on the distinct
+        |k|^sigma, zero-padded so that the autocorrelation does not wrap."""
+        spec = self.spec
+        hi = int(np.ceil(2.0 / spec.dt))
+        t = spec.dt * np.arange(hi + 1)
         n_pad = padded_length(2 * (hi + 1 + len(self.taps) + n_lags))
-        H = self.kernels.at(1.0, n_pad, dot=False)[0] * np.fft.rfft(self.taps, n=n_pad)[:, None]
+        slices = spec.dt * (fluctuation_weight(t, 1.0)[:, None] * np.exp(-np.outer(t, self.modes.k_sigma)))
+        slices[0] *= 0.5
+        H = np.fft.rfft(slices, n=n_pad, axis=0) * np.fft.rfft(self.taps, n=n_pad)[:, None]
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
         # np.take keeps P in C order, the order the sunset integrals sum in
-        auto = np.take(auto[:n_lags], self.kernels.inverse, axis=1)
+        auto = np.take(auto[:n_lags], self.modes.inverse, axis=1)
         out_hat = auto * (self.prefactor * self.mhat2[None])
         # back to real space per time lag
-        shape = (n_lags, *self.spec.space_shape())
-        field_hat = (out_hat * self.spec.n**self.spec.d).reshape(shape).astype(complex)
-        return np.fft.ifftn(field_hat, axes=tuple(range(1, self.spec.d + 1))).real
+        shape = (n_lags, *spec.space_shape())
+        field_hat = (out_hat * spec.n**spec.d).reshape(shape).astype(complex)
+        return np.fft.ifftn(field_hat, axes=tuple(range(1, spec.d + 1))).real
 
 
-def wick_sums(wicks: list, mu: float, dot: bool) -> np.ndarray:
+def _row_weights(weight, dt: float, mus: np.ndarray, rows: int, lo=0) -> np.ndarray:
+    """s(j) = dt weight(j dt, mu), halved at j = 0, one row of `rows` per
+    mu: weight is evaluated on the slices lo <= j <= ceil(2 mu / dt) of
+    each mu only, and s is zero elsewhere."""
+    counts = np.ceil(2.0 * mus / dt).astype(int) + 1 - lo
+    node = np.repeat(np.arange(len(mus)), counts)
+    j = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    s = np.zeros((len(mus), rows))
+    s[node, j] = dt * weight(dt * j, mus[node])
+    s[:, 0] *= 0.5
+    return s
+
+
+def wick_sums(wicks: list, mus, dot: bool) -> np.ndarray:
     """C(mu) and, with `dot`, D(mu) of each WickCalculator in `wicks`, which
-    share one KernelSpectra: a (cells, 1 + dot) array from one spectrum of
-    each kernel at the longest of the cells' own pads, which fit both
-    kernels (to slice ceil(2 mu / dt)) convolved with the taps.  A longer
-    pad only adds zero padding: a cell's values move by round-off."""
-    n_pad = max(padded_length(np.ceil(2 * mu / wick.spec.dt) + len(wick.taps) + 2) for wick in wicks)
-    S, *S_dot = wicks[0].kernels.at(mu, n_pad, dot)
-    tables = [S.real**2 + S.imag**2] + [S.real * Sd.real + S.imag * Sd.imag for Sd in S_dot]
-    time_weights = np.array([wick.time_weights(n_pad) for wick in wicks])
-    mode_weights = np.array([wick.mode_weights for wick in wicks])
-    return np.stack([np.sum((time_weights @ A) * mode_weights, axis=1) for A in tables], axis=1)
+    share one DistinctModes, at each mu in `mus`: a (cells, mus, 1 + dot)
+    array by the lag identity.  The rows j <= ceil(2 max(mus) / dt) hold
+    every node's weights s and s_dot, zero past the node's own support.
+    Per lag l one (mus, rows - l) product of them serves every cell, and
+    each cell contracts it with its own R(l) and h(2 j + l) in one matvec,
+    so a cell's values do not depend on the other cells."""
+    mus = np.asarray(mus, dtype=float)
+    dt = wicks[0].spec.dt
+    rows = int(np.ceil(2.0 * mus.max() / dt)) + 1
+    s = _row_weights(fluctuation_weight, dt, mus, rows)
+    s_dot = _row_weights(dot_weight, dt, mus, rows, np.floor(mus / dt).astype(int)) if dot else None
+    traces = wicks[0].modes.heat_traces([wick.mode_weights for wick in wicks], 2 * rows - 1)
+    out = np.zeros((len(wicks), len(mus), 1 + dot))
+    # lags -l and l pair the same slices, so C takes 2 R(l) for l > 0 and
+    # D the sum of both orders of s and s_dot
+    for l in range(min(rows, max(len(wick.taps) for wick in wicks))):
+        pairs = [s[:, : rows - l] * s[:, l:]]
+        if dot:
+            cross = s[:, : rows - l] * s_dot[:, l:]
+            if l:
+                cross += s_dot[:, : rows - l] * s[:, l:]
+            pairs.append(cross)
+        for wick, h, acc in zip(wicks, traces, out):
+            if l < len(wick.taps):
+                h_l = h[l : 2 * rows - l - 1 : 2]  # h(2 j + l), j < rows - l
+                r = wick.autocorrelation[l]
+                acc[:, 0] += (2.0 * r if l else r) * (pairs[0] @ h_l)
+                if dot:
+                    acc[:, 1] += r * (pairs[1] @ h_l)
+    return out
 
 
 def pairing_count(m: int, k: int) -> int:
@@ -320,17 +353,18 @@ def flow_expected(
 def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max=2) -> list:
     """flow_expected's (curves, counterterms) for each (model, nu,
     scheme) cell on one lattice, every cell checked before any flow runs.
-    All cells share one KernelSpectra and one wick_sums call per mu-node."""
+    All cells share one DistinctModes and one wick_sums call, over the
+    nodes and the end points mu_min = 2^-j_levels and 1."""
     for name, value in (("j_levels", j_levels), ("nodes_per_octave", nodes_per_octave)):
         if value < 1:
             raise ValidationFault(f"flow {name} must be at least 1, got {value}")
     if not cells:
         return []
-    kernels = KernelSpectra(spec)
+    modes = DistinctModes(spec)
     checked, wicks = [], []
     for model, nu, scheme in cells:
         noise_model = (model.noise or NoiseModel("mollified_white", 1.0, 0)).with_nu(nu)
-        wicks.append(WickCalculator(spec, noise_model, kernels))
+        wicks.append(WickCalculator(spec, noise_model, modes))
         anchors = scheme.as_dict()
         relevant = relevant_filtered(model)
         for key in anchors:
@@ -345,11 +379,10 @@ def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max
 
     nodes, weights = _octave_nodes(j_levels, nodes_per_octave)
     quadrature = (nodes, weights, j_levels, nodes_per_octave)
-    C_D = np.array([wick_sums(wicks, mu, dot=True) for mu in nodes])  # (node, cell, C|D)
-    C_min, C_one = (wick_sums(wicks, mu, dot=False)[:, 0] for mu in (2.0**-j_levels, 1.0))
+    sums = wick_sums(wicks, np.append(nodes, (2.0**-j_levels, 1.0)), dot=True)  # (cell, mu, C|D)
     return [
-        _flow_counterterms(spec, *cell, wick, quadrature, C_D[:, c].T, float(C_min[c]), float(C_one[c]))
-        for c, (cell, wick) in enumerate(zip(checked, wicks))
+        _flow_counterterms(spec, *cell, wick, quadrature, C_D[:-2].T, float(C_D[-2, 0]), float(C_D[-1, 0]))
+        for cell, wick, C_D in zip(checked, wicks, sums)
     ]
 
 

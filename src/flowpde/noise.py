@@ -221,9 +221,10 @@ def sample_macroscopic_noise(
 ) -> Field:
     """One reproducible sample of bold-Xi_nu on the (possibly extended)
     lattice window.  Mollified white noise is the noise driver of
-    spectral_driver read over every slice."""
+    spectral_driver read over every slice, padded for the model's own
+    taps."""
     if model.kind == "mollified_white":
-        driver = spectral_driver(model, spec, history)
+        driver = spectral_driver(model, spec, history, nu_max=model.nu)
         data = irfft_space(driver.window(driver.spectrum(sample_index)), driver.spec)
         return Field(driver.spec, data, SPACE_TIME)
     _check_resolution(model, spec)
@@ -347,9 +348,10 @@ def spectral_driver(
     nu_max, the largest nu among the drivers meant to share the spectrum.
     Only the blocks of W that cover those rows are drawn, and they hold the
     values a full draw gives them.
-    sample_macroscopic_noise reads every slice at nu_max = 1 (m = 1215 for
-    nt = 1001 at dt = 0.0025); criterion 7's solve window, the last 201 of
-    those slices, reads W[760:1001] at nu_max = 0.2 (m = 288)."""
+    sample_macroscopic_noise reads every slice at nu_max = nu (m = 1250
+    for nt = 1201 at dt = 0.0025 and nu = 0.1, against 1440 at nu_max = 1);
+    criterion 7's solve window, the last 201 of its 1001 slices, reads
+    W[760:1001] at nu_max = 0.2 (m = 288)."""
     if model.kind != "mollified_white":
         raise ValidationFault(f"no spectral driver for {model.kind} noise")
     if not model.nu <= nu_max <= 1.0:

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from flowpde import flow
 from flowpde.errors import ValidationFault
 from flowpde.flow import (
     CoefKernel,
-    KernelSpectra,
+    DistinctModes,
     WickCalculator,
+    _octave_nodes,
     apply_moment,
     effective_force_series,
     expand_pathwise,
@@ -16,6 +20,7 @@ from flowpde.flow import (
     pairing_count,
     stationary_sum,
     taylor_decompose,
+    wick_sums,
 )
 from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
 from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, padded_length
@@ -74,10 +79,10 @@ def _reference_kernels(wick, mu):
 def _reference_node(wick, mu):
     """C(mu) and D(mu) from the products |S|^2 and Re(conj(S) S_dot) of
     the kernel spectra, one column per mode, summed over frequency with the
-    rfft Parseval weights times |T|^2 of the taps.  The sum over modes folds
-    |M|^2 onto the distinct |k|^sigma (the first mode of each value stands
-    for its column), the order the package sums in, so the comparison is
-    exact."""
+    rfft Parseval weights times |T|^2 of the taps: the spectral form of the
+    Wick sums, an oracle independent of the package's lag sums.  The sum
+    over modes folds |M|^2 onto the distinct |k|^sigma (the first mode of
+    each value stands for its column)."""
     S, S_dot, n_pad = _reference_kernels(wick, mu)
     T = np.fft.rfft(wick.taps, n=n_pad)
     weights = (2.0 / n_pad) * (T.real**2 + T.imag**2)
@@ -130,15 +135,17 @@ def _reference_covariance(wick, n_lags):
 def test_distinct_k_layout_equals_full_column_reference(spec, family):
     """The Wick sums run on the distinct values of |k|^sigma (129 of 256
     modes on criterion 7's lattice; in d = 2 several k share one |k| off
-    the axes too) and equal the one-column-per-mode |S|^2 |T|^2 formula bit
-    for bit, and the tap-smoothed formula to round-off."""
-    kernels = KernelSpectra(spec)
-    assert len(kernels.k_sigma) < spec.n**spec.d
+    the axes too) and equal the one-column-per-mode |S|^2 |T|^2 formula and
+    the tap-smoothed formula to round-off (at most 3e-15 measured).  The
+    covariance kernel, which keeps the spectral form, equals its
+    one-column-per-mode reference bit for bit."""
+    modes = DistinctModes(spec)
+    assert len(modes.k_sigma) < spec.n**spec.d
     for nu in (0.2, 0.1, 0.05):
-        wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family), kernels)
+        wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family), modes)
         for mu in (2.0**-8, 0.013, 0.37, 1.0):
             node = wick.flow_node(mu)
-            assert node == _reference_node(wick, mu)
+            np.testing.assert_allclose(node, _reference_node(wick, mu), rtol=1e-13, atol=0.0)
             assert node[0] == wick.tadpole(mu)
             np.testing.assert_allclose(node, _tap_smoothed_node(wick, mu), rtol=1e-13, atol=0.0)
         n_lags = min(int(np.ceil(2.0 / spec.dt)) + 1, spec.nt)
@@ -149,14 +156,86 @@ def test_distinct_k_layout_equals_full_column_reference(spec, family):
 
 @pytest.mark.parametrize("n, dt", [(64, 0.02), (256, 0.0025)])
 def test_flow_node_equals_tadpole_and_derivative(n, dt, desk_noise):
-    """The flow's per-node C and D, from one spectrum per kernel, equal the
-    tadpole and its derivative exactly."""
+    """The flow's per-node C and D, from one pass over the lags, equal the
+    tadpole and its derivative exactly, and the spectral reference to
+    round-off."""
     wick = WickCalculator(LatticeSpec(1, n, dt, -2.0, 1.0, 0.5), desk_noise)
     for mu in (2.0**-8, 0.013, 0.1, 0.37, 0.5, 1.0):
         c, d = wick.flow_node(mu)
         assert c == wick.tadpole(mu)
         assert d == wick.tadpole_derivative_half(mu)
-        assert (c, d) == _reference_node(wick, mu)
+        np.testing.assert_allclose((c, d), _reference_node(wick, mu), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, nu, mu, rows, taps",
+    [
+        (LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5), 0.2, 2.0**-10, 2, 41),
+        (LatticeSpec(1, 64, 0.02, -2.0, 1.0, 0.5), 0.05, 0.015, 3, 3),
+        (LatticeSpec(2, 16, 0.01, 0.0, 0.5, 0.5), 0.1, 0.007, 3, 6),
+    ],
+    ids=["taps-longer-than-rows", "mu-below-dt", "d2-mu-below-dt"],
+)
+def test_lag_sums_at_the_edges_equal_the_spectral_reference(spec, nu, mu, rows, taps):
+    """At mu < dt the dot kernel's rows start at j = 0 (at mu = 2^-10 both
+    of its two rows lie past 2 mu, so D = 0); where the taps outnumber the
+    rows, only the lags below the row count pair any slices.  Each point,
+    in d = 1 and d = 2, matches the spectral reference."""
+    wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, "skew"))
+    assert mu < spec.dt
+    assert (int(np.ceil(2.0 * mu / spec.dt)) + 1, len(wick.taps)) == (rows, taps)
+    c, d = wick.flow_node(mu)
+    assert c > 0.0 and (d != 0.0) == (rows > 2)
+    np.testing.assert_allclose((c, d), _reference_node(wick, mu), rtol=1e-13, atol=0.0)
+
+
+def _ensemble_wicks():
+    """Criterion 7's six cells (two families, three nu) on its lattice."""
+    spec = LatticeSpec(1, 256, 0.0025, 0.0, 0.5, 0.5)
+    modes = DistinctModes(spec)
+    return [
+        WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family), modes)
+        for family in ("bump", "skew")
+        for nu in (0.2, 0.1, 0.05)
+    ]
+
+
+def test_a_cells_wick_sums_alone_equal_its_sums_in_a_stack():
+    """Each cell contracts the shared node products with its own
+    autocorrelation and heat trace, one matvec per cell, so its C and D are
+    bit-identical whether it is summed alone or with five other cells of
+    other tap lengths."""
+    wicks = _ensemble_wicks()
+    assert len({len(wick.taps) for wick in wicks}) == 3
+    nodes, _ = _octave_nodes(8, 8)
+    mus = np.append(nodes, (2.0**-8, 1.0))
+    stacked = wick_sums(wicks, mus, dot=True)
+    assert stacked.shape == (6, len(mus), 2)
+    for wick, sums in zip(wicks, stacked):
+        assert np.array_equal(wick_sums([wick], mus, dot=True)[0], sums)
+
+
+def test_wick_sums_temporaries_stay_within_nodes_by_rows():
+    """No temporary holds (nodes x rows x lags) doubles: criterion 7's six
+    cells at 66 nodes and 801 rows, with up to 41 lags, peak at a few
+    nodes-by-rows arrays; the n = 8192 tadpole builds its heat traces in
+    blocks of modes, not as one 401 x 4097 table (13 MB)."""
+    wicks = _ensemble_wicks()
+    nodes, _ = _octave_nodes(8, 8)
+    mus = np.append(nodes, (2.0**-8, 1.0))
+    rows = int(np.ceil(2.0 / wicks[0].spec.dt)) + 1
+    wide = WickCalculator(LatticeSpec(1, 8192, 0.01, -2.0, 1.0, 0.5), NoiseModel("mollified_white", 0.05, 11))
+    tracemalloc.start()
+    try:
+        wick_sums(wicks, mus, dot=True)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        wide.tadpole(1.0)
+        _, wide_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(mus) * rows * 8
+    assert wide_peak < 2 * 8 * DistinctModes.BLOCK
 
 
 def test_tadpole_matches_monte_carlo(desk_spec, desk_noise):
@@ -235,13 +314,17 @@ def test_flow_expected_validations(desk_model, desk_spec):
         )
 
 
-def test_flow_stack_of_no_cells_builds_no_spectrum(monkeypatch, desk_spec):
-    """A plan whose cells all carry counterterm overrides flows nothing."""
+def test_flow_stack_of_no_cells_builds_no_spectrum(monkeypatch, desk_model, desk_spec):
+    """A plan whose cells all carry counterterm overrides flows nothing:
+    no mode table, no heat trace, no Wick sum is built."""
 
-    def refused(self, mu, n_pad, dot):
-        raise AssertionError("a kernel spectrum was built")
+    def refused(*args, **kwargs):
+        raise AssertionError("a Wick sum or its mode table was built")
 
-    monkeypatch.setattr(KernelSpectra, "at", refused)
+    monkeypatch.setattr(flow, "DistinctModes", refused)
+    monkeypatch.setattr(flow, "wick_sums", refused)
+    with pytest.raises(AssertionError, match="was built"):
+        flow_stack(desk_spec, [(desk_model, 0.1, RenormScheme.for_model(desk_model))])
     assert flow_stack(desk_spec, []) == []
 
 

@@ -12,7 +12,7 @@ from flowpde.harness import (
 )
 from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
-from flowpde.lattice import SPACE_ONLY, Field, irfft_space, padded_length, rfft_space
+from flowpde.lattice import SPACE_ONLY, Field, irfft_space, rfft_space
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_mild, solve_stack, solve_window
 
@@ -405,15 +405,14 @@ def test_general_path_cells_equal_the_per_sample_pipeline(variant, nu_schedule):
 
 
 def _record_flow_nodes(monkeypatch) -> list:
-    """(family, nu, mu) of every cell at every flow node that runs from here
-    on (the wick_sums calls with the dot kernel)."""
+    """(family, nu, mu) of every cell at every mu of the flows that run from
+    here on: the nodes and the two end points of each wick_sums call."""
     calls = []
     wick_sums = flow.wick_sums
 
-    def recorded(wicks, mu, dot):
-        if dot:
-            calls.extend((wick.model.family, wick.model.nu, mu) for wick in wicks)
-        return wick_sums(wicks, mu, dot)
+    def recorded(wicks, mus, dot):
+        calls.extend((wick.model.family, wick.model.nu, mu) for wick in wicks for mu in mus)
+        return wick_sums(wicks, mus, dot)
 
     monkeypatch.setattr(flow, "wick_sums", recorded)
     return calls
@@ -518,29 +517,26 @@ def test_plan_rejects_sizes_below_one(key, value):
 
 def test_stacked_flow_equals_each_cells_own_flow(monkeypatch):
     """The six cells of a 2 family x 3 nu plan, integrated as one flow_stack,
-    get the counterterms of each cell's own flow_expected to round-off.  At
-    each node one kernel-spectrum pair serves all cells, at the longest of
-    their own pads; at some nodes those pads differ (the taps' length
-    depends on nu), so a stacked cell is summed at a longer pad than its own."""
+    get the counterterms of each cell's own flow_expected to round-off.
+    One wick_sums call, over every node and the two end points, serves all
+    cells, whose taps, and so whose lag counts, differ with nu."""
     plan = _small_plan(nu_schedule=(0.2, 0.1, 0.05))
-    built = []
-    at = flow.KernelSpectra.at
+    calls = []
+    wick_sums = flow.wick_sums
 
-    def recorded(self, mu, n_pad, dot):
-        built.append((mu, n_pad, dot))
-        return at(self, mu, n_pad, dot)
+    def recorded(wicks, mus, dot):
+        calls.append(([len(wick.taps) for wick in wicks], np.array(mus), dot))
+        return wick_sums(wicks, mus, dot)
 
-    monkeypatch.setattr(flow.KernelSpectra, "at", recorded)
+    monkeypatch.setattr(flow, "wick_sums", recorded)
     cells = harness._make_cells(plan)
     monkeypatch.undo()
     assert len(cells) == 6
     nodes, _ = flow._octave_nodes(plan.flow_j_levels, plan.flow_nodes_per_octave)
+    [(taps, mus, dot)] = calls
+    assert len(taps) == 6 and len(set(taps)) == 3 and dot
+    assert np.array_equal(mus, np.append(nodes, (2.0**-plan.flow_j_levels, 1.0)))
     spec = plan.lattice()
-    wicks = [flow.WickCalculator(spec, cell.model.noise) for cell in cells]
-    pads = {mu: {padded_length(np.ceil(2 * mu / spec.dt) + len(w.taps) + 2) for w in wicks} for mu in nodes}
-    assert [b for b in built if b[2]] == [(mu, max(pads[mu]), True) for mu in nodes]
-    assert [mu for mu, _, dot in built if not dot] == [2.0**-plan.flow_j_levels, 1.0]
-    assert max(len(p) for p in pads.values()) > 1
     for cell in cells:
         scheme = RenormScheme.for_model(cell.model, dict(plan.scheme_values))
         _, ct = flow_expected(
@@ -561,7 +557,7 @@ def test_override_cells_run_no_flow(monkeypatch):
     plan = _small_plan()
     harness._make_cells(plan)
     nodes, _ = flow._octave_nodes(plan.flow_j_levels, plan.flow_nodes_per_octave)
-    assert len(calls) == len(plan.variants) * len(plan.nu_schedule) * len(nodes)
+    assert len(calls) == len(plan.variants) * len(plan.nu_schedule) * (len(nodes) + 2)
     calls.clear()
     zero = (((1, 1, ((0,),)), 0.0),)
     plan = replace(plan, counterterm_overrides=(("bump", zero),))

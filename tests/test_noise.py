@@ -348,19 +348,26 @@ def test_spectral_driver_keeps_the_checks_of_the_sample_path():
         spectral_driver(spectral, spec, 1.0, nu_max=0.05)
 
 
-def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
-    """At nu = 1, the longest taps, on flowpde simulate's lattice the drive
-    spectrum is m = 1440 long, the least 5-smooth length that leaves room
-    for every slice and the taps.  The sample equals the direct causal
-    convolution of the mollified white noise with the taps on every slice:
-    no tail wraps onto the first slices."""
+def _assert_sample_is_the_causal_convolution(monkeypatch, nu, m):
+    """On flowpde simulate's lattice, history 2: sample_macroscopic_noise
+    transforms W on a spectrum m long, the least 5-smooth length that leaves
+    room for every slice and the taps of nu, and equals the direct causal
+    convolution of the mollified white noise with the taps on every slice."""
     spec = LatticeSpec(1, 256, 0.0025, 0.0, 1.0, 0.5)
-    model = NoiseModel("mollified_white", 1.0, 5, "bump", resolution_policy="spectral")
-    driver = spectral_driver(model, spec, 2.0)
-    ext = driver.spec
+    model = NoiseModel("mollified_white", nu, 5, "bump", resolution_policy="spectral")
+    ext = noise.extended_window(spec, 2.0)
     taps = _temporal_taps(model, ext)
-    assert driver.time.size == 1440 >= ext.nt + len(taps) - 1
+    assert m == padded_length(ext.nt + len(taps)) >= ext.nt + len(taps) - 1
+    pads = []
+    white_spectrum = noise.white_spectrum
+
+    def recorded(master_seed, sample_index, spec, m, rows):
+        pads.append(m)
+        return white_spectrum(master_seed, sample_index, spec, m, rows)
+
+    monkeypatch.setattr(noise, "white_spectrum", recorded)
     sample = sample_macroscopic_noise(model, spec, 3, history=2.0)
+    assert pads == [m]
     w = white_noise_slab(ext, model.master_seed, 3, (0, ext.nt))
     space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
     w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
@@ -371,6 +378,19 @@ def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum():
     err = np.max(np.abs(sample.data - ref), axis=1)
     assert err.shape == (ext.nt,)
     assert np.all(err <= REL_TOL * np.max(np.abs(ref)))
+
+
+def test_longest_taps_do_not_wrap_on_the_5_smooth_spectrum(monkeypatch):
+    """At nu = 1, the longest taps, the drive spectrum is m = 1440 long,
+    and no tail wraps onto the first slices."""
+    _assert_sample_is_the_causal_convolution(monkeypatch, 1.0, 1440)
+
+
+def test_simulate_nu_taps_do_not_wrap_on_the_5_smooth_spectrum(monkeypatch):
+    """At nu = 0.1, the noise of the simulate benchmark, the sample is
+    padded for its own 21 taps, m = 1250 rather than the 1440 of nu = 1,
+    and still no tail wraps onto the first slices."""
+    _assert_sample_is_the_causal_convolution(monkeypatch, 0.1, 1250)
 
 
 @pytest.mark.parametrize(
