@@ -40,7 +40,7 @@ from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
 from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
 from .model import ModelSpec, RenormScheme, compile_force, relevant_filtered
-from .noise import SpectralDriver, extended_window, sample_macroscopic_noise, spectral_driver
+from .noise import SpectralDriver, extended_window, resolution, sample_macroscopic_noise, spectral_driver
 from .solver import (
     STATUS_BLEW_UP,
     SolveConfig,
@@ -313,6 +313,14 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     Verdict "universal": at the final nu the cross-variant gap of every
     observable is <= 3 combined SE, and the gap magnitudes are non-increasing
     along the schedule (one SE-sized violation tolerated).
+
+    The verdict (the CLI's verdict.json) also says what was compared:
+    `compared` names the two variants of the gaps, and each entry of
+    `cells`, one per (variant, nu, observable), gives the samples kept and
+    dropped (non-finite) and the lattice's resolution at nu
+    (noise.resolution): dx_over_scale = dx/[nu], dt_over_nu = dt/nu, and
+    strict_resolution, whether the strict policy would pass whatever
+    policy the variant runs under.
     """
     raw = {}
     cells = {}
@@ -382,6 +390,7 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
     # the choices behind the numbers: the gaps compare the first two
     # variants only, and each cell drops its non-finite samples
     verdict["compared"] = labels[:2] if gaps else []
+    spec = plan.lattice()
     verdict["cells"] = [
         {
             "variant": label,
@@ -389,6 +398,7 @@ def run_universality(plan: ExperimentPlan) -> ExperimentReport:
             "observable": obs,
             "kept": c["samples"],
             "dropped": plan.samples - c["samples"],
+            **resolution(nu, spec),
         }
         for (label, nu, obs), c in cells.items()
     ]

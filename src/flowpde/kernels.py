@@ -299,22 +299,24 @@ def _check_moment_index(a: tuple, d: int, sigma: float) -> None:
         )
 
 
-# time slices per inverse transform in dot_G_moment_norms: of the heat
-# stack that serves every raw norm, and of each index's dressed table
+# time slices per inverse transform in dot_G_moment_norms, of the heat stack
+# that serves every raw norm and of each index's dressed table: a block of
+# slices on the parity orthant [0, n/2]^d goes through one irfft per axis,
+# which bounds the size of the real-space arrays
 MOMENT_BLOCK = 4
 
 
-def _sin_shift(x: np.ndarray, out: np.ndarray, axis: int, parity: int | None) -> np.ndarray:
+def _sin_shift(x: np.ndarray, out: np.ndarray, axis: int, parity: int) -> np.ndarray:
     """out = (x[k - 1] - x[k + 1]) / 2 along `axis`, which times 1/i is the
-    spectrum of sin(x) times the field x is the spectrum of.  `parity` is
-    None on a full periodic axis; on the rfft half of the last axis it is
-    the table's parity in that frequency, which supplies the entries past
-    the half: x[-1] = parity x[1] and x[n/2 + 1] = parity x[n/2 - 1]."""
+    spectrum of sin(x) times the field x is the spectrum of.  The table
+    holds the frequencies [0, n/2] of the axis, and `parity` (+1 or -1) is
+    its parity in that frequency, which supplies the entries past both ends:
+    x[-1] = parity x[1] and x[n/2 + 1] = parity x[n/2 - 1].  The result has
+    the opposite parity."""
     x, o = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(x[:-2], x[2:], out=o[1:-1])
-    lo, hi = (x[-1], x[0]) if parity is None else (parity * x[1], parity * x[-2])
-    np.subtract(lo, x[1], out=o[0])
-    np.subtract(x[-2], hi, out=o[-1])
+    np.subtract(parity * x[1], x[1], out=o[0])
+    np.subtract(x[-2], parity * x[-2], out=o[-1])
     o *= 0.5
     return out
 
@@ -338,16 +340,26 @@ def dot_G_moment_norms(
     quadrature-clean.
 
     The moment weight X^a = t^{a0}/a0! * prod sin(x_c)^{a_c}/a_c! is a time
-    weight per slice times a spatial weight per point.  The kernel is real
-    in x, so every table lives on the rfft half of the last axis.  Per mu
-    the heat table e^{-t|k|^sigma} is built once, and one inverse transform
-    of it gives every raw norm: each index weights |G(t, x)| by
+    weight per slice times a spatial weight per point.  Every kernel table
+    is real and has a definite parity in each frequency axis: the heat table
+    e^{-t|k|^sigma} is even in each, and each sin weight flips the parity on
+    its own axis.  So every table lives on the parity orthant [0, n/2]^d,
+    and its inverse transform runs one axis at a time: times -i on an odd
+    axis (which makes the half Hermitian), irfft along the axis, and only
+    the outputs x_c in [0, n/2] kept on every axis but the last.  |f| is
+    even in every x_c, so the interior points of those axes count twice
+    (x_c and n - x_c).  The phases multiply to (-i)^(number of odd axes),
+    which differs from the sin weights' (-i)^|abar| by a sign only, and |.|
+    cannot see it.
+
+    Per mu the heat table is built once, and one inverse transform of it
+    gives every raw norm: each index weights |G(t, x)| by
     |dot_weight(t, mu)| t^{a0} / (a0! a1! ... ad!) per slice and by
-    prod |sin(x_c)|^{a_c} per point.  The dressed norm keeps the spatial
-    weight spectral (see the comment below) and applies P_mu^g's time
-    factor, np.gradient's stencil, as one (nt_local x nt_local) matrix that
-    also carries the time weight.  Transforms run over MOMENT_BLOCK time
-    slices at a time, which bounds the size of the real-space arrays.
+    prod |sin(x_c)|^{a_c} times the multiplicity per point.  The dressed
+    norm keeps the spatial weight spectral (see the comment below) and
+    applies P_mu^g's time factor, np.gradient's stencil, as one
+    (nt_local x nt_local) matrix that also carries the time weight.
+    Transforms run over MOMENT_BLOCK time slices at a time.
 
     Expected scaling: raw ~ [mu]^{[a]}; dressed ~ [nu v mu]^{sigma-eps} *
     [mu]^{eps-sigma+[a]} -- at fixed nu >= mu the dressed log-log slope in
@@ -364,33 +376,44 @@ def dot_G_moment_norms(
     if g is None:
         g = default_g(spec.sigma)
     half = spec.n // 2 + 1
-    ks = spec.k_norm()[..., :half]
+    ks = spec.k_norm()[(slice(0, half),) * spec.d]
     ks_sigma = ks**spec.sigma
     r_mult = 1.0 + (spec.scale_of(nu) * ks) ** (spec.sigma - eps)
     axes = tuple(range(-spec.d, 0))
     per_slice = (...,) + (None,) * spec.d
     sin_x = np.abs(np.sin(spec.dx * np.arange(spec.n)))
-    space_weights = np.stack(
-        [functools.reduce(np.multiply.outer, [sin_x**c for c in a[1:]]).ravel() for a in indices]
-    )
+    twice = np.full(half, 2.0)
+    twice[[0, -1]] = 1.0
+
+    def space_weight(abar):
+        """prod |sin(x_c)|^{a_c} on the output grid, times the multiplicity
+        of x_c in [0, n/2] on every axis but the last."""
+        per_axis = [sin_x[:half] ** c * twice for c in abar[:-1]] + [sin_x ** abar[-1]]
+        return functools.reduce(np.multiply.outer, per_axis).ravel()
+
+    space_weights = np.stack([space_weight(a[1:]) for a in indices])
+    multiplicity = space_weight((0,) * spec.d)
     heat = np.empty((nt_local, *ks.shape))
     tables = (np.empty_like(heat), np.empty_like(heat))
+    # one block's transform input, and per axis its irfft output (n points
+    # on that axis) and the outputs x_c in [0, n/2] kept there
     c_block = np.empty((MOMENT_BLOCK, *ks.shape), dtype=complex)
-    r_block = np.empty((MOMENT_BLOCK, *spec.space_shape()))
+    r_blocks = [np.empty(c_block.shape[:axis] + (spec.n,) + c_block.shape[axis:][1:]) for axis in axes]
+    kept = [(..., slice(0, half)) + (slice(None),) * (-1 - axis) for axis in axes[:-1]] + [...]
 
-    def abs_blocks(table, phase):
-        """(lo, |irfftn(phase * table[lo : lo + MOMENT_BLOCK])|) per block."""
+    def abs_blocks(table, odd):
+        """(lo, |f|) per block of table[lo : lo + MOMENT_BLOCK], f its
+        inverse transform on the output grid; odd: the table's odd axes."""
         for lo in range(0, nt_local, MOMENT_BLOCK):
-            part = table[lo : lo + MOMENT_BLOCK]
-            c, r = c_block[: len(part)], r_block[: len(part)]
-            if phase == 1:
-                np.copyto(c, part)
-            else:
-                np.multiply(part, phase, out=c)
-            for axis in axes[:-1]:
-                np.fft.ifft(c, axis=axis, out=c)
-            np.fft.irfft(c, spec.n, axis=-1, out=r)
-            yield lo, np.abs(r, out=r)
+            r = table[lo : lo + MOMENT_BLOCK]
+            c = c_block[: len(r)]
+            for axis, flip, r_out, keep in zip(axes, odd, r_blocks, kept):
+                if flip:
+                    np.multiply(r, -1j, out=c)
+                else:
+                    np.copyto(c, r)
+                r = np.fft.irfft(c, spec.n, axis=axis, out=r_out[: len(c)])[keep]
+            yield lo, np.abs(r, out=r).reshape(len(r), -1)
 
     rows = {a: [] for a in indices}
     for mu in mu_grid:
@@ -402,8 +425,8 @@ def dot_G_moment_norms(
         np.exp(heat, out=heat)
         dw = dot_weight(t, mu)
         slice_sums = np.empty((nt_local, len(indices)))
-        for lo, r in abs_blocks(heat, 1):
-            np.matmul(r.reshape(len(r), -1), space_weights.T, out=slice_sums[lo : lo + len(r)])
+        for lo, r in abs_blocks(heat, (False,) * spec.d):
+            np.matmul(r, space_weights.T, out=slice_sums[lo : lo + len(r)])
         # dressed norm: R_nu P_mu^g applied to the weighted kernel
         eye = np.eye(nt_local)
         time_factor = np.linalg.matrix_power(eye + mu * np.gradient(eye, dtl, axis=0), g)
@@ -416,16 +439,16 @@ def dot_G_moment_norms(
             # axis, equal to x + O(x^3) where the kernel concentrates as
             # mu -> 0, and smooth across the torus seam (a raw x weight has
             # a seam jump whose slow spectral tail the P_mu factors would
-            # amplify).  Applied spectrally, with its 1/i in the phase
-            # below, so the kernel's e^{-t|k|^sigma} tail stays exact and
-            # the large dressing factors never act on round-trip float
-            # noise.  The heat table is even in every frequency, and each
-            # shift flips its parity in the shifted one.
+            # amplify).  Applied spectrally, with its 1/i in the phase of
+            # abs_blocks, so the kernel's e^{-t|k|^sigma} tail stays exact
+            # and the large dressing factors never act on round-trip float
+            # noise.  The j-th shift on an axis sees a table of parity
+            # (-1)^j there.
             table = heat
             for axis, deg in zip(axes, abar):
                 for j in range(deg):
                     spare = tables[1] if table is tables[0] else tables[0]
-                    table = _sin_shift(table, spare, axis, (-1) ** j if axis == -1 else None)
+                    table = _sin_shift(table, spare, axis, (-1) ** j)
             if table is heat:
                 table = np.multiply(heat, dress, out=tables[0])
             else:
@@ -433,7 +456,8 @@ def dot_G_moment_norms(
             out = tables[1] if table is tables[0] else tables[0]
             step = time_factor * weight  # P_mu^g's time factor after the time weight
             np.matmul(step, table.reshape(nt_local, -1), out=out.reshape(nt_local, -1))
-            dressed = sum(float(np.sum(r)) for _, r in abs_blocks(out, (-1j) ** sum(abar)))
+            odd = tuple(deg % 2 == 1 for deg in abar)
+            dressed = sum(float(np.sum(r @ multiplicity)) for _, r in abs_blocks(out, odd))
             rows[a].append({"mu": mu, "raw": raw * measure, "dressed": dressed * measure})
     return rows
 
@@ -459,20 +483,26 @@ def reconstruct_G(
     (the grid realization of G: below the grid scale the cutoff is inert,
     except for the t=0 tap which every positive-scale cutoff kills).
 
-    Midpoint rule in log mu over geometric cells.  Returns (reconstructed,
-    direct); their gap is pure mu-quadrature error and at least halves under
-    refinement of cells_per_octave (mu_min stays fixed).
+    Midpoint rule in log mu over geometric cells.  The sum is taken on the
+    multipliers: G_T - sum dmu dG_mid is built as one kernel (each term the
+    multiplier `cutoff_heat` or `dot_G` holds, from one heat table) and
+    convolved with f once, since convolve is linear in the kernel.  Returns
+    (reconstructed, direct); their gap is still pure mu-quadrature error
+    and at least halves under refinement of cells_per_octave (mu_min stays
+    fixed).
     """
     mu_min = T * 2.0**-n_octaves
     direct = convolve(cutoff_heat(spec, mu_min), f)
-    acc = convolve(cutoff_heat(spec, T), f).data.copy()
+    t = spec.dt * np.arange(spec.nt)
+    heat = heat_multiplier(spec, t)
+    per_slice = (...,) + (None,) * spec.d
+    mult = chi(t / T)[per_slice] * heat
     edges = T * 2.0 ** (-np.arange(0, n_octaves * cells_per_octave + 1) / cells_per_octave)
-    for i in range(len(edges) - 1):
-        hi_e, lo_e = edges[i], edges[i + 1]
-        mid = np.sqrt(hi_e * lo_e)
-        dmu = hi_e - lo_e
-        acc -= dmu * convolve(dot_G(spec, mid), f).data
-    return Field(spec, acc, SPACE_TIME), direct
+    mids = np.sqrt(edges[:-1] * edges[1:])
+    for dmu, weight in zip(edges[:-1] - edges[1:], dot_weight(t, mids[:, None])):
+        mult -= dmu * (weight[per_slice] * heat)
+    return convolve(SpectralKernel(spec, mult), f), direct
+
 
 # -- invariant battery ------------------------------------------------------
 

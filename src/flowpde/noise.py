@@ -168,19 +168,35 @@ class NoiseModel:
         return dataclasses.replace(self, nu=nu)
 
 
+def _unresolved(nu: float, spec: LatticeSpec) -> list:
+    """The rules of the strict resolution policy that the lattice breaks at
+    nu, as (rule, bound, step name, step): it needs dx <= [nu]/4 and
+    dt <= nu/4, each to 1e-12."""
+    lam = nu ** (1.0 / spec.sigma)
+    rules = (("dx <= [nu]/4", lam / 4.0, "dx", spec.dx), ("dt <= nu/4", nu / 4.0, "dt", spec.dt))
+    return [rule for rule in rules if rule[3] > rule[1] + 1e-12]
+
+
+def resolution(nu: float, spec: LatticeSpec) -> dict:
+    """The lattice's steps in units of the mollification scales at nu,
+    dx/[nu] and dt/nu, and whether the strict resolution policy would
+    pass."""
+    return {
+        "dx_over_scale": spec.dx / nu ** (1.0 / spec.sigma),
+        "dt_over_nu": spec.dt / nu,
+        "strict_resolution": not _unresolved(nu, spec),
+    }
+
+
 def _check_resolution(model: NoiseModel, spec: LatticeSpec):
-    lam = model.nu ** (1.0 / spec.sigma)
     if model.resolution_policy == "spectral":
         return
-    if spec.dx > lam / 4.0 + 1e-12:
+    unresolved = _unresolved(model.nu, spec)
+    if unresolved:
+        rule, bound, name, step = unresolved[0]
         raise ValidationFault(
-            f"lattice under-resolves mollification scale: need dx <= [nu]/4 = "
-            f"{lam / 4.0:.6g}, have dx = {spec.dx:.6g}"
-        )
-    if spec.dt > model.nu / 4.0 + 1e-12:
-        raise ValidationFault(
-            f"lattice under-resolves mollification scale: need dt <= nu/4 = "
-            f"{model.nu / 4.0:.6g}, have dt = {spec.dt:.6g}"
+            f"lattice under-resolves mollification scale: need {rule} = "
+            f"{bound:.6g}, have {name} = {step:.6g}"
         )
 
 

@@ -154,6 +154,7 @@ def test_universality_command(tmp_path):
     for cell in verdict["cells"]:
         assert {cell["variant"], cell["nu"]} <= {"bump", "skew", *plan["nu_schedule"]}
         assert cell["kept"] + cell["dropped"] == plan["samples"]
+        assert {"dx_over_scale", "dt_over_nu", "strict_resolution"} <= set(cell)
     rows = _read_csv(out / "report.csv")
     assert {r["variant"] for r in rows} == {"bump", "skew"}
     assert {"estimate", "se", "gap", "verdict"} <= set(rows[0])

@@ -495,6 +495,36 @@ def test_verdict_reports_compared_variants_and_dropped_samples(monkeypatch):
     assert sum(row["dropped"] for row in rows) > 0
 
 
+def test_verdict_cells_report_the_lattice_resolution():
+    """Criterion 7's plan shape (n = 256, dt = 0.0025, sigma = 1/2, so
+    [nu] = nu^2) resolves nu in time but not [nu] in space under the strict
+    policy, at every nu of its schedule; the spectral policy it runs under
+    does not check, so the verdict says it."""
+    plan = _small_plan(
+        nu_schedule=(0.2, 0.1, 0.05),
+        samples=2,
+        n=256,
+        dt=0.0025,
+        t_max=0.5,
+        observables=(Observable("slice_moment", p=2, time=0.5),),
+        solve=SolveConfig(scheme="etd1", blow_up_radius=50.0, max_horizon=0.5, t_local=0.5),
+        flow_j_levels=8,
+        flow_nodes_per_octave=8,
+    )
+    rows = run_universality(plan).verdict["cells"]
+    assert len(rows) == 6
+    spec = plan.lattice()
+    for row in rows:
+        nu = row["nu"]
+        assert row["dx_over_scale"] == pytest.approx(spec.dx / nu**2, rel=1e-12)
+        assert row["dt_over_nu"] == pytest.approx(spec.dt / nu, rel=1e-12)
+        assert row["dx_over_scale"] > 0.25 and row["dt_over_nu"] <= 0.25
+        assert row["strict_resolution"] is False
+        strict = NoiseModel("mollified_white", nu, 7, row["variant"])
+        with pytest.raises(ValidationFault, match=r"need dx <= \[nu\]/4"):
+            sample_macroscopic_noise(strict, spec, 0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mean_se_is_nan_without_enough_samples():
     mean, se = harness._mean_se(np.array([]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowpde import kernels
 from flowpde.errors import ValidationFault
 from flowpde.kernels import (
     DEFAULT_EPS,
@@ -127,6 +128,29 @@ def test_reconstruction_error_halves(rng):
     assert errs[1] <= 0.55 * errs[0]
 
 
+def _per_cell_reconstruction(spec, f, T, cells_per_octave, n_octaves=14):
+    """Reference for reconstruct_G: G_T * f less dmu dG_mid * f, one
+    convolution per cell."""
+    acc = convolve(cutoff_heat(spec, T), f).data.copy()
+    edges = T * 2.0 ** (-np.arange(0, n_octaves * cells_per_octave + 1) / cells_per_octave)
+    for hi_e, lo_e in zip(edges[:-1], edges[1:]):
+        acc -= (hi_e - lo_e) * convolve(dot_G(spec, np.sqrt(hi_e * lo_e)), f).data
+    return acc
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+def test_reconstruction_is_one_convolution_of_the_summed_kernel(cells, rng, monkeypatch):
+    spec = LatticeSpec(1, 32, 0.01, -1.0, 1.0, 0.5)
+    f = Field(spec, rng.standard_normal((spec.nt, spec.n)), SPACE_TIME)
+    reference = _per_cell_reconstruction(spec, f, 0.5, cells)
+    calls = []
+    monkeypatch.setattr(kernels, "convolve", lambda *a: calls.append(1) or convolve(*a))
+    recon, direct = reconstruct_G(spec, f, T=0.5, cells_per_octave=cells)
+    assert len(calls) == 2  # the direct cutoff and the summed kernel
+    tol = 1e-12 * np.max(np.abs(direct.data))
+    np.testing.assert_allclose(recon.data, reference, rtol=0, atol=tol)
+
+
 def test_moment_norm_raw_slope(desk_spec):
     from flowpde.kernels import spacetime_degree
 
@@ -212,6 +236,12 @@ def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
         (3, 16, 3.0, ((0, 1, 0, 1), (0, 0, 0, 2))),
         # every index of the lattice in one call, from one heat table
         (2, 64, 2.0, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        # n = 4: the orthant is [0, 2]^d, so the sin-shift edge rules touch
+        # both ends of every axis; all four admissible indices in one call
+        (2, 4, 1.5, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (3, 4, 3.0, ((0, 1, 0, 1), (0, 0, 0, 2))),
+        # two shifts on a non-last axis, and one shift on each axis
+        (2, 8, 2.0, ((0, 2, 0), (0, 1, 1))),
     ],
 )
 def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
@@ -228,12 +258,17 @@ def test_moment_norms_equal_full_grid_formula(d, n, sigma, a):
 
 # Peak traced allocation of one mu on the battery's d = 2, n = 256 lattice:
 # 169 MiB with a = (0, 0, 0) and 265 MiB with a = (0, 1, 0) for the
-# full-grid formula; about 43 MiB on the half spectrum, for either alone
-# and for the battery's three indices in one call, which share one heat
-# stack.  The bounds are half the full-grid peaks.
+# full-grid formula; about 43 MiB on the rfft half of the last axis, and
+# about 23 MiB on the parity orthant [0, n/2]^2, for either alone and for
+# the battery's three indices in one call, which share one heat stack.
+# The first bounds are half the full-grid peaks; the last holds the
+# battery's call to the orthant's footprint.
+BATTERY_INDICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+
+
 @pytest.mark.parametrize(
     "a, bound_mib",
-    [(((0, 0, 0),), 84), (((0, 1, 0),), 132), (((0, 0, 0), (1, 0, 0), (0, 1, 0)), 84)],
+    [(((0, 0, 0),), 84), (((0, 1, 0),), 132), (BATTERY_INDICES, 84), (BATTERY_INDICES, 32)],
 )
 def test_moment_norms_peak_memory(a, bound_mib):
     spec = LatticeSpec(2, 256, 0.02, 0.0, 1.0, 2.0)

@@ -74,6 +74,31 @@ def test_resolution_policy_strict():
     sample_macroscopic_noise(spectral, coarse, 0)  # policy waives the check
 
 
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        (LatticeSpec(1, 1024, 0.05, 0.0, 0.4, 0.5), None),  # dx = 0.0061 <= 0.01, dt = nu/4
+        (LatticeSpec(1, 512, 0.05, 0.0, 0.4, 0.5), r"need dx <= \[nu\]/4 = 0.01"),
+        (LatticeSpec(1, 1024, 0.1, 0.0, 0.4, 0.5), r"need dt <= nu/4 = 0.05"),
+    ],
+    ids=["resolved", "coarse-dx", "coarse-dt"],
+)
+def test_resolution_report_is_the_strict_policy(spec, match):
+    """noise.resolution says whether the strict policy passes by the rule
+    sampling enforces."""
+    nu = 0.2
+    report = noise.resolution(nu, spec)
+    assert report["dx_over_scale"] == pytest.approx(spec.dx / nu**2, rel=1e-12)
+    assert report["dt_over_nu"] == pytest.approx(spec.dt / nu, rel=1e-12)
+    assert report["strict_resolution"] is (match is None)
+    model = NoiseModel("mollified_white", nu, 0, "bump")
+    if match is None:
+        noise._check_resolution(model, spec)
+    else:
+        with pytest.raises(ValidationFault, match=match):
+            noise._check_resolution(model, spec)
+
+
 def test_sample_reproducible_and_index_dependent():
     model = NoiseModel("mollified_white", 0.1, 3, "bump", resolution_policy="spectral")
     f1 = sample_macroscopic_noise(model, SPEC, 0)
