@@ -152,17 +152,21 @@ def check_finite(data: np.ndarray) -> None:
         raise NumericalFault(f"non-finite value at index {idx}")
 
 
-def rfft_space(data: np.ndarray, d: int) -> np.ndarray:
+def rfft_space(data: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """Real DFT over the trailing d axes, the rfft half on the last one
-    (np.fft.rfft itself for d = 1, without rfftn's per-call overhead)."""
-    return np.fft.rfft(data) if d == 1 else np.fft.rfftn(data, axes=tuple(range(-d, 0)))
+    (np.fft.rfft itself for d = 1, without rfftn's per-call overhead),
+    written into `out` when it is given."""
+    if d == 1:
+        return np.fft.rfft(data, out=out)
+    return np.fft.rfftn(data, axes=tuple(range(-d, 0)), out=out)
 
 
-def irfft_space(coeffs: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Inverse of rfft_space onto the spatial grid of `spec` (1/n^d factor)."""
+def irfft_space(coeffs: np.ndarray, spec: LatticeSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of rfft_space onto the spatial grid of `spec` (1/n^d factor),
+    written into `out` when it is given."""
     if spec.d == 1:
-        return np.fft.irfft(coeffs, spec.n)
-    return np.fft.irfftn(coeffs, spec.space_shape(), tuple(range(-spec.d, 0)))
+        return np.fft.irfft(coeffs, spec.n, out=out)
+    return np.fft.irfftn(coeffs, spec.space_shape(), tuple(range(-spec.d, 0)), out=out)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -289,6 +288,13 @@ class CompiledForce:
     nonzero term as (its scalar (-1)^|a| lambda^i coeff, m, a or None when
     no factor carries a derivative), built once; stack_forces makes each
     scalar a column of one value per row of a stack.
+
+    A call may be handed `out` and `work`, two arrays of phi's shape and
+    dtype that overlap neither phi nor each other: the force is written
+    into `out`, `work` holds each plain term on its way there, and both
+    are fresh arrays when not given.  The result is the same bit for bit
+    either way; the solver's stepping loop hands over buffers it holds for
+    a whole solve, every other caller lets the call allocate.
     """
 
     lam: float
@@ -316,12 +322,24 @@ class CompiledForce:
         parts = (_apply_multiplier(self.mults.get(aq), u) for u, aq in zip(factors, a))
         return functools.reduce(np.multiply, parts, 1.0)
 
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
+    def __call__(self, phi: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
         """sum (-1)^|a| lambda^i f^(i,m,a) d^(a_1) phi ... d^(a_m) phi: each
-        term its scalar times the product, plain where no factor is derived."""
-        out = np.zeros_like(phi)
+        term its scalar times the product, plain where no factor is derived.
+        A plain product is multiplied up in `work` in math.prod([phi] * m)'s
+        order (its leading 1 * phi is exact), a derived one takes monomial."""
+        out = np.empty_like(phi) if out is None else out
+        out.fill(0.0)
+        work = np.empty_like(phi) if work is None else work
         for scale, m, a in self.terms:
-            out += scale * (math.prod([phi] * m) if a is None else self.monomial([phi] * m, a))
+            if a is not None:
+                out += scale * self.monomial([phi] * m, a)
+            elif m == 0:
+                out += scale
+            else:
+                prod = phi
+                for _ in range(m - 1):
+                    prod = np.multiply(prod, phi, out=work)
+                out += np.multiply(prod, scale, out=work)
         return out
 
 

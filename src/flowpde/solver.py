@@ -33,6 +33,17 @@ spectra of the noise module's spectral drivers as they come, never in real
 space.  The driver stage turns those spectra into D's in place, and the
 stepping loop makes D real a chunk of slices at a time, so a stack holds
 no real drive beside its trajectory.
+
+The stepping loop keeps one buffer discipline: every array a step writes is
+allocated once per solve with one row per sample: R's half spectrum above
+its c_gamma weighting (one inverse transform gives both real slices), the
+two force spectra, the stage-2 slice, the force and its work array.  The
+transforms and the force write into these, and R + D goes straight into
+its trajectory row, so a step allocates nothing (a drive chunk is made
+real once per DRIVE_ROWS sample slices).  When a sample leaves at the
+blow-up radius, the live rows move to the front and the views are cut to
+them.  The 2/3 dealias mask is folded into the phi-function weights once:
+it is 0 or 1, so w (mask f) and (w mask) f agree bit for bit on finite f.
 """
 
 from __future__ import annotations
@@ -77,8 +88,8 @@ class SolveConfig:
             raise ValidationFault("blow-up radius must exceed 1")
         if not (math.isfinite(self.max_horizon) and self.max_horizon > 0.0):
             raise ValidationFault(f"max_horizon must be finite and positive, got {self.max_horizon}")
-        if self.gamma is not None and not math.isfinite(self.gamma):
-            raise ValidationFault(f"gamma must be finite, got {self.gamma}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValidationFault(f"gamma must be finite and positive, got {self.gamma}")
 
 
 @dataclass
@@ -163,6 +174,13 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     force scalars and drive rows; a non-finite slice in the stack faults.
     Returns one SolveResult per sample: R + D, written straight into the
     trajectory, and the norms of R.
+
+    A step allocates nothing: the transforms, the force and every update
+    write into buffers of one row per sample held for the whole solve (the
+    module docstring's buffer discipline), cut by views to the live rows.
+    The dealias mask is folded into w1 and w2 before the loop, so the
+    force spectra are never masked themselves: the mask is 0 or 1, so
+    w (mask f) and (w mask) f agree bit for bit on finite f.
     """
     dt = spec.dt
     n_steps = _n_steps(spec, cfg)
@@ -174,20 +192,15 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     e_lin = np.exp(lin)
     w1 = dt * _phi1(lin)
     w2 = dt * _phi2(lin)
-    mask = _dealias_mask(spec)[..., :half] if cfg.dealias else None
+    if cfg.dealias:
+        mask = _dealias_mask(spec)[..., :half]
+        w1, w2 = w1 * mask, w2 * mask
     d = spec.d
     space = tuple(range(-d, 0))
 
-    def force_hat(data: np.ndarray) -> np.ndarray:
-        f = rfft_space(force(data), d)
-        return f if mask is None else f * mask
-
-    def real_and_norm(phi_hat: np.ndarray) -> tuple:
-        both = irfft_space(np.concatenate((phi_hat, norm_mult * phi_hat)), spec)
-        return both[: len(phi_hat)], np.max(np.abs(both[len(phi_hat) :]), axis=space)
-
     samples = phi.shape[0]
-    traj = np.empty((samples, n_steps + 1, *spec.space_shape()))
+    shape = spec.space_shape()
+    traj = np.empty((samples, n_steps + 1, *shape))
     norms = np.full((samples, n_steps + 1), np.nan)
     last = np.full(samples, n_steps)
     breve_T = np.empty(samples)
@@ -195,45 +208,70 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     live = np.arange(samples)
     t_win, j_win, c_lo = 0.0, 0, 0
     width = max(DRIVE_ROWS // samples, 1)
+    # slots: R's half spectrum, its c_gamma weighting, the two force spectra
+    spectra = np.empty((4, samples, *shape[:-1], half), dtype=complex)
+    # slots: R, its weighting, their moduli, the stage-2 slice, the force,
+    # the force's work array, R + D
+    reals = np.empty((8, samples, *shape))
+    sups = np.empty(samples)
+    stops = np.empty(samples, dtype=bool)
+    k = samples
+    state, weighted, f0, f1 = spectra
+    data, _, _, _, stage, forced, work, total_buf = reals
     chunk = irfft_space(drive[:, :width], spec)
-    phi_hat = rfft_space(phi, d)
-    data, norms[:, 0] = real_and_norm(phi_hat)
-    total = data + chunk[:, 0]
-    traj[:, 0] = phi + chunk[:, 0]
+    rfft_space(phi, d, out=state)
+    np.multiply(norm_mult, state, out=weighted)
+    irfft_space(spectra[:2], spec, out=reals[:2])
+    np.max(np.abs(reals[1], out=reals[3]), axis=space, out=norms[:, 0])
+    total = np.add(data, chunk[:, 0], out=total_buf)
+    np.add(phi, chunk[:, 0], out=traj[:, 0])
     for j in range(1, n_steps + 1):
-        at = slice(None) if live.size == samples else live  # plain slices while no sample has left
+        at = slice(None) if k == samples else live  # plain slices while no sample has left
         if j == c_lo + width:
             c_lo = j
             chunk = irfft_space(drive[at, j : j + width], spec)
-        f0 = force_hat(total)
-        phi_hat = e_lin * phi_hat + w1 * f0
+        rfft_space(force(total, out=forced, work=work), d, out=f0)
+        np.multiply(e_lin, state, out=state)
+        np.add(state, np.multiply(w1, f0, out=f1), out=state)
         if cfg.scheme == "etd_rk2":
-            a_data = irfft_space(phi_hat, spec)
-            phi_hat = phi_hat + w2 * (force_hat(a_data + chunk[:, j - c_lo]) - f0)
-        data, sup = real_and_norm(phi_hat)
-        if not np.all(np.isfinite(data)):
+            np.add(irfft_space(state, spec, out=stage), chunk[:, j - c_lo], out=stage)
+            rfft_space(force(stage, out=forced, work=work), d, out=f1)
+            np.add(state, np.multiply(w2, np.subtract(f1, f0, out=f1), out=f1), out=state)
+        np.multiply(norm_mult, state, out=weighted)
+        irfft_space(spectra[:2, :k], spec, out=reals[:2, :k])
+        np.abs(reals[:2, :k], out=reals[2:4, :k])
+        if not math.isfinite(reals[2, :k].max()):
             raise NumericalFault(
                 f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
             )
-        total = data + chunk[:, j - c_lo]
-        traj[at, j] = total
+        sup = np.max(reals[3, :k], axis=space, out=sups[:k])
+        if k == samples:
+            total = np.add(data, chunk[:, j - c_lo], out=traj[:, j])
+        else:
+            total = np.add(data, chunk[:, j - c_lo], out=total_buf)
+            traj[live, j] = total
         norms[at, j] = sup
-        stop = sup >= cfg.blow_up_radius
+        stop = np.greater_equal(sup, cfg.blow_up_radius, out=stops[:k])
         if stop.any():
             last[live[stop]] = j
             breve_T[live[stop]] = t_win + (j - j_win) * dt
             blown[live[stop]] = True
             keep = ~stop
-            live, phi_hat, data, total = live[keep], phi_hat[keep], data[keep], total[keep]
+            live = live[keep]
             force = force.take(keep)
+            rows = state[keep], data[keep], total[keep]
             chunk = chunk[keep]
-            if not live.size:
+            k = live.size
+            if not k:
                 break
+            state, weighted, f0, f1 = spectra[:, :k]
+            data, _, _, _, stage, forced, work, total_buf = reals[:, :k]
+            state[...], data[...], total_buf[...] = rows
+            total = total_buf
         if j % per_window == 0 and j < n_steps:
             t_win, j_win = t_win + per_window * dt, j
-            phi_hat = rfft_space(data, d)
-            data = irfft_space(phi_hat, spec)
-            total = data + chunk[:, j - c_lo]
+            irfft_space(rfft_space(data, d, out=state), spec, out=data)
+            total = np.add(data, chunk[:, j - c_lo], out=total_buf)
     breve_T[live] = t_win + (n_steps - j_win) * dt
     out = []
     for s in range(samples):

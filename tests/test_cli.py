@@ -336,6 +336,28 @@ def test_bad_solve_horizon_exits_with_validation_code(tmp_path, capsys, horizon)
     assert not (tmp_path / "out" / "trajectory.fld").exists()
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.25])
+def test_non_positive_gamma_exits_before_the_flow(tmp_path, capsys, monkeypatch, gamma):
+    """A c_gamma exponent that is not positive is a config fault when the
+    solve config is built: exit code 1 and a one-line message naming it,
+    before the counterterm flow or the noise has run."""
+    import flowpde.cli
+
+    def flow_expected(*args, **kwargs):
+        raise AssertionError("flow_expected ran on a config with a bad gamma")
+
+    monkeypatch.setattr(flowpde.cli, "flow_expected", flow_expected)
+    cfg = json.loads(Path(MODEL).read_text())
+    cfg["solve"] = {"gamma": gamma}
+    path = _write(tmp_path, json.dumps(cfg), "gamma.json")
+    rc = main(["simulate", "--model", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert err.startswith("validation fault: gamma") and "Traceback" not in err, err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "trajectory.fld").exists()
+
+
 def _universality_argv(tmp_path, key, value, block=None):
     """`flowpde universality` on the smoke plan with one value changed."""
     plan = json.loads(Path(PLAN).read_text())

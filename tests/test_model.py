@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from flowpde.model import (
     evaluate_force,
     preset,
     relevant_filtered,
+    stack_forces,
 )
 
 
@@ -121,6 +123,44 @@ def test_evaluate_force_polynomial(desk_model, desk_spec, rng):
     lam = desk_model.lam
     expected = xi.data + lam * cubic_coef * phi.data**3 + lam * 0.7 * phi.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def _buffered_forces(spec):
+    """Forces of one shape with a derivative term, a constant term (m = 0)
+    and plain terms of arity 1 and 3: alone, and stacked two rows a force."""
+    mults = {(1,): derivative_multiplier(spec, (1,))}
+    tables = [
+        {(1, 2, ((0,), (1,))): c, (2, 0, ()): -0.7 * c, (1, 1, ((0,),)): 0.4, (1, 3, ((0,),) * 3): -c}
+        for c in (1.3, 0.6)
+    ]
+    forces = [CompiledForce(0.8, table, mults) for table in tables]
+    return forces[0], stack_forces(forces, 2, spec.d)
+
+
+def test_buffered_force_equals_the_allocating_force(desk_spec, rng):
+    """A call that writes into `out` through `work` equals the plain call
+    bit for bit, on one slice, on a stack and on a stack cut by take(); the
+    plain terms equal math.prod's product times their scalar, the order of
+    the force before it took buffers."""
+    one, stacked = _buffered_forces(desk_spec)
+    assert [a is None for _, _, a in one.terms] == [False, True, True, True]
+    assert [m for _, m, _ in one.terms] == [2, 0, 1, 3]
+    cases = [
+        (one, rng.standard_normal(desk_spec.n)),
+        (stacked, rng.standard_normal((4, desk_spec.n))),
+        (stacked.take(np.array([True, False, True, True])), rng.standard_normal((3, desk_spec.n))),
+    ]
+    for force, phi in cases:
+        plain = force(phi)
+        out, work = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+        buffered = force(phi, out=out, work=work)
+        assert buffered is out
+        assert not np.shares_memory(plain, phi)
+        np.testing.assert_array_equal(buffered, plain)
+        before = np.zeros_like(phi)
+        for scale, m, a in force.terms:
+            before += scale * (math.prod([phi] * m) if a is None else force.monomial([phi] * m, a))
+        np.testing.assert_array_equal(plain, before)
 
 
 def test_evaluate_force_missing_relevant_faults(desk_model, desk_spec):

@@ -11,6 +11,7 @@ from flowpde.model import CompiledForce, ModelSpec, Monomial, evaluate_force, pr
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
 from flowpde.solver import (
+    DRIVE_ROWS,
     STATUS_BLEW_UP,
     STATUS_COMPLETED,
     SolveConfig,
@@ -40,7 +41,7 @@ def test_solve_config_validation():
             SolveConfig(max_horizon=horizon)
     with pytest.raises(ValidationFault, match="radius"):
         SolveConfig(blow_up_radius=nan)
-    for gamma in (nan, inf):
+    for gamma in (nan, inf, 0.0, -0.5):
         with pytest.raises(ValidationFault, match="gamma"):
             SolveConfig(gamma=gamma)
 
@@ -424,6 +425,68 @@ def test_compiled_force_trajectory_matches_per_step_evaluation(desk_noise, rng):
     )
 
 
+SIMULATE_SPEC = LatticeSpec(1, 256, 0.0025, 0.0, 1.0, 0.5)  # flowpde simulate's lattice and window
+
+
+def test_simulate_shaped_solve_equals_the_reference_bit_for_bit(desk_noise):
+    """One sample at flowpde simulate's size (n = 256, 401 slices, etd_rk2,
+    dealiased, four windows of 0.25) equals the per-sample reference, whose
+    force is evaluated afresh and masked on its own, bit for bit."""
+    spec = SIMULATE_SPEC
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    ct = {(1, 1, ((0,),)): -0.4}
+    cfg = SolveConfig()
+    assert (cfg.scheme, cfg.dealias, cfg.t_local, cfg.max_horizon) == ("etd_rk2", True, 0.25, 1.0)
+    xi = sample_macroscopic_noise(desk_noise, spec, 3, history=2.0)
+    zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    res = solve_mild(model, ct, xi, zero, cfg)
+    traj, norms, status = _reference_solve(model, ct, zero, cfg, noise=solve_window(xi, spec, cfg))
+    assert res.status == status == STATUS_COMPLETED
+    assert res.trajectory.data.shape == (401, 256)
+    np.testing.assert_array_equal(res.trajectory.data, traj)
+    np.testing.assert_array_equal(res.slice_norms, norms)
+
+
+@pytest.mark.parametrize("scheme, per_step", [("etd_rk2", 2), ("etd1", 1)])
+def test_single_sample_solve_transform_budget(desk_noise, monkeypatch, scheme, per_step):
+    """A single-sample solve makes per_step forward and per_step inverse
+    transforms a step (the force at each stage, the stage-2 slice and the
+    slice with its monitor), plus fixed ones: the noise window's forward
+    transform, the start-up pair, one inverse per drive chunk and a pair
+    at each seam of t_local.  The force's buffers never overlap its input."""
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    call = CompiledForce.__call__
+
+    def checked(self, phi, out=None, work=None):
+        assert out is not None and work is not None
+        assert not (np.shares_memory(out, phi) or np.shares_memory(work, phi) or np.shares_memory(out, work))
+        return call(self, phi, out=out, work=work)
+
+    spec = SIMULATE_SPEC
+    model = preset("phi4_desk", lam=0.3, noise=desk_noise)
+    cfg = SolveConfig(scheme=scheme)
+    xi = sample_macroscopic_noise(desk_noise, spec, 0, history=2.0)
+    zero = Field(spec, np.zeros(spec.n), SPACE_ONLY)
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    monkeypatch.setattr(CompiledForce, "__call__", checked)
+    res = solve_mild(model, {(1, 1, ((0,),)): -0.4}, xi, zero, cfg)
+    steps = len(res.slice_norms) - 1
+    assert res.status == STATUS_COMPLETED and steps == 400
+    seams, chunks = 3, -(-(steps + 1) // DRIVE_ROWS)
+    assert counts == {"rfft": 1 + 1 + per_step * steps + seams, "irfft": chunks + 1 + per_step * steps + seams}
+
+
 def _windows(model, spec, cfg, samples):
     """Each sample's solve_window slices of its noise."""
     out = []
@@ -534,9 +597,9 @@ def test_row_groups_of_one_stack_equal_their_own_stacks(monkeypatch):
     rows = []
     call = CompiledForce.__call__
 
-    def recorded(self, phi):
+    def recorded(self, phi, *args, **kwargs):
         rows.append(({len(s) for s, _, _ in self.terms if np.ndim(s)}, phi.shape[0]))
-        return call(self, phi)
+        return call(self, phi, *args, **kwargs)
 
     monkeypatch.setattr(CompiledForce, "__call__", recorded)
     spec = LatticeSpec(1, 16, 0.001, 0.0, 0.3, 0.5)
