@@ -316,6 +316,8 @@ def _noisy_model(args) -> tuple:
 
 
 def cmd_noise(args) -> int:
+    if not 2 <= args.order <= args.samples or args.order > 4:
+        raise ValidationFault(f"need 2 <= --order <= min(4, --samples), got {args.order} and {args.samples}")
     cfg, model, spec = _noisy_model(args)
     out = _outdir(args)
     fields = [

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ValidationFault
 from .kernels import convolve, dot_weight, fluctuation_kernel, fluctuation_weight
-from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec, padded_length
+from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec, irfft_space, padded_length
 from .model import ModelSpec, RenormScheme, coefficient_value, compile_force, relevant_filtered
 from .noise import NoiseModel, _spatial_multiplier, _temporal_taps
 
@@ -162,7 +162,8 @@ def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
 
 class DistinctModes:
     """The distinct values of |k|^sigma on one lattice (`inverse` maps each
-    mode to its column), which the WickCalculators of its cells share."""
+    mode of the full grid to its column), which the WickCalculators of its
+    cells share: folding the rfft half would reorder the Wick sums."""
 
     # entries of the heat table per block of modes
     BLOCK = 1 << 16
@@ -195,9 +196,9 @@ class WickCalculator:
     taps and multiplier, cell variance 1/(dt dx^d), half-weight at a
     kernel's t = 0 tap.  The noise enters the Wick sums only through its
     separable second-moment pair: the taps' autocorrelation R in time and
-    mode_weights, |M|^2 folded onto the distinct |k|^sigma, over space
-    (the lag identity of the module docstring).  tadpole and flow_node are
-    one-cell, one-node wick_sums."""
+    mode_weights, |M|^2 on the full grid (mhat2) folded onto the distinct
+    |k|^sigma, over space (the lag identity of the module docstring).
+    tadpole and flow_node are one-cell, one-node wick_sums."""
 
     def __init__(self, spec: LatticeSpec, model: NoiseModel, modes: DistinctModes | None = None):
         if model.kind != "mollified_white":
@@ -238,13 +239,11 @@ class WickCalculator:
         slices[0] *= 0.5
         H = np.fft.rfft(slices, n=n_pad, axis=0) * np.fft.rfft(self.taps, n=n_pad)[:, None]
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
-        # np.take keeps P in C order, the order the sunset integrals sum in
-        auto = np.take(auto[:n_lags], self.modes.inverse, axis=1)
-        out_hat = auto * (self.prefactor * self.mhat2[None])
-        # back to real space per time lag
-        shape = (n_lags, *spec.space_shape())
-        field_hat = (out_hat * spec.n**spec.d).reshape(shape).astype(complex)
-        return np.fft.ifftn(field_hat, axes=tuple(range(1, spec.d + 1))).real
+        half = (..., slice(0, spec.n // 2 + 1))
+        inverse = self.modes.inverse.reshape(spec.space_shape())[half]
+        mhat2 = self.mhat2.reshape(spec.space_shape())[half]
+        out_hat = np.take(auto[:n_lags], inverse, axis=1) * (self.prefactor * mhat2[None])
+        return irfft_space(out_hat * spec.n**spec.d, spec)
 
 
 def _row_weights(weight, dt: float, mus: np.ndarray, rows: int, lo=0) -> np.ndarray:
@@ -483,9 +482,7 @@ def _sunset_counterterm(model, spec, nu, anchors, wick, key):
 
     n_lags = min(int(np.ceil(2.0 / spec.dt)) + 1, spec.nt)
     P = wick.covariance_kernel(n_lags)
-    ghat_hat = fluctuation_kernel(spec, 1.0).mult[:n_lags]
-    axes = tuple(range(1, spec.d + 1))
-    ghat = np.fft.ifftn(ghat_hat.astype(complex), axes=axes).real * (1.0 / spec.dx**spec.d)
+    ghat = irfft_space(fluctuation_kernel(spec, 1.0).mult[:n_lags], spec) * (1.0 / spec.dx**spec.d)
     w_t = np.full(n_lags, spec.dt)
     w_t[0] *= 0.5
     vol = spec.dx**spec.d

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ValidationFault
 from .flow import flow_stack
 from .flow import flow_expected  # noqa: F401  looked up here by perfbench/tracing.py
-from .lattice import SPACE_ONLY, Field, LatticeSpec, pair_with_test_function
+from .lattice import SPACE_ONLY, Field, LatticeSpec, check_whole_steps, pair_with_test_function
 from .model import ModelSpec, RenormScheme, compile_force, relevant_filtered
 from .noise import SpectralDriver, extended_window, resolution, sample_macroscopic_noise, spectral_driver
 from .solver import (
@@ -119,9 +119,11 @@ class ExperimentPlan:
             if relevant_filtered(m) != relevant_filtered(base):
                 raise ValidationFault("variants must share the relevant index set")
         horizon = min(self.t_max, self.solve.max_horizon)
+        self.lattice()  # dt checked before an observable time is divided by it
         for o in self.observables:
             if not 0.0 <= o.time <= horizon:
                 raise ValidationFault(f"observable time {o.time:g} not in the horizon [0, {horizon:g}]")
+            check_whole_steps(o.time, self.dt, f"observable time {o.time:g}")
             if len(o.lag) > base.d:
                 raise ValidationFault(f"two_point lag {list(o.lag)} has more entries than d = {base.d}")
 

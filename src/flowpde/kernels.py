@@ -1,8 +1,9 @@
 """Deterministic kernels and operators.
 
-Everything is spectral in space: a kernel is stored as complex multipliers
-per (time slice, spatial frequency), so spatial convolution is exact
-multiplication and periodization on the torus is automatic.  Time is a
+Everything is spectral in space: a kernel is stored as multipliers per
+(time slice, spatial frequency) on the rfft half (lattice's DFT contract),
+so spatial convolution is exact multiplication and periodization on the
+torus is automatic.  Time is a
 causal uniform grid; time convolutions use dt-weighted trapezoid quadrature.
 
 Symbols housed here: the fractional heat kernel G (multiplier
@@ -34,10 +35,11 @@ from .lattice import (
     SPACE_TIME,
     Field,
     LatticeSpec,
+    check_finite,
     fft_time,
-    forward_transform,
-    inverse_transform,
+    irfft_space,
     padded_length,
+    rfft_space,
 )
 
 DEFAULT_EPS = 0.05
@@ -85,9 +87,9 @@ def chi_prime(t):
 class SpectralKernel:
     """Causal space-time kernel as per-slice spatial multipliers.
 
-    mult[j] is the spatial multiplier at time offset j*dt, j = 0..nt-1.
-    Slices after support_hi vanish; causality (zero for t < 0) is implicit
-    in the storage.
+    mult[j] is the spatial multiplier at time offset j*dt, j = 0..nt-1, on
+    the rfft half of the modes, (n, ..., n // 2 + 1).  Slices after
+    support_hi vanish; causality (zero for t < 0) is implicit in the storage.
     """
 
     spec: LatticeSpec
@@ -117,9 +119,9 @@ class SpectralKernel:
 
 
 def heat_multiplier(spec: LatticeSpec, t) -> np.ndarray:
-    """exp(-t |k|^sigma) on the frequency grid; zero for t < 0."""
+    """exp(-t |k|^sigma) on the rfft half; zero for t < 0."""
     t = np.asarray(t, dtype=float)
-    ks = spec.k_norm() ** spec.sigma
+    ks = spec.k_half() ** spec.sigma
     prof = np.exp(-t[(...,) + (None,) * spec.d] * ks[None])
     prof[t < 0] = 0.0
     return prof
@@ -169,7 +171,7 @@ def dot_G(spec: LatticeSpec, mu: float) -> SpectralKernel:
 def K_multiplier(spec: LatticeSpec, mu: float, g: int = 1) -> np.ndarray:
     """Spatial part of the K_mu symbol: (1 + [mu]^2 |k|^2)^(-g)."""
     lam = spec.scale_of(mu)
-    return (1.0 + lam**2 * spec.k_norm() ** 2) ** (-g)
+    return (1.0 + lam**2 * spec.k_half() ** 2) ** (-g)
 
 
 # -- convolution and operators --------------------------------------------
@@ -193,13 +195,13 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
         raise ValidationFault("kernel and field live on incompatible lattices")
     if kernel.spec.dt != spec.dt:
         raise ValidationFault(f"kernel sampled at dt = {kernel.spec.dt:g}, field at dt = {spec.dt:g}")
-    fhat = forward_transform(f)
+    check_finite(f.data)
+    fhat = rfft_space(f.data, spec.d)
     nt = spec.nt
     if f.domain == SPACE_ONLY:
         if kernel.n_slices() < nt:
             raise ValidationFault("insufficient time padding: kernel shorter than window")
-        out = kernel.mult[:nt] * fhat[None]
-        return inverse_transform(spec, out, SPACE_TIME)
+        return Field(spec, irfft_space(kernel.mult[:nt] * fhat[None], spec), SPACE_TIME)
     hi = min(kernel.support_hi, nt - 1)
     dt = spec.dt
     # causal convolution along the time axis via an FFT zero-padded to a
@@ -213,16 +215,15 @@ def convolve(kernel: SpectralKernel, f: Field) -> Field:
     np.fft.ifft(buf, axis=-1, out=buf)
     conv = np.ascontiguousarray(np.moveaxis(buf[..., :nt], -1, 0))
     out = dt * conv - 0.5 * dt * kernel.mult[0] * fhat
-    return inverse_transform(spec, out, SPACE_TIME)
+    return Field(spec, irfft_space(out, spec), SPACE_TIME)
 
 
 def heat_propagate(f: Field, t: float) -> Field:
     """e^{-t (-Lap)^(sigma/2)} f for a space_only slice (exact per mode)."""
     if f.domain != SPACE_ONLY:
         raise ValidationFault("heat_propagate acts on space_only slices")
-    fhat = forward_transform(f)
-    mult = np.exp(-t * f.spec.k_norm() ** f.spec.sigma)
-    return inverse_transform(f.spec, mult * fhat, SPACE_ONLY)
+    mult = np.exp(-t * f.spec.k_half() ** f.spec.sigma)
+    return Field(f.spec, irfft_space(mult * rfft_space(f.data, f.spec.d), f.spec), SPACE_ONLY)
 
 
 def _exp_filter(data: np.ndarray, alpha: float) -> np.ndarray:
@@ -250,28 +251,25 @@ def apply_K(f: Field, mu: float, g: int = 1) -> Field:
     inverse, so P_mu^g K_mu^{*g} = identity holds to machine precision.
     A space_only field has no time axis and gets the spatial factor only.
     """
-    if mu <= 0:
-        raise ValidationFault("mu must be positive")
-    fhat = forward_transform(f)
-    fhat = fhat * K_multiplier(f.spec, mu, g)
-    if f.domain == SPACE_TIME:
-        alpha = np.exp(-f.spec.dt / mu)
-        for _ in range(g):
-            fhat = _exp_filter(fhat, alpha)
-    return inverse_transform(f.spec, fhat, f.domain)
+    return _apply_K_family(f, mu, g, np.multiply, _exp_filter)
 
 
 def apply_P(f: Field, mu: float, g: int = 1) -> Field:
     """P_mu^g = [(1 + mu d_t)(1 - [mu]^2 Lap)]^g, inverse of apply_K."""
+    return _apply_K_family(f, mu, g, np.divide, _exp_filter_inverse)
+
+
+def _apply_K_family(f: Field, mu: float, g: int, spatial, temporal) -> Field:
+    """The one body of apply_K and apply_P: spatial(fhat, K_multiplier),
+    then g passes of temporal along the time axis of a space_time field."""
     if mu <= 0:
         raise ValidationFault("mu must be positive")
-    fhat = forward_transform(f)
-    fhat = fhat / K_multiplier(f.spec, mu, g)
+    fhat = spatial(rfft_space(f.data, f.spec.d), K_multiplier(f.spec, mu, g))
     if f.domain == SPACE_TIME:
         alpha = np.exp(-f.spec.dt / mu)
         for _ in range(g):
-            fhat = _exp_filter_inverse(fhat, alpha)
-    return inverse_transform(f.spec, fhat, f.domain)
+            fhat = temporal(fhat, alpha)
+    return Field(f.spec, irfft_space(fhat, f.spec), f.domain)
 
 
 # -- moment norms of dG_mu -------------------------------------------------
@@ -344,13 +342,14 @@ def dot_G_moment_norms(
     is real and has a definite parity in each frequency axis: the heat table
     e^{-t|k|^sigma} is even in each, and each sin weight flips the parity on
     its own axis.  So every table lives on the parity orthant [0, n/2]^d,
-    and its inverse transform runs one axis at a time: times -i on an odd
-    axis (which makes the half Hermitian), irfft along the axis, and only
-    the outputs x_c in [0, n/2] kept on every axis but the last.  |f| is
-    even in every x_c, so the interior points of those axes count twice
-    (x_c and n - x_c).  The phases multiply to (-i)^(number of odd axes),
-    which differs from the sin weights' (-i)^|abar| by a sign only, and |.|
-    cannot see it.
+    2^(d-1) times smaller than the rfft half of the other kernels, and its
+    inverse transform runs one axis at a time: times -i on an odd axis
+    (which makes the half Hermitian), irfft along the axis, and only the
+    outputs x_c in [0, n/2] kept on every axis but the last.  |f| is even in
+    every x_c, so the interior points of those axes count twice (x_c and
+    n - x_c).  The phases multiply to (-i)^(number of odd axes), which
+    differs from the sin weights' (-i)^|abar| by a sign only, and |.| cannot
+    see it.
 
     Per mu the heat table is built once, and one inverse transform of it
     gives every raw norm: each index weights |G(t, x)| by

@@ -6,10 +6,22 @@ exact eigen-frequencies of the fractional Laplacian.  The time axis is a
 plain uniform grid -- the equations are causal initial value problems, no
 periodicity in time.
 
-DFT normalization: the forward transform carries no factor, the inverse
+DFT contract.  The forward transform carries no factor, the inverse
 carries 1/n^d.  Continuum pairings always carry explicit dx^d (and dt)
 measures.  This keeps kernel multipliers equal to their continuum formulas
 sampled at integer frequencies.
+
+Fields are real, so the package has one spatial spectral layout: the rfft
+half (n, ..., n // 2 + 1) of rfft_space / irfft_space.  Every spatial
+multiplier lives there as the Hermitian part (M(k) + conj M(-k)) / 2 of its
+symbol, the part a real field realizes.  It differs from M only at a
+Nyquist index k_j = -n/2, a mode's own mirror along axis j: it is 0 where
+M is odd in an odd number of such k_j.  Three places keep another layout
+on purpose: the Wick sums fold the full grid (flow.DistinctModes,
+WickCalculator.mhat2, noise._cached_multiplier), as folding the half would
+reorder the sums and move every counterterm's bits;
+kernels.dot_G_moment_norms has the faster parity orthant [0, n/2]^d; and
+noise.MollifierProfile.spatial_hat is a 1-D complex chirp-z transform.
 """
 
 from __future__ import annotations
@@ -109,6 +121,10 @@ class LatticeSpec:
             self._knorm_cache[key] = np.sqrt(sum(g.astype(float) ** 2 for g in grids))
         return self._knorm_cache[key]
 
+    def k_half(self) -> np.ndarray:
+        """|k| on the rfft half, (n, ..., n // 2 + 1): a view into k_norm."""
+        return self.k_norm()[..., : self.n // 2 + 1]
+
     def coords(self) -> tuple:
         x = self.dx * np.arange(self.n)
         return np.meshgrid(*([x] * self.d), indexing="ij")
@@ -184,26 +200,6 @@ def fft_time(data: np.ndarray, m: int) -> np.ndarray:
     buf = np.zeros(data.shape[1:] + (m,), dtype=complex)
     buf[..., : data.shape[0]] = np.moveaxis(data, 0, -1)
     return np.fft.fft(buf, axis=-1, out=buf)
-
-
-def forward_transform(f: Field) -> np.ndarray:
-    """DFT over the spatial axes (no normalization factor): the 1-d
-    transforms np.fft.fftn runs, in its order, without its per-call
-    overhead (which dominates at small slice sizes)."""
-    check_finite(f.data)
-    data = f.data
-    for axis in range(-1, -f.spec.d - 1, -1):
-        data = np.fft.fft(data, axis=axis)
-    return data
-
-
-def inverse_transform(spec: LatticeSpec, coeffs: np.ndarray, domain: str) -> Field:
-    """Inverse DFT (1/n^d factor), as np.fft.ifftn computes it; imaginary
-    residue of real fields dropped.  The field owns a contiguous copy of
-    the real part, so the complex transform is freed."""
-    for axis in range(-1, -spec.d - 1, -1):
-        coeffs = np.fft.ifft(coeffs, axis=axis)
-    return Field(spec, coeffs.real.copy(), domain)
 
 
 def pair_with_test_function(f: Field, psi: Field) -> float:

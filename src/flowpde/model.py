@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationFault
-from .lattice import Field, LatticeSpec
+from .lattice import Field, LatticeSpec, rfft_space
 
 SYMMETRIES = ("none", "parity_z2", "shift_r")
 
@@ -259,22 +259,25 @@ def coefficient_value(spec: ModelSpec, mo: Monomial, nu: float) -> float:
 
 
 def derivative_multiplier(lattice: LatticeSpec, aq: tuple) -> np.ndarray:
-    """Fourier multiplier prod_j (i k_j)^(aq_j) of d^aq on the spatial modes."""
-    grids = lattice.freq_grids()
-    mult = np.ones(lattice.space_shape(), dtype=complex)
-    for axis, deg in enumerate(aq):
-        if deg:
-            mult = mult * (1j * grids[axis]) ** deg
-    return mult
+    """Fourier multiplier of d^aq on the rfft half: the Hermitian part of
+    prod_j (i k_j)^(aq_j), which is 0 where an odd number of its odd factors
+    sit at their Nyquist index k_j = -n/2 (the lattice's DFT contract)."""
+    half = (..., slice(0, lattice.n // 2 + 1))
+    mult, odd = 1.0, False
+    for k, deg in zip(lattice.freq_grids(), aq):
+        mult = mult * (1j * k[half]) ** deg
+        odd = odd ^ ((deg % 2 == 1) & (k[half] == -lattice.n // 2))
+    return np.where(odd, 0.0, mult)
 
 
 def _apply_multiplier(mult: np.ndarray | None, data: np.ndarray) -> np.ndarray:
     """Spectral multiplication over the trailing spatial axes of a slice or a
-    window; the data itself when there is no multiplier."""
+    window by a multiplier on the rfft half; the data itself when there is
+    no multiplier."""
     if mult is None:
         return data
-    axes = tuple(range(-mult.ndim, 0))
-    return np.fft.ifftn(mult * np.fft.fftn(data, axes=axes), axes=axes).real
+    d = mult.ndim
+    return np.fft.irfftn(mult * rfft_space(data, d), data.shape[-d:], tuple(range(-d, 0)))
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ class MollifierProfile:
         The quadrature sum over the fine grid u_j = j du, |j| <= J, is
         sum_j f_j w^(k j) with w = exp(-i lam du): a chirp-z transform, as
         k j = (k^2 + j^2 - (k - j)^2) / 2 turns it into one convolution with
-        the chirp w^(-l^2 / 2), done by FFTs of length >= n + 2J."""
+        the chirp w^(-l^2 / 2), done by complex 1-D FFTs of length
+        >= n + 2J: chirped sequences, not the spatial transform of a field."""
         vals = self.spatial(self._fine) * self._du
         half_j = (vals.size - 1) // 2  # the fine grid is centered: u_j = j du
         j = np.arange(-half_j, half_j + 1)
@@ -275,8 +276,9 @@ def _spatial_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
     on the lattice's modes: the multiplier every real field realizes, as
     taking the real part (or irfft) keeps only that part.  It differs from M
     only where a mode is its own mirror (a Nyquist index), and to rounding.
-    Cached and read-only, as it depends on neither the time window nor the
-    seed."""
+    On the full grid, which the Wick sums fold (flow.DistinctModes); the
+    sampler cuts it to the rfft half.  Cached and read-only, as it depends
+    on neither the time window nor the seed."""
     return _cached_multiplier(model.family, model.nu, spec.n, spec.d, spec.sigma)
 
 
@@ -485,9 +487,9 @@ class CumulantEstimate:
     samples: int
 
 
-def _shifted(data: np.ndarray, lag, d: int) -> np.ndarray:
+def _shifted(data: np.ndarray, lag, d: int) -> tuple:
     """Shift a (samples, nt, space...) stack by a space-time lag in grid
-    units; time shifts crop, space shifts roll (periodic)."""
+    units: (the stack rolled by the space shifts, the time shift to crop)."""
     lag = tuple(int(x) for x in np.atleast_1d(lag))
     if len(lag) == d:
         lag = (0, *lag)

@@ -75,7 +75,7 @@ def c_gamma_multiplier(spec: LatticeSpec, gamma: float) -> np.ndarray:
     rfft half of the modes (rfft_space's layout)."""
     if gamma <= 0:
         raise ValidationFault("gamma must be positive")
-    return 1.0 + spec.k_norm()[..., : spec.n // 2 + 1] ** gamma
+    return 1.0 + spec.k_half() ** gamma
 
 
 def c_gamma_norm(phi: Field, gamma: float) -> float:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS
+from .kernels import DEFAULT_EPS, heat_multiplier
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, irfft_space, rfft_space
 from .model import ModelSpec, compile_force, stack_forces
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -117,8 +117,8 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def _dealias_mask(spec: LatticeSpec) -> np.ndarray:
-    """2/3-rule mask on the spatial modes."""
-    return np.all(np.abs(spec.freq_grids()) <= spec.n / 3.0, axis=0)
+    """2/3-rule mask on the rfft half of the modes."""
+    return np.all(np.abs(spec.freq_grids()) <= spec.n / 3.0, axis=0)[..., : spec.n // 2 + 1]
 
 
 def _slice_index(fs: LatticeSpec, t: float) -> int:
@@ -187,13 +187,12 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     per_window = max(int(round(cfg.t_local / dt)), 1)
     gamma = cfg.gamma if cfg.gamma is not None else spec.sigma - DEFAULT_EPS
     norm_mult = c_gamma_multiplier(spec, gamma)
-    half = spec.n // 2 + 1
-    lin = -dt * spec.k_norm()[..., :half] ** spec.sigma
+    lin = -dt * spec.k_half() ** spec.sigma
     e_lin = np.exp(lin)
     w1 = dt * _phi1(lin)
     w2 = dt * _phi2(lin)
     if cfg.dealias:
-        mask = _dealias_mask(spec)[..., :half]
+        mask = _dealias_mask(spec)
         w1, w2 = w1 * mask, w2 * mask
     d = spec.d
     space = tuple(range(-d, 0))
@@ -209,7 +208,7 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     t_win, j_win, c_lo = 0.0, 0, 0
     width = max(DRIVE_ROWS // samples, 1)
     # slots: R's half spectrum, its c_gamma weighting, the two force spectra
-    spectra = np.empty((4, samples, *shape[:-1], half), dtype=complex)
+    spectra = np.empty((4, samples, *lin.shape), dtype=complex)
     # slots: R, its weighting, their moduli, the stage-2 slice, the force,
     # the force's work array, R + D
     reals = np.empty((8, samples, *shape))
@@ -290,8 +289,7 @@ def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None):
     works in place: the spectrum it is given becomes D's and is returned."""
     if noise is None:
         return None
-    ks = spec.k_norm()[..., : spec.n // 2 + 1] ** spec.sigma
-    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(noise.shape[1]), ks))
+    heat = heat_multiplier(spec, spec.dt * np.arange(noise.shape[1]))
     # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
     acc = noise[:, 0].copy()
     for j, x in enumerate(np.moveaxis(noise, 1, 0)):
@@ -330,7 +328,7 @@ def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None) -> list:
     ]
     drive = _driver_stage(spec, noise)
     if drive is None:
-        drive = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.space_shape()[:-1], spec.n // 2 + 1), dtype=complex)
+        drive = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.k_half().shape), dtype=complex)
     samples = drive.shape[0]
     if samples % len(compiled):
         raise ValidationFault(f"{samples} samples do not split into {len(compiled)} equal groups")

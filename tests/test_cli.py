@@ -374,6 +374,11 @@ def _duplicate_variant_argv(tmp_path):
     return ["universality", "--plan", str(path), "--out", str(tmp_path / "out")]
 
 
+def _noise_argv(tmp_path, flag, value):
+    """`flowpde noise` at the default --samples 16 and --order 3, one of them changed."""
+    return ["noise", "--model", MODEL, flag, value, "--out", str(tmp_path / "out")]
+
+
 def _truncated_field_argv(tmp_path):
     spec = LatticeSpec(1, 64, 0.05, 0.0, 0.5, 0.5)
     fld = tmp_path / "f.fld"
@@ -417,6 +422,17 @@ CLI_FAULTS = {
         lambda p: _universality_argv(p, "max_horizon", 0.1, "solve"),
         "not in the horizon [0, 0.1]",
     ),
+    # the plan would read the slice at t = 0.12 and name it t0.123
+    "observable-time-off-the-dt-grid": (
+        lambda p: _universality_argv(p, "observables", [{"kind": "slice_moment", "p": 2, "time": 0.123}]),
+        "observable time 0.123 must be an integer multiple of dt",
+    ),
+    # no sample to write, or a cumulant table of no order
+    "noise-samples-0": (lambda p: _noise_argv(p, "--samples", "0"), "got 3 and 0"),
+    "noise-samples-negative": (lambda p: _noise_argv(p, "--samples", "-2"), "got 3 and -2"),
+    "noise-samples-below-order": (lambda p: _noise_argv(p, "--samples", "2"), "got 3 and 2"),
+    "noise-order-1": (lambda p: _noise_argv(p, "--order", "1"), "need 2 <= --order <= min(4, --samples), got 1"),
+    "noise-order-5": (lambda p: _noise_argv(p, "--order", "5"), "got 5 and 16"),
     "two_point-lag-longer-than-d": (
         lambda p: _universality_argv(p, "observables", [{"kind": "two_point", "lag": [1, 2], "time": 0.25}]),
         "two_point lag [1, 2]",

@@ -23,7 +23,7 @@ from flowpde.flow import (
     wick_sums,
 )
 from flowpde.kernels import SpectralKernel, chi, chi_prime, convolve, fluctuation_kernel
-from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, padded_length
+from flowpde.lattice import SPACE_TIME, Field, LatticeSpec, irfft_space, padded_length
 from flowpde.model import RenormScheme, evaluate_force, preset
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 
@@ -115,15 +115,15 @@ def _tap_smoothed_node(wick, mu):
 
 
 def _reference_covariance(wick, n_lags):
-    """covariance_kernel with one column per mode."""
+    """covariance_kernel with one column per mode, cut to the rfft half."""
     fluct = _reference_fluct(wick.spec, 1.0)
     n_pad = padded_length(2 * (len(fluct) + len(wick.taps) + n_lags))
     H = _reference_spectrum(wick.spec, fluct, 0, n_pad) * np.fft.rfft(wick.taps, n=n_pad)[:, None]
     auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
     out_hat = auto[:n_lags] * (wick.prefactor * wick.mhat2[None])
     spec = wick.spec
-    field_hat = (out_hat * spec.n**spec.d).reshape((n_lags, *spec.space_shape())).astype(complex)
-    return np.fft.ifftn(field_hat, axes=tuple(range(1, spec.d + 1))).real
+    half = (out_hat * spec.n**spec.d).reshape((n_lags, *spec.space_shape()))[..., : spec.n // 2 + 1]
+    return irfft_space(half, spec)
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,9 @@ def test_plan_validation():
         with pytest.raises(ValidationFault, match="plan.history must be finite and non-negative"):
             _small_plan(history=history)
     assert _small_plan(history=0.0).history == 0.0
+    # an observable time off the dt grid would be read at the nearest slice
+    with pytest.raises(ValidationFault, match="observable time 0.123 must be an integer multiple of dt"):
+        _small_plan(observables=(Observable("slice_moment", p=2, time=0.123),))
     # a negative time would index the trajectory from its end
     with pytest.raises(ValidationFault, match="horizon"):
         _small_plan(observables=(Observable("slice_moment", p=2, time=-0.1),))

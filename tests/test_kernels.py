@@ -33,9 +33,9 @@ from flowpde.lattice import (
     SPACE_TIME,
     Field,
     LatticeSpec,
-    forward_transform,
-    inverse_transform,
+    irfft_space,
     padded_length,
+    rfft_space,
 )
 
 
@@ -194,8 +194,8 @@ def test_moment_norms_reject_misuse(desk_spec, mu_grid, nt_local, match):
 def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
     """Reference for dot_G_moment_norms: the formula it had before the half
     spectrum, the time blocks and the shared heat stack -- one index, the
-    weighted kernel on the full frequency grid, complex ifftn and
-    np.gradient, every slice at once."""
+    weighted kernel on the full frequency grid (its own heat table), complex
+    ifftn and np.gradient, every slice at once.  Equal to rtol 1e-12."""
     g = default_g(spec.sigma)
     ks = spec.k_norm()
     r_mult = 1.0 + ks ** (spec.sigma - DEFAULT_EPS)  # nu = 1
@@ -205,7 +205,7 @@ def _full_grid_moment_norms(spec, mu_grid, a, nt_local):
     for mu in mu_grid:
         t = np.linspace(mu, 2.0 * mu, nt_local)
         dtl = t[1] - t[0]
-        w = dot_weight(t, mu)[per_slice] * heat_multiplier(spec, t)
+        w = dot_weight(t, mu)[per_slice] * np.exp(-t[per_slice] * ks**spec.sigma)
         w = w * t[per_slice] ** a[0] / math.factorial(a[0])
         for axis, deg in zip(axes, a[1:]):
             for _ in range(deg):
@@ -301,9 +301,10 @@ def test_convolution_rejects_dt_mismatch(rng):
 def _axis0_convolve(kernel, f):
     """Reference for the space-time branch of convolve: the same quadrature
     with its time FFTs along axis 0 of (nt, space...) arrays and a fresh
-    kernel FFT per call.  convolve must match it bit for bit."""
+    kernel FFT per call, on the rfft half.  convolve must match it bit for
+    bit."""
     spec = f.spec
-    fhat = forward_transform(f)
+    fhat = rfft_space(f.data, spec.d)
     nt = spec.nt
     hi = min(kernel.support_hi, nt - 1)
     km = kernel.mult[: hi + 1]
@@ -314,7 +315,7 @@ def _axis0_convolve(kernel, f):
     ff[:nt] = fhat
     conv = np.fft.ifft(np.fft.fft(kk, axis=0) * np.fft.fft(ff, axis=0), axis=0)[:nt]
     out = spec.dt * conv - 0.5 * spec.dt * kernel.mult[0] * fhat
-    return inverse_transform(spec, out, SPACE_TIME).data
+    return irfft_space(out, spec)
 
 
 CONVOLVE_SPECS = [
@@ -331,9 +332,8 @@ def test_time_last_convolve_equals_axis0_reference(spec, mu, rng):
     ker = fluctuation_kernel(spec, mu)
     assert (ker.support_hi < spec.nt - 1) == (2.0 * mu < spec.t_max - spec.t_min)
     np.testing.assert_array_equal(convolve(ker, f).data, _axis0_convolve(ker, f))
-    # a writable kernel with complex slices takes the same path, uncached
-    mult = ker.mult * (1.0 + 0.5j)
-    custom = SpectralKernel(spec, mult, support_hi=ker.support_hi)
+    # a writable kernel takes the same path, uncached
+    custom = SpectralKernel(spec, 2.0 * ker.mult, support_hi=ker.support_hi)
     np.testing.assert_array_equal(convolve(custom, f).data, _axis0_convolve(custom, f))
     assert custom._spectrum is None
 
@@ -368,18 +368,19 @@ def test_cached_fluctuation_kernel_is_read_only(rng):
             arr[0] = 0.0
 
 
-def _trapezoid_convolve(kernel, f):
-    """Direct causal quadrature per Fourier mode: out[j] = sum over the taps
-    l <= min(j, support_hi) of w_l mult[l] fhat[j - l], with w_0 = dt/2 and
-    w_l = dt otherwise."""
+def _trapezoid_convolve(mult, f):
+    """Direct causal quadrature per Fourier mode of the full grid, by complex
+    FFTs: out[j] = sum over the taps l <= min(j, len(mult) - 1) of
+    w_l mult[l] fhat[j - l], with w_0 = dt/2 and w_l = dt otherwise."""
     spec = f.spec
-    fhat = forward_transform(f)
+    axes = tuple(range(1, spec.d + 1))
+    fhat = np.fft.fftn(f.data, axes=axes)
     out = np.zeros_like(fhat)
     for j in range(spec.nt):
-        for tap in range(min(j, kernel.support_hi) + 1):
+        for tap in range(min(j, len(mult) - 1) + 1):
             w = 0.5 * spec.dt if tap == 0 else spec.dt
-            out[j] += w * kernel.mult[tap] * fhat[j - tap]
-    return inverse_transform(spec, out, SPACE_TIME).data
+            out[j] += w * mult[tap] * fhat[j - tap]
+    return np.fft.ifftn(out, axes=axes).real
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,6 +393,8 @@ def _trapezoid_convolve(kernel, f):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_convolve_agrees_with_trapezoid_quadrature_or_raises(d, n, nt, support, mismatch, seed):
+    """convolve equals the full-grid complex quadrature to 1e-12 of its
+    largest value, or faults on a kernel of another lattice."""
     dt = 0.05
     spec = LatticeSpec(d, n, dt, 0.0, dt * (nt - 1), 0.5)
     rng = np.random.default_rng(seed)
@@ -402,14 +405,18 @@ def test_convolve_agrees_with_trapezoid_quadrature_or_raises(d, n, nt, support, 
         "sigma": LatticeSpec(d, n, dt, 0.0, spec.t_max, 0.75),
         "dt": LatticeSpec(d, n, 2 * dt, 0.0, 2 * spec.t_max, 0.5),
     }[mismatch]
+    # a random Hermitian multiplier on the full grid, cut to the rfft half
     shape = (support + 1, *k_spec.space_shape())
-    kernel = SpectralKernel(k_spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    mult = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(1, k_spec.d + 1))
+    mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axes).conj())
+    kernel = SpectralKernel(k_spec, mult[..., : k_spec.n // 2 + 1])
     f = Field(spec, rng.standard_normal((spec.nt, *spec.space_shape())), SPACE_TIME)
     if mismatch is not None:
         with pytest.raises(ValidationFault):
             convolve(kernel, f)
         return
-    ref = _trapezoid_convolve(kernel, f)
+    ref = _trapezoid_convolve(mult, f)
     np.testing.assert_allclose(convolve(kernel, f).data, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 

@@ -113,6 +113,29 @@ def test_spatial_derivative_exact_on_modes(order, mode):
     np.testing.assert_allclose(g, float(mode) ** order * phase, atol=1e-10)
 
 
+@pytest.mark.parametrize("a", [((1, 0), (0, 1)), ((1, 0),)])
+def test_d2_derivative_force_equals_full_grid_reference(a, rng):
+    """A d = 2, sigma = 2 force with odd derivatives along the non-last axis
+    equals its full-grid complex reference, c (-1)^|a| lambda times the
+    product over q of Re(ifftn(M_q fftn phi)) with M_q = prod_j (i k_j)^a_qj,
+    to 1e-13 of its largest value.  The full multiplier cut to the rfft half
+    without its Hermitian part, nonzero on the Nyquist row k_0 = -n/2,
+    misses it by O(1)."""
+    spec = LatticeSpec(2, 16, 0.1, 0.0, 0.5, 2.0)
+    phi = rng.standard_normal((3, *spec.space_shape()))  # three slices of a window
+    k, axes = spec.freq_grids(), (-2, -1)
+    full = {aq: np.prod([(1j * kj) ** deg for kj, deg in zip(k, aq)], axis=0) for aq in a}
+    ref = 1.3 * (-1.0) ** sum(map(sum, a)) * 0.8
+    for aq in a:
+        ref = ref * np.fft.ifftn(full[aq] * np.fft.fftn(phi, axes=axes), axes=axes).real
+    table = {(1, len(a), a): 1.3}
+    force = CompiledForce(0.8, table, {aq: derivative_multiplier(spec, aq) for aq in a})
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(force(phi) - ref)) <= 1e-13 * scale
+    naive = CompiledForce(0.8, table, {aq: m[..., : spec.n // 2 + 1] for aq, m in full.items()})
+    assert np.max(np.abs(naive(phi) - ref)) > 0.1 * scale
+
+
 def test_evaluate_force_polynomial(desk_model, desk_spec, rng):
     phi = Field(desk_spec, rng.standard_normal((desk_spec.nt, desk_spec.n)), SPACE_TIME)
     xi = Field(desk_spec, rng.standard_normal((desk_spec.nt, desk_spec.n)), SPACE_TIME)

@@ -472,7 +472,7 @@ def test_shift_multiplier_energy_is_the_wick_tadpole(family, nu):
     driver = spectral_driver(model, spec, 2.0)
     ext = driver.spec
     kernel = fluctuation_kernel(ext, 1.0)
-    half = kernel.mult[..., : ext.n // 2 + 1]
+    half = kernel.mult  # on the rfft half, as the driver's space multiplier
     symbol = fft_time(half[: kernel.support_hi + 1], driver.time.size) - 0.5 * half[0][..., None]
     multiplier = driver.space[..., None] * driver.time * (ext.dt * symbol)
     response = np.fft.irfft(np.fft.ifft(multiplier, axis=-1), n=ext.n, axis=0)

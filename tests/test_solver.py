@@ -298,7 +298,7 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None):
             phi = phi + drive[j]
         f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
         f = np.fft.rfft(f)
-        return f * _dealias_mask(spec)[:half] if cfg.dealias else f
+        return f * _dealias_mask(spec) if cfg.dealias else f
 
     def norm(phi_hat):
         return np.max(np.abs(np.fft.irfft(norm_mult * phi_hat, spec.n)))
@@ -337,6 +337,7 @@ def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
     lin = -dt * spec.k_norm() ** spec.sigma
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     norm_mult = 1.0 + spec.k_norm() ** (spec.sigma - DEFAULT_EPS)
+    mask = np.all(np.abs(spec.freq_grids()) <= spec.n / 3.0, axis=0)  # the 2/3 rule, full grid
     drive = _reference_drive(spec, noise)
 
     def inverse(coeffs):
@@ -346,7 +347,7 @@ def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
         phi = inverse(phi_hat) + drive[j]
         f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
         f = np.fft.fftn(f, axes=axes)
-        return f * _dealias_mask(spec) if cfg.dealias else f
+        return f * mask if cfg.dealias else f
 
     def norm(data):
         return np.max(np.abs(inverse(norm_mult * np.fft.fftn(data, axes=axes))))

@@ -123,3 +123,23 @@ def test_every_patch_only_import_is_a_patch_point():
                     if (f"flowpde.{path.stem}", name) not in points:
                         stale.append(f"{path.name} line {node.lineno}: {name}")
     assert stale == []
+
+
+# complex full-grid spatial transforms, retired for the rfft half (the
+# DFT contract of lattice.py); fft/ifft along one axis stay legal
+RETIRED_TRANSFORMS = {"fftn", "ifftn", "forward_transform", "inverse_transform"}
+
+
+def test_one_spatial_spectral_layout():
+    """No module calls np.fft.fftn / ifftn or defines, imports or uses
+    forward_transform / inverse_transform: a second spatial layout cannot
+    come back unnoticed."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_parse(path)[1]):
+            names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+            if isinstance(node, (ast.ImportFrom, ast.Import)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            for name in names & RETIRED_TRANSFORMS:
+                found.append(f"{path.name} line {node.lineno}: {name}")
+    assert found == []
