@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,6 +55,11 @@ class Monomial:
     base: float = 0.0
     extra_exponent: float = 0.0
 
+    def __post_init__(self):
+        for name in ("base", "extra_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationFault(f"monomial {name} must be finite, got {getattr(self, name)}")
+
     def degree(self) -> int:
         return int(sum(sum(aq) for aq in self.a))
 
@@ -71,6 +77,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.symmetry not in SYMMETRIES:
             raise ValidationFault(f"unknown symmetry {self.symmetry!r}")
+        for name in ("sigma", "dim_lambda", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationFault(f"{name} must be finite, got {getattr(self, name)}")
         if self.dim_lambda <= 0:
             raise ValidationFault("outside supported regime: dim(lambda) must be > 0")
         if self.dim_phi < 0:
@@ -160,9 +169,10 @@ class ModelSpec:
                 yield tuple(sorted(combo))
 
     def enumerate_indices(self):
-        """All (i, m, a) with i <= i_flat + i_diamond, m <= m_flat * i, plus
-        every derivative pattern with rho <= 0 and those carried by the
-        declared monomials."""
+        """All (i, m, a) with i <= i_flat + i_diamond, m <= m_flat * i and
+        rho <= 0, plus those carried by the declared monomials.  rho grows
+        with the degree, so an (i, m) with rho(i, m, 0) > 0 has no index to
+        list and its derivative patterns are never walked."""
         seen = set()
         out = []
         i_max = self.i_flat + self.i_diamond
@@ -171,12 +181,9 @@ class ModelSpec:
             for m in range(0, m_max + 1):
                 deg = 0
                 while True:
-                    r = self.rho(i, m, deg)
-                    if deg > 0 and r > 0:
+                    if self.rho(i, m, deg) > 0:
                         break
                     if deg >= self.sigma * m + 1 and m > 0:
-                        break
-                    if m == 0 and deg > 0:
                         break
                     for a in self._index_lists(m, deg) if m > 0 else [()]:
                         key = (i, m, a)

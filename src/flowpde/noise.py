@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,6 +161,8 @@ class NoiseModel:
             raise ValidationFault(f"nu must lie in (0, 1], got {self.nu}")
         if self.resolution_policy not in ("strict", "spectral"):
             raise ValidationFault(f"unknown resolution_policy {self.resolution_policy!r}")
+        if self.kind == "poisson_shot" and not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise ValidationFault(f"poisson_shot rate must be finite and positive, got {self.rate}")
         object.__setattr__(self, "nu", float(self.nu))
 
     def profile(self) -> MollifierProfile:

@@ -27,23 +27,23 @@ direct driver plus a free decay.
 
 The solver never transforms white noise: solve_stack reads each sample's
 driving field on its window_slices as the rfft half spectrum over space,
-the representation its driver stage and stepping loop work in.  A field's
-window_spectrum gives it; the harness's coupled cells hand over the half
-spectra of the noise module's spectral drivers as they come, never in real
-space.  The driver stage turns those spectra into D's in place, and the
-stepping loop makes D real a chunk of slices at a time, so a stack holds
-no real drive beside its trajectory.
+the representation its stepping loop works in, and never writes it.  A
+field's window_spectrum gives it; the harness's coupled cells hand over the
+half spectra of the noise module's spectral drivers as they come, never in
+real space.  The stepping loop steps D's half spectrum beside R's by the
+trapezoid recursion, one slice a step, and makes only their sum real, so a
+stack holds no real drive beside its trajectory.
 
 The stepping loop keeps one buffer discipline: every array a step writes is
-allocated once per solve with one row per sample: R's half spectrum above
-its c_gamma weighting (one inverse transform gives both real slices), the
-two force spectra, the stage-2 slice, the force and its work array.  The
-transforms and the force write into these, and R + D goes straight into
-its trajectory row, so a step allocates nothing (a drive chunk is made
-real once per DRIVE_ROWS sample slices).  When a sample leaves at the
-blow-up radius, the live rows move to the front and the views are cut to
-them.  The 2/3 dealias mask is folded into the phi-function weights once:
-it is 0 or 1, so w (mask f) and (w mask) f agree bit for bit on finite f.
+allocated once per solve with one row per sample: R + D's half spectrum
+above R's c_gamma weighting (one inverse transform gives both real slices),
+R's half spectrum, D's recursion, the two force spectra, the stage-2 slice,
+the force and its work array.  The transforms and the force write into
+these, so a step allocates nothing.  When a sample leaves at the blow-up
+radius, the live rows move to the front, the views are cut to them and the
+noise rows are cut to the live samples.  The 2/3 dealias mask is folded
+into the phi-function weights once: it is 0 or 1, so w (mask f) and
+(w mask) f agree bit for bit on finite f.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFault, ValidationFault
-from .kernels import DEFAULT_EPS, heat_multiplier
+from .kernels import DEFAULT_EPS
 from .lattice import SPACE_ONLY, SPACE_TIME, Field, LatticeSpec, check_whole_steps, irfft_space, rfft_space
 from .model import ModelSpec, compile_force, stack_forces
 from .model import evaluate_force  # noqa: F401  looked up here by perfbench/tracing.py
@@ -63,11 +63,6 @@ from .norms import c_gamma_norm  # noqa: F401  looked up here by perfbench/traci
 
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
-
-# sample slices of a stack's driver worked on at a time: DRIVE_ROWS // samples
-# slices of every sample (at least one), so the driver stage and the stepping
-# loop hold a bounded piece of the drive however many samples a stack has
-DRIVE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -159,21 +154,27 @@ def window_spectrum(field: Field, spec: LatticeSpec, cfg: SolveConfig) -> np.nda
     return rfft_space(solve_window(field, spec, cfg), spec.d)
 
 
-def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
+def _march(force, phi, noise, cfg: SolveConfig, spec: LatticeSpec) -> list:
     """The stepping loop, for a stack of samples along the leading axis.
 
-    `phi` holds the initial slices of R; `drive` each sample's driver D on
-    its solve_window slices as a half spectrum, made real DRIVE_ROWS sample
-    slices at a time, and the force is N[R + D].  The state is R's rfft
-    half; its linear part is exact per mode, the force gets ETD1 / ETD2RK
-    phi-function weights, and one inverse transform of (state,
-    (1 + |k|^gamma) state) gives R's slice and its c_gamma monitor.  At the
-    end of each local window of t_local the state restarts from its real
-    slice, as a fresh solve from that slice would.  A sample whose monitor
-    reaches the blow-up radius stops there and leaves the stack with its
-    force scalars and drive rows; a non-finite slice in the stack faults.
-    Returns one SolveResult per sample: R + D, written straight into the
-    trajectory, and the norms of R.
+    `phi` holds the initial slices of R and `noise` each sample's driving
+    field x on its solve_window slices as a half spectrum; the force is
+    N[R + D].  The state is R's rfft half; its linear part is exact per
+    mode, and the force gets ETD1 / ETD2RK phi-function weights.  D's half
+    spectrum is stepped beside it by the trapezoid recursion with the free
+    decay folded into its start, B_0 = x_0 / 2,
+    B_j = x_j + e^(-dt|k|^sigma) B_(j-1) and D_j = dt (B_j - x_j / 2):
+    this is S - e^(-t|k|^sigma) S(0), and D_0 = 0.  The stage-2 slice is
+    the inverse transform of the predicted R + D, and one inverse transform
+    of the pair (R + D, (1 + |k|^gamma) R) gives the trajectory slice, the
+    next force's argument and R's c_gamma monitor.  At the end of each
+    local window of t_local the state restarts from R's real slice (one
+    inverse and one forward transform), as a fresh solve from that slice
+    would.  A sample whose monitor reaches the blow-up radius stops there
+    and leaves the stack with its force scalars and noise rows; a
+    non-finite slice R + D in the stack faults (D is finite where the
+    noise is, so R + D is finite exactly when R is).  Returns one
+    SolveResult per sample: R + D and the norms of R.
 
     A step allocates nothing: the transforms, the force and every update
     write into buffers of one row per sample held for the whole solve (the
@@ -205,37 +206,39 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     breve_T = np.empty(samples)
     blown = np.zeros(samples, dtype=bool)
     live = np.arange(samples)
-    t_win, j_win, c_lo = 0.0, 0, 0
-    width = max(DRIVE_ROWS // samples, 1)
-    # slots: R's half spectrum, its c_gamma weighting, the two force spectra
-    spectra = np.empty((4, samples, *lin.shape), dtype=complex)
-    # slots: R, its weighting, their moduli, the stage-2 slice, the force,
-    # the force's work array, R + D
-    reals = np.empty((8, samples, *shape))
+    t_win, j_win = 0.0, 0
+    # slots: R + D's half spectrum, R's c_gamma weighting, R's half
+    # spectrum, D's recursion B, the two force spectra
+    spectra = np.empty((6, samples, *lin.shape), dtype=complex)
+    # slots: R + D, R's weighting, their moduli, the stage-2 slice, the
+    # force, the force's work array
+    reals = np.empty((7, samples, *shape))
     sups = np.empty(samples)
     stops = np.empty(samples, dtype=bool)
     k = samples
-    state, weighted, f0, f1 = spectra
-    data, _, _, _, stage, forced, work, total_buf = reals
-    chunk = irfft_space(drive[:, :width], spec)
+    total_hat, weighted, state, acc, f0, f1 = spectra
+    total, _, _, _, stage, forced, work = reals
     rfft_space(phi, d, out=state)
+    np.multiply(0.5, noise[:, 0], out=acc)
+    np.copyto(total_hat, state)  # D_0 = 0
     np.multiply(norm_mult, state, out=weighted)
     irfft_space(spectra[:2], spec, out=reals[:2])
     np.max(np.abs(reals[1], out=reals[3]), axis=space, out=norms[:, 0])
-    total = np.add(data, chunk[:, 0], out=total_buf)
-    np.add(phi, chunk[:, 0], out=traj[:, 0])
+    traj[:, 0] = phi
     for j in range(1, n_steps + 1):
         at = slice(None) if k == samples else live  # plain slices while no sample has left
-        if j == c_lo + width:
-            c_lo = j
-            chunk = irfft_space(drive[at, j : j + width], spec)
+        x = noise[:, j]
         rfft_space(force(total, out=forced, work=work), d, out=f0)
         np.multiply(e_lin, state, out=state)
         np.add(state, np.multiply(w1, f0, out=f1), out=state)
+        np.add(x, np.multiply(e_lin, acc, out=acc), out=acc)
+        drive = np.subtract(acc, np.multiply(0.5, x, out=total_hat), out=total_hat)
+        np.multiply(dt, drive, out=drive)
         if cfg.scheme == "etd_rk2":
-            np.add(irfft_space(state, spec, out=stage), chunk[:, j - c_lo], out=stage)
+            irfft_space(np.add(state, drive, out=f1), spec, out=stage)
             rfft_space(force(stage, out=forced, work=work), d, out=f1)
             np.add(state, np.multiply(w2, np.subtract(f1, f0, out=f1), out=f1), out=state)
+        np.add(state, drive, out=total_hat)
         np.multiply(norm_mult, state, out=weighted)
         irfft_space(spectra[:2, :k], spec, out=reals[:2, :k])
         np.abs(reals[:2, :k], out=reals[2:4, :k])
@@ -244,11 +247,7 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
                 f"numerical overflow before threshold at t = {t_win + (j - j_win) * dt:.6g}"
             )
         sup = np.max(reals[3, :k], axis=space, out=sups[:k])
-        if k == samples:
-            total = np.add(data, chunk[:, j - c_lo], out=traj[:, j])
-        else:
-            total = np.add(data, chunk[:, j - c_lo], out=total_buf)
-            traj[live, j] = total
+        traj[at, j] = total
         norms[at, j] = sup
         stop = np.greater_equal(sup, cfg.blow_up_radius, out=stops[:k])
         if stop.any():
@@ -258,19 +257,17 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
             keep = ~stop
             live = live[keep]
             force = force.take(keep)
-            rows = state[keep], data[keep], total[keep]
-            chunk = chunk[keep]
+            noise = noise[keep]
+            rows = state[keep], acc[keep], total[keep]
             k = live.size
             if not k:
                 break
-            state, weighted, f0, f1 = spectra[:, :k]
-            data, _, _, _, stage, forced, work, total_buf = reals[:, :k]
-            state[...], data[...], total_buf[...] = rows
-            total = total_buf
+            total_hat, weighted, state, acc, f0, f1 = spectra[:, :k]
+            total, _, _, _, stage, forced, work = reals[:, :k]
+            state[...], acc[...], total[...] = rows
         if j % per_window == 0 and j < n_steps:
             t_win, j_win = t_win + per_window * dt, j
-            irfft_space(rfft_space(data, d, out=state), spec, out=data)
-            total = np.add(data, chunk[:, j - c_lo], out=total_buf)
+            rfft_space(irfft_space(state, spec, out=stage), d, out=state)
     breve_T[live] = t_win + (n_steps - j_win) * dt
     out = []
     for s in range(samples):
@@ -281,30 +278,6 @@ def _march(force, phi, drive, cfg: SolveConfig, spec: LatticeSpec) -> list:
     return out
 
 
-def _driver_stage(spec: LatticeSpec, noise: np.ndarray | None):
-    """solve_stack's driver D = S - e^(-t|k|^sigma) S[:, 0] as a half
-    spectrum, zero at t = 0, from the half spectrum of each sample's noise
-    window: S = G * (1_[0,inf) noise), by kernels.convolve's trapezoid rule
-    (dt on every slice of [0, t], half of it at t); None without noise.  It
-    works in place: the spectrum it is given becomes D's and is returned."""
-    if noise is None:
-        return None
-    heat = heat_multiplier(spec, spec.dt * np.arange(noise.shape[1]))
-    # acc <- noise_j + e^(-dt|k|^sigma) acc, then noise_j <- acc - noise_j / 2
-    acc = noise[:, 0].copy()
-    for j, x in enumerate(np.moveaxis(noise, 1, 0)):
-        if j:
-            np.add(x, np.multiply(heat[1], acc, out=acc), out=acc)
-        np.subtract(acc, np.multiply(0.5, x, out=x), out=x)
-    noise *= spec.dt
-    s0 = noise[:, :1].copy()
-    width = max(DRIVE_ROWS // len(noise), 1)
-    for lo in range(0, noise.shape[1], width):
-        noise[:, lo : lo + width] -= heat[lo : lo + width] * s0
-    noise[:, 0] = 0.0
-    return noise
-
-
 def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None) -> list:
     """Solve a stack of samples from phi_init at t = 0, each sample's
     driving field given along the leading axis as the rfft_space half
@@ -312,13 +285,14 @@ def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None) -> list:
     (one sample with D = 0 when none is given).  `forces` holds one
     (model, counterterms) per group of rows: the samples split into
     len(forces) equal groups in that order, and the groups' forces must
-    share their terms (model.stack_forces).  The spectra given may be
-    overwritten: the driver stage works in place.
+    share their terms (model.stack_forces).  The spectra given are read,
+    never written.
 
     The one rule of the module docstring, with S = G * (1_[0,inf) noise):
     R starts at phi_init and solves N[R + D] with the driver
-    D = S - e^(-t|k|^sigma) S[:, 0], set to zero at t = 0; each result holds
-    the total R + D, and its slice_norms are those of R."""
+    D = S - e^(-t|k|^sigma) S[:, 0], zero at t = 0, which the stepping loop
+    steps beside R in one pass over the noise; each result holds the total
+    R + D, and its slice_norms are those of R."""
     spec = phi_init.spec
     if phi_init.domain != SPACE_ONLY:
         raise ValidationFault("initial data must be a space_only slice")
@@ -326,15 +300,14 @@ def solve_stack(forces, phi_init: Field, cfg: SolveConfig, noise=None) -> list:
         compile_force(model, ct, model.noise.nu if model.noise is not None else 1.0, spec)
         for model, ct in forces
     ]
-    drive = _driver_stage(spec, noise)
-    if drive is None:
-        drive = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.k_half().shape), dtype=complex)
-    samples = drive.shape[0]
+    if noise is None:
+        noise = np.zeros((1, _n_steps(spec, cfg) + 1, *spec.k_half().shape), dtype=complex)
+    samples = noise.shape[0]
     if samples % len(compiled):
         raise ValidationFault(f"{samples} samples do not split into {len(compiled)} equal groups")
     force = stack_forces(compiled, samples // len(compiled), spec.d)
     phi = np.broadcast_to(phi_init.data, (samples, *spec.space_shape()))
-    return _march(force, phi, drive, cfg, spec)
+    return _march(force, phi, noise, cfg, spec)
 
 
 def solve_mild(

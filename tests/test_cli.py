@@ -379,6 +379,23 @@ def _noise_argv(tmp_path, flag, value):
     return ["noise", "--model", MODEL, flag, value, "--out", str(tmp_path / "out")]
 
 
+def _nan_variant_sigma_argv(tmp_path):
+    """`flowpde universality` on the smoke plan with sigma NaN in its first variant's model."""
+    plan = json.loads(Path(PLAN).read_text())
+    plan["variants"][0]["model"]["sigma"] = float("nan")
+    path = _write(tmp_path, json.dumps(plan), "plan.json")
+    return ["universality", "--plan", str(path), "--out", str(tmp_path / "out")]
+
+
+def _model_argv(tmp_path, edit, command="renorm"):
+    """`flowpde renorm` (or `command`) on the desk model with `edit` applied
+    to its config."""
+    cfg = json.loads(Path(MODEL).read_text())
+    edit(cfg)
+    path = _write(tmp_path, json.dumps(cfg), "model.json")
+    return [command, "--model", str(path), "--out", str(tmp_path / "out")]
+
+
 def _truncated_field_argv(tmp_path):
     spec = LatticeSpec(1, 64, 0.05, 0.0, 0.5, 0.5)
     fld = tmp_path / "f.fld"
@@ -433,6 +450,24 @@ CLI_FAULTS = {
     "noise-samples-below-order": (lambda p: _noise_argv(p, "--samples", "2"), "got 3 and 2"),
     "noise-order-1": (lambda p: _noise_argv(p, "--order", "1"), "need 2 <= --order <= min(4, --samples), got 1"),
     "noise-order-5": (lambda p: _noise_argv(p, "--order", "5"), "got 5 and 16"),
+    # the model's scalars enter every flow and every force: a NaN or an
+    # infinity there would give an empty relevant set or nan counterterms
+    "nan-lam": (lambda p: _model_argv(p, lambda c: c.update(lam=float("nan"))), "lam must be finite"),
+    "infinite-dim_lambda": (
+        lambda p: _model_argv(p, lambda c: c.update(dim_lambda=float("inf"))),
+        "dim_lambda must be finite",
+    ),
+    "nan-monomial-base": (
+        lambda p: _model_argv(p, lambda c: c["monomials"][0].update(base=float("nan"))),
+        "monomial base must be finite",
+    ),
+    # a NaN sigma reached the index enumeration's int(ceil(sigma)) as a traceback
+    "nan-variant-sigma": (_nan_variant_sigma_argv, "sigma must be finite"),
+    # rng.poisson would raise on a negative intensity
+    "negative-shot-rate": (
+        lambda p: _model_argv(p, lambda c: c["noise"].update(kind="poisson_shot", rate=-1.0), "noise"),
+        "poisson_shot rate",
+    ),
     "two_point-lag-longer-than-d": (
         lambda p: _universality_argv(p, "observables", [{"kind": "two_point", "lag": [1, 2], "time": 0.25}]),
         "two_point lag [1, 2]",

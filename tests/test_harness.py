@@ -12,7 +12,7 @@ from flowpde.harness import (
 )
 from flowpde.flow import flow_expected
 from flowpde.model import RenormScheme, preset, relevant_filtered
-from flowpde.lattice import SPACE_ONLY, Field, irfft_space, rfft_space
+from flowpde.lattice import SPACE_ONLY, Field, rfft_space
 from flowpde.noise import NoiseModel, sample_macroscopic_noise
 from flowpde.solver import STATUS_BLEW_UP, SolveConfig, solve_mild, solve_stack, solve_window
 
@@ -326,9 +326,10 @@ def test_cells_share_one_white_spectrum_per_master_seed(monkeypatch, seeds, spec
 def test_tail_drives_equal_the_full_window_drives(history):
     """The drive each of criterion 7's cells solves with, from its driver's
     half spectrum of the tail of W, equals the drive of the full-window
-    noise of sample_macroscopic_noise after solve_stack's driver stage, to
-    1e-13 of its size.  At history 0.05, shorter than the taps of nu = 0.2
-    reach, the tail starts at the window start."""
+    noise of sample_macroscopic_noise, to 1e-13 of its size.  Both are
+    solved as one stack of linear_desk, which has no force, so each
+    trajectory is its driver D.  At history 0.05, shorter than the taps of
+    nu = 0.2 reach, the tail starts at the window start."""
     forced = (((1, 1, ((0,),)), 0.0),)
     plan = _small_plan(
         variants=(_variant("bump"), _variant("skew")),
@@ -339,16 +340,19 @@ def test_tail_drives_equal_the_full_window_drives(history):
         **CRITERION_7_LATTICE,
     )
     spec = plan.lattice()
+    zero = Field(spec, np.zeros(spec.space_shape()), SPACE_ONLY)
     cells = harness._make_cells(plan)
     assert len(cells) == 6
     for cell in cells:
         driver = cell.driver
+        linear = preset("linear_desk", noise=cell.model.noise)
+        ct = {key: 0.0 for key in relevant_filtered(linear)}
         assert driver.rows == ((760, 1001) if history == 2.0 else (0, 221))
         for s in (0, 3):
-            tail = irfft_space(solver._driver_stage(spec, driver.window(driver.spectrum(s))[None])[0], spec)
             xi = sample_macroscopic_noise(cell.model.noise, spec, s, history=history)
             window = rfft_space(solve_window(xi, spec, plan.solve), spec.d)
-            full = irfft_space(solver._driver_stage(spec, window[None])[0], spec)
+            rows = np.stack([driver.window(driver.spectrum(s)), window])
+            tail, full = (res.trajectory.data for res in solve_stack([(linear, ct)], zero, plan.solve, noise=rows))
             assert tail.shape == full.shape == (201, spec.n)
             assert np.max(np.abs(full)) > 1.0
             assert np.max(np.abs(tail - full)) <= 1e-13 * np.max(np.abs(full))

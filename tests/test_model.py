@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,33 @@ def test_desk_model_classification(desk_model):
     assert cubic in desk_model.enumerate_indices() and desk_model.rho(*cubic) > 0
     assert desk_model.i_diamond >= 1
     assert desk_model.m_flat == 3
+
+
+@pytest.mark.parametrize(
+    "model, relevant, kept",
+    [
+        (replace(preset("phi4_3d"), symmetry="none", dim_lambda=0.3), 34, 22),
+        (
+            ModelSpec(d=4, sigma=2.5, dim_lambda=0.5, lam=0.3, monomials=(Monomial(1, 3, 0, -1.0),), symmetry="parity_z2"),
+            42,
+            17,
+        ),
+    ],
+    ids=["phi4_3d-none-dim_lambda-0.3", "d4-sigma-2.5-cubic-dim_lambda-0.5"],
+)
+def test_relevant_enumeration_stops_where_rho_turns_positive(model, relevant, kept):
+    """No degree tuple of an (i, m) with rho(i, m, 0) > 0 is walked, so
+    models whose m_flat (i_flat + i_diamond) reaches 27 and 21 classify in
+    well under a second instead of walking (max_deg + 1)^m degree tuples
+    per arity m; the d = 4 model is the paper's cubic regime sigma > 2.
+    Every index kept has rho <= 0."""
+    start = time.perf_counter()
+    indices = model.relevant_indices()
+    filtered = relevant_filtered(model)
+    assert time.perf_counter() - start < 1.0
+    assert len(indices) == relevant and len(filtered) == kept
+    assert all(model.rho(*key) <= 0 for key in indices)
+    assert set(filtered) <= set(indices)
 
 
 def test_relevant_filtered_is_cached_per_classification(desk_model):

@@ -11,12 +11,10 @@ from flowpde.model import CompiledForce, ModelSpec, Monomial, evaluate_force, pr
 from flowpde.noise import sample_macroscopic_noise
 from flowpde.norms import c_gamma_norm
 from flowpde.solver import (
-    DRIVE_ROWS,
     STATUS_BLEW_UP,
     STATUS_COMPLETED,
     SolveConfig,
     _dealias_mask,
-    _driver_stage,
     _phi1,
     _phi2,
     solve_mild,
@@ -254,33 +252,32 @@ def test_missing_coefficient_faults_before_any_step(desk_noise):
             solve_mild(model, None, None, phi0, cfg)
 
 
-def _reference_drive(spec, noise):
-    """The driver of one sample from its solve_window slices: S is
-    G * (1_[0,inf) noise), stepped slice by slice with trapezoid weights;
-    the driver is S less the free decay of its t = 0 slice, on the rfft
-    half of the modes, and zero at t = 0."""
+def _reference_drive(spec, noise, slices):
+    """D's half spectrum of one sample from its solve_window slices (zero
+    without noise): S is G * (1_[0,inf) noise), stepped slice by slice with
+    trapezoid weights and the free decay of its t = 0 slice folded into the
+    start, B_0 = x_0 / 2, B_j = x_j + e^(-dt|k|^sigma) B_(j-1) and
+    D_j = dt (B_j - x_j / 2), so D_0 = 0."""
+    half = spec.n // 2 + 1
     if noise is None:
-        return None
+        return np.zeros((slices, *spec.space_shape()[:-1], half), dtype=complex)
     axes = tuple(range(1, spec.d + 1))
-    ks = (spec.k_norm() ** spec.sigma)[..., : spec.n // 2 + 1]
-    s_hat = np.fft.rfftn(noise, axes=axes)
-    acc = s_hat.copy()
+    ks = (spec.k_norm() ** spec.sigma)[..., :half]
+    x = np.fft.rfftn(noise, axes=axes)
+    acc = 0.5 * x
     for j in range(1, len(acc)):
-        acc[j] += np.exp(-spec.dt * ks) * acc[j - 1]
-    s_hat = spec.dt * (acc - 0.5 * s_hat)
-    heat = np.exp(-np.multiply.outer(spec.dt * np.arange(len(noise)), ks))
-    drive = np.fft.irfftn(s_hat - heat * s_hat[0], spec.space_shape(), axes)
-    drive[0] = 0.0
-    return drive
+        acc[j] = x[j] + np.exp(-spec.dt * ks) * acc[j - 1]
+    return spec.dt * (acc - 0.5 * x)
 
 
 def _reference_solve(model, counterterms, phi0, cfg, noise=None):
     """The per-sample solver on a d = 1 lattice: the rfft half of R stepped
-    with the force evaluated afresh by evaluate_force at every stage, a
-    restart from the real slice at every seam of t_local, the c_gamma norm
-    read from the half spectrum and a stop at the blow-up radius.  noise
-    holds the sample's solve_window slices; the remainder starts at phi0
-    and the total R + D is returned.
+    with the force evaluated afresh by evaluate_force at every stage on the
+    inverse transform of R + D's half spectrum, a restart from R's real
+    slice at every seam of t_local, the c_gamma norm read from R's half
+    spectrum and a stop at the blow-up radius.  noise holds the sample's
+    solve_window slices; the remainder starts at phi0 and the total R + D
+    is returned, phi0 itself at t = 0.
     The reference for the compiled force and the stacked loop."""
     spec = phi0.spec
     dt = spec.dt
@@ -290,38 +287,34 @@ def _reference_solve(model, counterterms, phi0, cfg, noise=None):
     lin = -dt * (spec.k_norm() ** spec.sigma)[:half]
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     norm_mult = 1.0 + spec.k_norm()[:half] ** (spec.sigma - DEFAULT_EPS)
-    drive = _reference_drive(spec, noise)
+    drive = _reference_drive(spec, noise, n_steps + 1)
 
-    def force_hat(phi_hat, j):
-        phi = np.fft.irfft(phi_hat, spec.n)
-        if drive is not None:
-            phi = phi + drive[j]
-        f = evaluate_force(model, counterterms, Field(spec, phi, SPACE_ONLY), None, model.noise.nu).data
-        f = np.fft.rfft(f)
+    def force_hat(total_hat):
+        phi = Field(spec, np.fft.irfft(total_hat, spec.n), SPACE_ONLY)
+        f = np.fft.rfft(evaluate_force(model, counterterms, phi, None, model.noise.nu).data)
         return f * _dealias_mask(spec) if cfg.dealias else f
 
     def norm(phi_hat):
         return np.max(np.abs(np.fft.irfft(norm_mult * phi_hat, spec.n)))
 
+    phi_hat = total_hat = np.fft.rfft(phi0.data)
     traj = [phi0.data]
-    norms = [norm(np.fft.rfft(phi0.data))]
+    norms = [norm(phi_hat)]
     status = STATUS_COMPLETED
     for j in range(n_steps):
-        if j % per_window == 0:
-            phi_hat = np.fft.rfft(traj[-1])
-        f0 = force_hat(phi_hat, j)
+        if j and j % per_window == 0:
+            phi_hat = np.fft.rfft(np.fft.irfft(phi_hat, spec.n))
+        f0 = force_hat(total_hat)
         phi_hat = e_lin * phi_hat + w1 * f0
         if cfg.scheme == "etd_rk2":
-            phi_hat = phi_hat + w2 * (force_hat(phi_hat, j + 1) - f0)
-        traj.append(np.fft.irfft(phi_hat, spec.n))
+            phi_hat = phi_hat + w2 * (force_hat(phi_hat + drive[j + 1]) - f0)
+        total_hat = phi_hat + drive[j + 1]
+        traj.append(np.fft.irfft(total_hat, spec.n))
         norms.append(norm(phi_hat))
         if norms[-1] >= cfg.blow_up_radius:
             status = STATUS_BLEW_UP
             break
-    traj = np.array(traj)
-    if drive is not None:
-        traj = traj + drive[: len(traj)]
-    return traj, np.array(norms), status
+    return np.array(traj), np.array(norms), status
 
 
 def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
@@ -338,7 +331,7 @@ def _complex_reference_solve(model, counterterms, phi0, cfg, noise=None):
     e_lin, w1, w2 = np.exp(lin), dt * _phi1(lin), dt * _phi2(lin)
     norm_mult = 1.0 + spec.k_norm() ** (spec.sigma - DEFAULT_EPS)
     mask = np.all(np.abs(spec.freq_grids()) <= spec.n / 3.0, axis=0)  # the 2/3 rule, full grid
-    drive = _reference_drive(spec, noise)
+    drive = np.fft.irfftn(_reference_drive(spec, noise, len(noise)), spec.space_shape(), axes)
 
     def inverse(coeffs):
         return np.fft.ifftn(coeffs, axes=axes).real
@@ -453,8 +446,8 @@ def test_single_sample_solve_transform_budget(desk_noise, monkeypatch, scheme, p
     """A single-sample solve makes per_step forward and per_step inverse
     transforms a step (the force at each stage, the stage-2 slice and the
     slice with its monitor), plus fixed ones: the noise window's forward
-    transform, the start-up pair, one inverse per drive chunk and a pair
-    at each seam of t_local.  The force's buffers never overlap its input."""
+    transform, the start-up pair and a pair at each seam of t_local.  The
+    force's buffers never overlap its input."""
     counts = {"rfft": 0, "irfft": 0}
 
     def counted(name):
@@ -484,8 +477,8 @@ def test_single_sample_solve_transform_budget(desk_noise, monkeypatch, scheme, p
     res = solve_mild(model, {(1, 1, ((0,),)): -0.4}, xi, zero, cfg)
     steps = len(res.slice_norms) - 1
     assert res.status == STATUS_COMPLETED and steps == 400
-    seams, chunks = 3, -(-(steps + 1) // DRIVE_ROWS)
-    assert counts == {"rfft": 1 + 1 + per_step * steps + seams, "irfft": chunks + 1 + per_step * steps + seams}
+    seams = 3
+    assert counts == {"rfft": 1 + 1 + per_step * steps + seams, "irfft": 1 + per_step * steps + seams}
 
 
 def _windows(model, spec, cfg, samples):
@@ -524,7 +517,8 @@ def test_stack_equals_per_sample_reference(desk_noise, scheme, t_local):
 
 def test_stack_sample_blows_up_while_others_complete():
     """A sample that reaches the blow-up radius stops there; the others run
-    on and match their own solves of one."""
+    on and match their own solves of one.  The noise spectra given are
+    read, never written, though the loop cuts its rows to the live samples."""
     spec = LatticeSpec(1, 16, 0.001, 0.0, 0.3, 0.5)
     model = preset("phi4_desk", lam=1.0, base=1.0)
     cfg = SolveConfig(scheme="etd_rk2", blow_up_radius=10.0, max_horizon=0.3, t_local=0.1)
@@ -532,7 +526,10 @@ def test_stack_sample_blows_up_while_others_complete():
     x = spec.coords()[0]
     shape = (spec.nt, spec.n)
     noise = np.stack([np.full(shape, 0.5 * np.cos(x)), np.full(shape, 40.0), np.zeros(shape)])
-    results = solve_stack([(model, CT_DESK)], zero, cfg, noise=rfft_space(noise, 1))
+    spectra = rfft_space(noise, 1)
+    given = spectra.copy()
+    results = solve_stack([(model, CT_DESK)], zero, cfg, noise=spectra)
+    np.testing.assert_array_equal(spectra, given)
     assert [r.status for r in results] == [STATUS_COMPLETED, STATUS_BLEW_UP, STATUS_COMPLETED]
     blown = results[1]
     assert blown.slice_norms[-1] >= 10.0 and np.all(blown.slice_norms[:-1] < 10.0)
@@ -636,17 +633,3 @@ def test_stack_groups_must_split_the_rows_and_share_their_terms():
     massive = {(1, 1, ((0,),)): -0.4}
     with pytest.raises(ValidationFault, match="share their terms"):
         solve_stack([(model, CT_DESK), (model, massive)], zero, cfg, noise=noise[:2])
-
-
-def test_driver_stage_works_in_place_on_the_spectrum_it_is_given(desk_noise):
-    """The driver stage turns the noise's half spectrum into D's, in place
-    and without a real array: its inverse transform is the reference
-    driver bit for bit."""
-    spec = LatticeSpec(1, 64, 0.005, 0.0, 0.5, 0.5)
-    cfg = SolveConfig(scheme="etd1", max_horizon=0.5)
-    xi = sample_macroscopic_noise(desk_noise, spec, 2, history=2.0)
-    window = solve_window(xi, spec, cfg)
-    spectrum = rfft_space(window[None], 1)
-    drive = _driver_stage(spec, spectrum)
-    assert drive is spectrum
-    np.testing.assert_array_equal(np.fft.irfft(drive[0], spec.n), _reference_drive(spec, window))
