@@ -342,8 +342,8 @@ def cmd_renorm(args) -> int:
     nu = args.nu if args.nu is not None else (model.noise.nu if model.noise else 0.1)
     spec = lattice_from_config(model, cfg)
     scheme = scheme_from_config(model, cfg.get("scheme"))
-    out = _outdir(args)
     curves, ct = flow_expected(model, spec, nu, scheme, i_max=args.imax)
+    out = _outdir(args)
     payload = {
         "nu": nu,
         "entries": [

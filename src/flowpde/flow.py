@@ -161,17 +161,19 @@ def stationary_sum(expansion: dict, lam: float, i_max: int) -> Field:
 
 
 class DistinctModes:
-    """The distinct values of |k|^sigma on one lattice (`inverse` maps each
-    mode of the full grid to its column), which the WickCalculators of its
-    cells share: folding the rfft half would reorder the Wick sums."""
+    """The distinct values of |k|^sigma on one lattice's rfft half (`inverse`
+    maps each mode of the half to its column), which the WickCalculators of
+    its cells share, and the modes' multiplicity over the last axis: 1 on
+    the columns 0 and n/2, their own mirrors, and 2 on the others (k, -k)."""
 
     # entries of the heat table per block of modes
     BLOCK = 1 << 16
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        k_sigma = spec.k_norm().ravel() ** spec.sigma
-        self.k_sigma, self.inverse = np.unique(k_sigma, return_inverse=True)
+        self.k_sigma, self.inverse = np.unique(spec.k_half() ** spec.sigma, return_inverse=True)
+        self.multiplicity = np.full(spec.n // 2 + 1, 2.0)
+        self.multiplicity[[0, -1]] = 1.0
 
     def heat_traces(self, weights: list, terms: int) -> list:
         """h(n) = sum_k w_k exp(-n dt |k|^sigma) for n < terms, one per mode
@@ -196,8 +198,9 @@ class WickCalculator:
     taps and multiplier, cell variance 1/(dt dx^d), half-weight at a
     kernel's t = 0 tap.  The noise enters the Wick sums only through its
     separable second-moment pair: the taps' autocorrelation R in time and
-    mode_weights, |M|^2 on the full grid (mhat2) folded onto the distinct
-    |k|^sigma, over space (the lag identity of the module docstring).
+    mode_weights, |M|^2 on the rfft half (mhat2) folded onto the distinct
+    |k|^sigma with the modes' multiplicity, over space (the lag identity of
+    the module docstring).
     tadpole and flow_node are one-cell, one-node wick_sums."""
 
     def __init__(self, spec: LatticeSpec, model: NoiseModel, modes: DistinctModes | None = None):
@@ -206,10 +209,11 @@ class WickCalculator:
         self.spec = spec
         self.model = model
         self.modes = modes if modes is not None else DistinctModes(spec)
-        self.mhat2 = np.abs(_spatial_multiplier(model, spec)).ravel() ** 2
+        self.mhat2 = np.abs(_spatial_multiplier(model, spec)) ** 2
         self.taps = _temporal_taps(model, spec)
         self.prefactor = spec.dt / (spec.dx**spec.d * spec.n**spec.d)
-        self.mode_weights = self.prefactor * np.bincount(self.modes.inverse, weights=self.mhat2)
+        weights = (self.modes.multiplicity * self.mhat2).ravel()  # a mode and its mirror
+        self.mode_weights = self.prefactor * np.bincount(self.modes.inverse.ravel(), weights=weights)
         T, L = self.taps, len(self.taps)
         self.autocorrelation = np.array([T[: L - l] @ T[l:] for l in range(L)])  # R(l), l < L
 
@@ -239,10 +243,7 @@ class WickCalculator:
         slices[0] *= 0.5
         H = np.fft.rfft(slices, n=n_pad, axis=0) * np.fft.rfft(self.taps, n=n_pad)[:, None]
         auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
-        half = (..., slice(0, spec.n // 2 + 1))
-        inverse = self.modes.inverse.reshape(spec.space_shape())[half]
-        mhat2 = self.mhat2.reshape(spec.space_shape())[half]
-        out_hat = np.take(auto[:n_lags], inverse, axis=1) * (self.prefactor * mhat2[None])
+        out_hat = np.take(auto[:n_lags], self.modes.inverse, axis=1) * (self.prefactor * self.mhat2)
         return irfft_space(out_hat * spec.n**spec.d, spec)
 
 
@@ -371,8 +372,9 @@ def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max
                 raise ValidationFault(f"anchor for non-relevant index {key}")
         over = [key for key in relevant if key[0] > i_max]
         if over:
+            more = f" and {len(over) - 3} more" if len(over) > 3 else ""
             raise ValidationFault(
-                f"truncation order {i_max} cannot determine relevant indices {over}"
+                f"truncation order {i_max} cannot determine {len(over)} relevant indices: {over[:3]}{more}"
             )
         checked.append((model, nu, anchors, relevant))
 

@@ -119,7 +119,8 @@ class ExperimentPlan:
             if relevant_filtered(m) != relevant_filtered(base):
                 raise ValidationFault("variants must share the relevant index set")
         horizon = min(self.t_max, self.solve.max_horizon)
-        self.lattice()  # dt checked before an observable time is divided by it
+        self.lattice()  # dt checked before a time is divided by it
+        check_whole_steps(horizon, self.dt, f"the solve horizon min(max_horizon, t_max) = {horizon:g}")
         for o in self.observables:
             if not 0.0 <= o.time <= horizon:
                 raise ValidationFault(f"observable time {o.time:g} not in the horizon [0, {horizon:g}]")

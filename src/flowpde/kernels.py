@@ -375,7 +375,7 @@ def dot_G_moment_norms(
     if g is None:
         g = default_g(spec.sigma)
     half = spec.n // 2 + 1
-    ks = spec.k_norm()[(slice(0, half),) * spec.d]
+    ks = spec.k_half()[(slice(0, half),) * spec.d]
     ks_sigma = ks**spec.sigma
     r_mult = 1.0 + (spec.scale_of(nu) * ks) ** (spec.sigma - eps)
     axes = tuple(range(-spec.d, 0))

@@ -16,11 +16,10 @@ half (n, ..., n // 2 + 1) of rfft_space / irfft_space.  Every spatial
 multiplier lives there as the Hermitian part (M(k) + conj M(-k)) / 2 of its
 symbol, the part a real field realizes.  It differs from M only at a
 Nyquist index k_j = -n/2, a mode's own mirror along axis j: it is 0 where
-M is odd in an odd number of such k_j.  Three places keep another layout
-on purpose: the Wick sums fold the full grid (flow.DistinctModes,
-WickCalculator.mhat2, noise._cached_multiplier), as folding the half would
-reorder the sums and move every counterterm's bits;
-kernels.dot_G_moment_norms has the faster parity orthant [0, n/2]^d; and
+M is odd in an odd number of such k_j.  The Wick sums fold the half too,
+a mode standing for itself and its mirror (flow.DistinctModes).  Two places
+keep another layout on purpose: kernels.dot_G_moment_norms has the faster
+parity orthant [0, n/2]^d of the half, and
 noise.MollifierProfile.spatial_hat is a 1-D complex chirp-z transform.
 """
 
@@ -60,6 +59,8 @@ class LatticeSpec:
 
     sigma is the order of the fractional Laplacian; it tags the lattice
     because the parabolic scaling [mu] = mu^(1/sigma) couples the two axes.
+    n is a power of two and at least 4: at n = 2 the rfft half is {0,
+    Nyquist} and the 2/3 dealias mask keeps only k = 0.
     """
 
     d: int
@@ -72,8 +73,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValidationFault(f"spatial dimension must be 1..3, got {self.d}")
-        if not (self.n >= 1 and self.n & (self.n - 1) == 0):
-            raise ValidationFault(f"n must be a power of two, got {self.n}")
+        if not (self.n >= 4 and self.n & (self.n - 1) == 0):
+            raise ValidationFault(f"n must be a power of two and at least 4, got {self.n}")
         if not all(math.isfinite(v) for v in (self.dt, self.t_min, self.t_max, self.sigma)):
             raise ValidationFault("dt, t_min, t_max and sigma must be finite")
         if not self.dt > 0:
@@ -114,7 +115,7 @@ class LatticeSpec:
     _knorm_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def k_norm(self) -> np.ndarray:
-        """|k| on the full frequency grid, shape (n,)*d."""
+        """|k| on the full frequency grid, shape (n,)*d: the cache k_half cuts."""
         key = "knorm"
         if key not in self._knorm_cache:
             grids = self.freq_grids()

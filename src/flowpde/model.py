@@ -171,14 +171,20 @@ class ModelSpec:
     def enumerate_indices(self):
         """All (i, m, a) with i <= i_flat + i_diamond, m <= m_flat * i and
         rho <= 0, plus those carried by the declared monomials.  rho grows
-        with the degree, so an (i, m) with rho(i, m, 0) > 0 has no index to
-        list and its derivative patterns are never walked."""
+        with i (dim lambda > 0) and does not fall with m or the degree (dim
+        Phi >= 0), so the walk over i stops at the first rho(i, 0, 0) > 0,
+        the walk over m at the first rho(i, m, 0) > 0, and no derivative
+        pattern of such an (i, m) is listed: the cost follows the output."""
         seen = set()
         out = []
         i_max = self.i_flat + self.i_diamond
         for i in range(0, i_max + 1):
+            if self.rho(i, 0, 0) > 0:
+                break
             m_max = self.m_flat * i if i > 0 else 0
             for m in range(0, m_max + 1):
+                if self.rho(i, m, 0) > 0:
+                    break
                 deg = 0
                 while True:
                     if self.rho(i, m, deg) > 0:

@@ -34,8 +34,9 @@ Every solve reads these fields as its noise, at every stationary order
 a stationary shift.
 
 Every realized field is real, so it carries the Hermitian part of the
-spatial mollifier multiplier; _spatial_multiplier returns that part, and the
-sampler and the Wick sums (flow.WickCalculator) both read it.
+spatial mollifier multiplier; _spatial_multiplier returns that part on the
+rfft half, where the sampler and the Wick sums (flow.WickCalculator) both
+read it.
 
 Shot noise is a homogeneous Poisson cloud with a zero-mean kernel; couplings
 across nu share the leading uniform points of the substream (a thinning).
@@ -276,23 +277,21 @@ def _temporal_taps(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
 
 def _spatial_multiplier(model: NoiseModel, spec: LatticeSpec) -> np.ndarray:
     """The Hermitian part (M(k) + conj M(-k)) / 2 of M(k) = m_hat([nu] k)
-    on the lattice's modes: the multiplier every real field realizes, as
-    taking the real part (or irfft) keeps only that part.  It differs from M
-    only where a mode is its own mirror (a Nyquist index), and to rounding.
-    On the full grid, which the Wick sums fold (flow.DistinctModes); the
-    sampler cuts it to the rfft half.  Cached and read-only, as it depends
-    on neither the time window nor the seed."""
+    on the rfft half (n, ..., n // 2 + 1), which the sampler and the Wick
+    sums read: the multiplier every real field realizes, as irfft keeps
+    only that part.  It differs from M only where a mode is its own mirror
+    (a Nyquist index), and to rounding.  Cached and read-only, as it
+    depends on neither the time window nor the seed."""
     return _cached_multiplier(model.family, model.nu, spec.n, spec.d, spec.sigma)
 
 
 @functools.lru_cache(maxsize=32)
 def _cached_multiplier(family: str, nu: float, n: int, d: int, sigma: float) -> np.ndarray:
-    hat1d = MollifierProfile(family).spatial_hat(nu ** (1.0 / sigma), n)
-    mult = hat1d
-    for _ in range(d - 1):
-        mult = np.multiply.outer(mult, hat1d)
-    axes = tuple(range(d))
-    mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axes).conj())  # conj M(-k)
+    hat = MollifierProfile(family).spatial_hat(nu ** (1.0 / sigma), n)
+    mirror = np.roll(hat[::-1], 1).conj()  # conj m_hat(-k) per axis
+    # the product over the axes, the last one cut to the rfft half
+    prod = [functools.reduce(np.multiply.outer, [v] * (d - 1) + [v[: n // 2 + 1]]) for v in (hat, mirror)]
+    mult = 0.5 * (prod[0] + prod[1])
     mult.setflags(write=False)
     return mult
 
@@ -383,7 +382,7 @@ def spectral_driver(
     taps = _tap_count(nu_max, ext.dt)
     lo = max(0, start - (taps - 1))
     m = padded_length(stop - lo + taps)
-    space = _spatial_multiplier(model, ext)[..., : ext.n // 2 + 1]
+    space = _spatial_multiplier(model, ext)
     time = ext.dt * np.fft.fft(_temporal_taps(model, ext), n=m)
     return SpectralDriver(model.master_seed, ext, (lo, stop), slice(start, stop), space, time)
 

@@ -124,7 +124,11 @@ def _slice_index(fs: LatticeSpec, t: float) -> int:
 
 
 def _n_steps(spec: LatticeSpec, cfg: SolveConfig) -> int:
-    return int(round(min(cfg.max_horizon, spec.t_max) / spec.dt))
+    """The steps of a solve from t = 0 to its horizon min(max_horizon,
+    t_max), which must be a whole number of them."""
+    horizon = min(cfg.max_horizon, spec.t_max)
+    check_whole_steps(horizon, spec.dt, f"the solve horizon min(max_horizon, t_max) = {horizon:g}")
+    return int(round(horizon / spec.dt))
 
 
 def window_slices(fs: LatticeSpec, spec: LatticeSpec, cfg: SolveConfig) -> slice:

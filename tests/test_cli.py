@@ -439,6 +439,14 @@ CLI_FAULTS = {
         lambda p: _universality_argv(p, "max_horizon", 0.1, "solve"),
         "not in the horizon [0, 0.1]",
     ),
+    # the solve would be rounded to 13 steps of 0.01 and end at t = 0.13
+    "max_horizon-off-the-dt-grid": (
+        lambda p: _universality_argv(p, "max_horizon", 0.126, "solve"),
+        "min(max_horizon, t_max) = 0.126 must be an integer multiple of dt",
+    ),
+    # a one-point torus, and at n = 2 a dealias mask that keeps only k = 0
+    "lattice-n-1": (lambda p: _model_argv(p, lambda c: c["lattice"].update(n=1)), "power of two and at least 4, got 1"),
+    "lattice-n-2": (lambda p: _model_argv(p, lambda c: c["lattice"].update(n=2)), "power of two and at least 4, got 2"),
     # the plan would read the slice at t = 0.12 and name it t0.123
     "observable-time-off-the-dt-grid": (
         lambda p: _universality_argv(p, "observables", [{"kind": "slice_moment", "p": 2, "time": 0.123}]),
@@ -463,6 +471,12 @@ CLI_FAULTS = {
     ),
     # a NaN sigma reached the index enumeration's int(ceil(sigma)) as a traceback
     "nan-variant-sigma": (_nan_variant_sigma_argv, "sigma must be finite"),
+    # 4,998 relevant indices above the truncation order: counted, the first few listed
+    "renorm-dim_lambda-1e-4": (
+        lambda p: _model_argv(p, lambda c: c.update(dim_lambda=1e-4)),
+        "cannot determine 4998 relevant indices: [(3, 1, ((0,),)), (4, 1, ((0,),)), (5, 1, ((0,),))] "
+        "and 4995 more",
+    ),
     # rng.poisson would raise on a negative intensity
     "negative-shot-rate": (
         lambda p: _model_argv(p, lambda c: c["noise"].update(kind="poisson_shot", rate=-1.0), "noise"),

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,27 @@ def test_tadpole_monotone_in_mu(desk_spec, desk_noise):
     wick = WickCalculator(desk_spec, desk_noise)
     vals = [wick.tadpole(mu) for mu in (0.1, 0.3, 1.0)]
     assert 0.0 < vals[0] < vals[1] < vals[2]
+
+
+def _full_grid_mhat2(wick):
+    """|M|^2 on the full frequency grid, raveled: the Hermitian part of the
+    outer product of the 1-D spatial_hat over the d axes, taken by flipping
+    and rolling that grid (conj M(-k)), independent of the package's rfft
+    half layout."""
+    spec, model = wick.spec, wick.model
+    hat = model.profile().spatial_hat(model.nu ** (1.0 / spec.sigma), spec.n)
+    mult = functools.reduce(np.multiply.outer, [hat] * spec.d)
+    axes = tuple(range(spec.d))
+    mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axes).conj())
+    return np.abs(mult).ravel() ** 2
+
+
+def _full_grid_fold(wick):
+    """The mode weights folded over every mode of the full grid, each
+    distinct |k|^sigma a column, as np.unique orders them."""
+    k_sigma = wick.spec.k_norm().ravel() ** wick.spec.sigma
+    distinct, inverse = np.unique(k_sigma, return_inverse=True)
+    return distinct, wick.prefactor * np.bincount(inverse, weights=_full_grid_mhat2(wick))
 
 
 def _reference_spectrum(spec, mult, lo, n_pad):
@@ -90,8 +112,8 @@ def _reference_node(wick, mu):
     if n_pad % 2 == 0:
         weights[-1] *= 0.5
     k_sigma = wick.spec.k_norm().ravel() ** wick.spec.sigma
-    _, first, inverse = np.unique(k_sigma, return_index=True, return_inverse=True)
-    folded = wick.prefactor * np.bincount(inverse, weights=wick.mhat2)
+    _, first = np.unique(k_sigma, return_index=True)
+    folded = _full_grid_fold(wick)[1]
     products = (S.real**2 + S.imag**2, S.real * S_dot.real + S.imag * S_dot.imag)
     return tuple(float(np.sum((weights[None] @ A)[0, first] * folded)) for A in products)
 
@@ -109,7 +131,7 @@ def _tap_smoothed_node(wick, mu):
         if n_pad % 2 == 0:
             val -= prod[-1]
         val /= n_pad
-        return float(wick.prefactor * np.sum(wick.mhat2 * val))
+        return float(wick.prefactor * np.sum(_full_grid_mhat2(wick) * val))
 
     return pairing(S * T, S * T), pairing(S * T, S_dot * T)
 
@@ -120,7 +142,7 @@ def _reference_covariance(wick, n_lags):
     n_pad = padded_length(2 * (len(fluct) + len(wick.taps) + n_lags))
     H = _reference_spectrum(wick.spec, fluct, 0, n_pad) * np.fft.rfft(wick.taps, n=n_pad)[:, None]
     auto = np.fft.irfft(np.abs(H) ** 2, n=n_pad, axis=0)
-    out_hat = auto[:n_lags] * (wick.prefactor * wick.mhat2[None])
+    out_hat = auto[:n_lags] * (wick.prefactor * _full_grid_mhat2(wick)[None])
     spec = wick.spec
     half = (out_hat * spec.n**spec.d).reshape((n_lags, *spec.space_shape()))[..., : spec.n // 2 + 1]
     return irfft_space(half, spec)
@@ -152,6 +174,39 @@ def test_distinct_k_layout_equals_full_column_reference(spec, family):
         P, P_ref = wick.covariance_kernel(n_lags), _reference_covariance(wick, n_lags)
         # the memory order too: the sunset integrals sum over P in it
         assert np.array_equal(P, P_ref) and P.strides == P_ref.strides
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize("nu", [0.2, 0.05])
+@pytest.mark.parametrize("n", [256, 1024, 8192])
+def test_d1_half_folded_mode_weights_equal_the_full_grid_fold(n, nu, family):
+    """At d = 1 each |k|^sigma but those of k = 0 and n/2 holds the two
+    modes k and -k, whose |M|^2 agree bit for bit (the multiplier is
+    Hermitian), so the full grid's fold adds a and a where the half counts
+    2a: the same distinct values and the same weights, bit for bit."""
+    wick = WickCalculator(LatticeSpec(1, n, 0.01, -2.0, 1.0, 0.5), NoiseModel("mollified_white", nu, 11, family))
+    assert wick.mhat2.shape == (n // 2 + 1,)
+    distinct, weights = _full_grid_fold(wick)
+    assert np.array_equal(wick.modes.k_sigma, distinct)
+    assert np.array_equal(wick.mode_weights, weights)
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize(
+    "spec, nu",
+    [(LatticeSpec(2, 64, 0.01, 0.0, 0.5, 1.5), 0.2), (LatticeSpec(3, 16, 0.01, 0.0, 0.5, 2.0), 0.2)],
+    ids=["d2", "d3"],
+)
+def test_half_folded_mode_weights_equal_the_full_grid_fold_to_round_off(spec, nu, family):
+    """Off d = 1 several modes of the half share one |k| (|(3, 4)| = |(5,
+    0)|), and folding the half adds their weights in another order than
+    the full grid: the distinct values are the same, and the weights agree
+    to round-off (at most 2.3e-15 relative measured at d = 3)."""
+    wick = WickCalculator(spec, NoiseModel("mollified_white", nu, 11, family, resolution_policy="spectral"))
+    assert wick.mhat2.shape == (*spec.space_shape()[:-1], spec.n // 2 + 1)
+    distinct, weights = _full_grid_fold(wick)
+    assert np.array_equal(wick.modes.k_sigma, distinct)
+    np.testing.assert_allclose(wick.mode_weights, weights, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("n, dt", [(64, 0.02), (256, 0.0025)])

@@ -49,15 +49,20 @@ def test_desk_model_classification(desk_model):
             42,
             17,
         ),
+        (replace(preset("phi4_desk"), dim_lambda=1e-4), 15000, 5000),
     ],
-    ids=["phi4_3d-none-dim_lambda-0.3", "d4-sigma-2.5-cubic-dim_lambda-0.5"],
+    ids=["phi4_3d-none-dim_lambda-0.3", "d4-sigma-2.5-cubic-dim_lambda-0.5", "phi4_desk-dim_lambda-1e-4"],
 )
 def test_relevant_enumeration_stops_where_rho_turns_positive(model, relevant, kept):
     """No degree tuple of an (i, m) with rho(i, m, 0) > 0 is walked, so
     models whose m_flat (i_flat + i_diamond) reaches 27 and 21 classify in
     well under a second instead of walking (max_deg + 1)^m degree tuples
     per arity m; the d = 4 model is the paper's cubic regime sigma > 2.
-    Every index kept has rho <= 0."""
+    The walk over i ends at the first rho(i, 0, 0) > 0 and the walk over m
+    at the first rho(i, m, 0) > 0, so the desk model at dim_lambda 1e-4
+    (i_flat + i_diamond = 7501, m_flat = 3) does not walk its 84 million
+    pairs (i, m), on which flowpde renorm spent 40 s.  Every index kept has
+    rho <= 0."""
     start = time.perf_counter()
     indices = model.relevant_indices()
     filtered = relevant_filtered(model)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_white_noise_variance_scaling():
         # * mean(mult^2) / dx
         spec = fields[0].spec
         taps = _temporal_taps(model, spec)
-        mult = _spatial_multiplier(model, spec)
+        mult = _full_grid_multiplier(model, spec)
         # causal convolution ramps up near t_min: slice j only sees taps[0..j]
         partial = np.cumsum(taps**2)
         per_slice = partial[np.minimum(np.arange(spec.nt), len(taps) - 1)]
@@ -272,6 +273,39 @@ def test_chirp_z_spatial_hat_matches_dense_quadrature(lam, n):
         np.testing.assert_allclose(p.spatial_hat(lam, n), ref, rtol=0, atol=1e-13)
 
 
+def _full_grid_multiplier(model, spec):
+    """The Hermitian part of the mollifier multiplier on the full frequency
+    grid (n,)*d: the outer product of the 1-D spatial_hat over the d axes,
+    its mirror conj M(-k) taken by flipping and rolling the grid.  A
+    reference built apart from the package's rfft half layout."""
+    hat = model.profile().spatial_hat(model.nu ** (1.0 / spec.sigma), spec.n)
+    mult = functools.reduce(np.multiply.outer, [hat] * spec.d)
+    axes = tuple(range(spec.d))
+    return 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axes).conj())
+
+
+@pytest.mark.parametrize("family", ["bump", "skew"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LatticeSpec(1, 256, 0.01, 0.0, 0.5, 0.5),
+        LatticeSpec(1, 8192, 0.01, 0.0, 0.5, 0.5),
+        LatticeSpec(2, 64, 0.01, 0.0, 0.5, 1.5),
+        LatticeSpec(3, 16, 0.01, 0.0, 0.5, 2.0),
+    ],
+    ids=["d1-n256", "d1-n8192", "d2-n64", "d3-n16"],
+)
+def test_half_multiplier_is_the_full_grid_reference_cut_to_the_half(spec, family):
+    """The multiplier built on the rfft half from the 1-D spatial_hat and its
+    mirror equals the full-grid Hermitian part cut to the half, bit for bit:
+    the mirror of an outer product is the outer product of the mirrors, and
+    conj distributes over a product exactly."""
+    model = NoiseModel("mollified_white", 0.2, 1, family, resolution_policy="spectral")
+    mult = _spatial_multiplier(model, spec)
+    assert mult.shape == (*spec.space_shape()[:-1], spec.n // 2 + 1)
+    assert np.array_equal(mult, _full_grid_multiplier(model, spec)[..., : spec.n // 2 + 1])
+
+
 def test_spatial_multiplier_is_cached_read_only_and_seed_free():
     _cached_multiplier.cache_clear()
     a = NoiseModel("mollified_white", 0.1, 1, "skew", resolution_policy="spectral")
@@ -286,9 +320,10 @@ def test_spatial_multiplier_is_cached_read_only_and_seed_free():
         mult[0] = 0.0
     lam = 0.1 ** (1.0 / wick_window.sigma)
     fresh = MollifierProfile("skew").spatial_hat(lam, wick_window.n)
-    # the Hermitian part: real at the Nyquist mode, its own mirror
-    np.testing.assert_array_equal(mult, 0.5 * (fresh + np.roll(fresh[::-1], 1).conj()))
+    # the Hermitian part on the rfft half: real at the Nyquist mode, its own
+    # mirror and the last column of the half
     nyquist = wick_window.n // 2
+    np.testing.assert_array_equal(mult, (0.5 * (fresh + np.roll(fresh[::-1], 1).conj()))[: nyquist + 1])
     assert mult[nyquist] == fresh[nyquist].real and fresh[nyquist].imag != 0.0
 
 
@@ -299,7 +334,7 @@ def _axis0_mollified_white(model, spec, sample_index):
     part, then the causal temporal convolution along axis 0."""
     w = white_noise_slab(spec, model.master_seed, sample_index, (0, spec.nt))
     what = np.fft.fftn(w, axes=tuple(range(1, spec.d + 1)))
-    what *= _spatial_multiplier(model, spec)[None]
+    what *= _full_grid_multiplier(model, spec)[None]
     w = np.fft.ifftn(what, axes=tuple(range(1, spec.d + 1))).real
     taps = _temporal_taps(model, spec)
     n_pad = padded_length(spec.nt + len(taps))
@@ -394,7 +429,7 @@ def _assert_sample_is_the_causal_convolution(monkeypatch, nu, m):
     sample = sample_macroscopic_noise(model, spec, 3, history=2.0)
     assert pads == [m]
     w = white_noise_slab(ext, model.master_seed, 3, (0, ext.nt))
-    space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
+    space = _spatial_multiplier(model, ext)
     w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
     ref = np.zeros_like(w)
     for lag, tap in enumerate(taps):
@@ -445,7 +480,7 @@ def test_longest_taps_do_not_wrap_on_the_tail_spectrum(history, rows, start, m):
     assert driver.time.size == m >= stop - lo + len(taps) - 1
     got = irfft_space(driver.window(driver.spectrum(3)), ext)
     w = white_noise_slab(ext, model.master_seed, 3, (0, ext.nt))
-    space = _spatial_multiplier(model, ext)[: ext.n // 2 + 1]
+    space = _spatial_multiplier(model, ext)
     w = np.fft.irfft(space * np.fft.rfft(w, axis=1), ext.n, axis=1)
     ref = np.zeros_like(w)
     for lag, tap in enumerate(taps):

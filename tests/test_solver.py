@@ -44,6 +44,22 @@ def test_solve_config_validation():
             SolveConfig(gamma=gamma)
 
 
+@pytest.mark.parametrize("horizon", [0.126, 0.125])
+def test_a_horizon_off_the_step_grid_faults_where_the_steps_are_counted(horizon):
+    """A horizon that is not a whole number of steps of dt is not rounded:
+    at dt = 0.01, max_horizon 0.126 would solve to t = 0.13, past it, and
+    0.125 would stop at 0.12.  The solve faults naming max_horizon before
+    any step, and a horizon on the grid ends on it."""
+    spec = LatticeSpec(1, 32, 0.01, 0.0, 1.0, 0.5)
+    model = preset("linear_desk")
+    phi0 = Field(spec, np.cos(spec.coords()[0]), SPACE_ONLY)
+    ct = {key: 0.0 for key in relevant_filtered(model)}
+    with pytest.raises(ValidationFault, match=rf"min\(max_horizon, t_max\) = {horizon:g} must be"):
+        solve_mild(model, ct, None, phi0, SolveConfig(max_horizon=horizon))
+    res = solve_mild(model, ct, None, phi0, SolveConfig(max_horizon=0.12))
+    assert res.trajectory.spec.t_max == pytest.approx(0.12, abs=1e-12)
+
+
 def test_linear_decay_is_exact():
     """With no force the integrator reduces to the exact heat factor, so a
     single Fourier mode decays like e^(-t |k|^sigma) to rounding."""

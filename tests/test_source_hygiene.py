@@ -132,14 +132,25 @@ RETIRED_TRANSFORMS = {"fftn", "ifftn", "forward_transform", "inverse_transform"}
 
 def test_one_spatial_spectral_layout():
     """No module calls np.fft.fftn / ifftn or defines, imports or uses
-    forward_transform / inverse_transform: a second spatial layout cannot
-    come back unnoticed."""
-    found = []
+    forward_transform / inverse_transform, and only LatticeSpec.k_half
+    reads the full-grid |k| of LatticeSpec.k_norm: a second spatial layout
+    cannot come back unnoticed."""
+    found, full_grid_reads, k_half_reads = [], [], []
     for path in MODULES:
-        for node in ast.walk(_parse(path)[1]):
+        tree = _parse(path)[1]
+        for node in ast.walk(tree):
             names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
             if isinstance(node, (ast.ImportFrom, ast.Import)):
                 names = {alias.name.split(".")[-1] for alias in node.names}
             for name in names & RETIRED_TRANSFORMS:
                 found.append(f"{path.name} line {node.lineno}: {name}")
+            if isinstance(node, ast.Attribute) and node.attr == "k_norm":
+                full_grid_reads.append(f"{path.name} line {node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "k_half":
+                k_half_reads += [
+                    f"{path.name} line {sub.lineno}"
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and sub.attr == "k_norm"
+                ]
     assert found == []
+    assert full_grid_reads == k_half_reads and len(k_half_reads) == 1
