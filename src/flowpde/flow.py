@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationFault
+from .errors import NumericalFault, ValidationFault
 from .kernels import convolve, dot_weight, fluctuation_kernel, fluctuation_weight
 from .lattice import SPACE_TIME, TORUS_LEN, Field, LatticeSpec, irfft_space, padded_length
 from .model import ModelSpec, RenormScheme, coefficient_value, compile_force, relevant_filtered
@@ -200,7 +200,8 @@ class WickCalculator:
     separable second-moment pair: the taps' autocorrelation R in time and
     mode_weights, |M|^2 on the rfft half (mhat2) folded onto the distinct
     |k|^sigma with the modes' multiplicity, over space (the lag identity of
-    the module docstring).
+    the module docstring).  wick_sums reads mode_weights through one heat
+    trace per cell and R once per band of flow nodes, after its lag loop.
     tadpole and flow_node are one-cell, one-node wick_sums."""
 
     def __init__(self, spec: LatticeSpec, model: NoiseModel, modes: DistinctModes | None = None):
@@ -263,35 +264,58 @@ def _row_weights(weight, dt: float, mus: np.ndarray, rows: int, lo=0) -> np.ndar
 def wick_sums(wicks: list, mus, dot: bool) -> np.ndarray:
     """C(mu) and, with `dot`, D(mu) of each WickCalculator in `wicks`, which
     share one DistinctModes, at each mu in `mus`: a (cells, mus, 1 + dot)
-    array by the lag identity.  The rows j <= ceil(2 max(mus) / dt) hold
-    every node's weights s and s_dot, zero past the node's own support.
-    Per lag l one (mus, rows - l) product of them serves every cell, and
-    each cell contracts it with its own R(l) and h(2 j + l) in one matvec,
-    so a cell's values do not depend on the other cells."""
+    array by the lag identity, each node summed on its own support.
+
+    A node's weights s and s_dot vanish past its r = ceil(2 mu / dt) + 1
+    rows.  The nodes, sorted by r largest first, fall into bands by a fixed
+    rule: a band holds the nodes whose r is above 1/4 of the band's largest
+    r, which is the band's row count, and it runs min(rows, taps) lags.
+    Per band and lag l one (2 x band nodes, rows - l) product of the
+    weights, s s for C over both orders of s and s_dot for D, serves every
+    cell.  Each cell writes its raw matvec with its own h(2 j + l) into row
+    l of its (lags, 2 x band nodes) table and contracts the table once
+    after the lag loop with c_l R(l): C takes c_0 = 1 and c_l = 2 after it
+    (lags -l and l pair the same slices), D takes c_l = 1.  So a cell's
+    values do not depend on the other cells.  D's products are formed
+    whatever `dot`, which only selects the columns returned, so C does not
+    depend on it either."""
     mus = np.asarray(mus, dtype=float)
     dt = wicks[0].spec.dt
-    rows = int(np.ceil(2.0 * mus.max() / dt)) + 1
-    s = _row_weights(fluctuation_weight, dt, mus, rows)
-    s_dot = _row_weights(dot_weight, dt, mus, rows, np.floor(mus / dt).astype(int)) if dot else None
-    traces = wicks[0].modes.heat_traces([wick.mode_weights for wick in wicks], 2 * rows - 1)
-    out = np.zeros((len(wicks), len(mus), 1 + dot))
-    # lags -l and l pair the same slices, so C takes 2 R(l) for l > 0 and
-    # D the sum of both orders of s and s_dot
-    for l in range(min(rows, max(len(wick.taps) for wick in wicks))):
-        pairs = [s[:, : rows - l] * s[:, l:]]
-        if dot:
-            cross = s[:, : rows - l] * s_dot[:, l:]
+    counts = np.ceil(2.0 * mus / dt).astype(int) + 1
+    order = np.argsort(-counts, kind="stable")
+    traces = wicks[0].modes.heat_traces([wick.mode_weights for wick in wicks], 2 * counts.max() - 1)
+    taps = max(len(wick.taps) for wick in wicks)
+    out = np.zeros((len(wicks), len(mus), 2))
+    start = 0
+    while start < len(order):
+        rows = counts[order[start]]
+        band = order[start : start + np.count_nonzero(4 * counts[order[start:]] > rows)]
+        start += len(band)
+        nb, size = len(band), len(band) * rows
+        # the rows of s, s_dot and their products end to end: the flat
+        # product at lag l pairs j and j + l within a row for j < rows - l,
+        # the columns read, and mixes two rows only in the l columns after those
+        s = _row_weights(fluctuation_weight, dt, mus[band], rows).ravel()
+        s_dot = _row_weights(dot_weight, dt, mus[band], rows, np.floor(mus[band] / dt).astype(int)).ravel()
+        pairs = np.empty((2, size))
+        grid = pairs.reshape(2 * nb, rows)
+        spare = np.empty(size)
+        tables = [np.empty((min(rows, len(wick.taps)), 2 * nb)) for wick in wicks]
+        for l in range(min(rows, taps)):
+            k = size - l
+            np.multiply(s[:k], s[l:], out=pairs[0, :k])
+            np.multiply(s[:k], s_dot[l:], out=pairs[1, :k])
             if l:
-                cross += s_dot[:, : rows - l] * s[:, l:]
-            pairs.append(cross)
-        for wick, h, acc in zip(wicks, traces, out):
-            if l < len(wick.taps):
-                h_l = h[l : 2 * rows - l - 1 : 2]  # h(2 j + l), j < rows - l
-                r = wick.autocorrelation[l]
-                acc[:, 0] += (2.0 * r if l else r) * (pairs[0] @ h_l)
-                if dot:
-                    acc[:, 1] += r * (pairs[1] @ h_l)
-    return out
+                np.multiply(s_dot[:k], s[l:], out=spare[:k])
+                pairs[1, :k] += spare[:k]
+            for h, table in zip(traces, tables):
+                if l < len(table):
+                    np.matmul(grid[:, : rows - l], h[l : 2 * rows - l - 1 : 2], out=table[l])  # h(2 j + l), j < rows - l
+        for wick, table, acc in zip(wicks, tables, out):
+            r = wick.autocorrelation[: len(table)]
+            acc[band, 0] = np.concatenate((r[:1], 2.0 * r[1:])) @ table[:, :nb]
+            acc[band, 1] = r @ table[:, nb:]
+    return out[:, :, : 1 + dot]
 
 
 def pairing_count(m: int, k: int) -> int:
@@ -354,7 +378,8 @@ def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max
     """flow_expected's (curves, counterterms) for each (model, nu,
     scheme) cell on one lattice, every cell checked before any flow runs.
     All cells share one DistinctModes and one wick_sums call, over the
-    nodes and the end points mu_min = 2^-j_levels and 1."""
+    nodes and the end points mu_min = 2^-j_levels and 1.  NumericalFault
+    if any of those C or D is not finite, so no counterterm is NaN."""
     for name, value in (("j_levels", j_levels), ("nodes_per_octave", nodes_per_octave)):
         if value < 1:
             raise ValidationFault(f"flow {name} must be at least 1, got {value}")
@@ -380,7 +405,12 @@ def flow_stack(spec: LatticeSpec, cells, j_levels=10, nodes_per_octave=16, i_max
 
     nodes, weights = _octave_nodes(j_levels, nodes_per_octave)
     quadrature = (nodes, weights, j_levels, nodes_per_octave)
-    sums = wick_sums(wicks, np.append(nodes, (2.0**-j_levels, 1.0)), dot=True)  # (cell, mu, C|D)
+    mus = np.append(nodes, (2.0**-j_levels, 1.0))
+    sums = wick_sums(wicks, mus, dot=True)  # (cell, mu, C|D)
+    bad = np.argwhere(~np.isfinite(sums))
+    if len(bad):
+        cell, node, _ = bad[0]
+        raise NumericalFault(f"Wick sums not finite at mu = {mus[node]:g} of cell {cell} (nu = {cells[cell][1]:g})")
     return [
         _flow_counterterms(spec, *cell, wick, quadrature, C_D[:-2].T, float(C_D[-2, 0]), float(C_D[-1, 0]))
         for cell, wick, C_D in zip(checked, wicks, sums)

@@ -60,7 +60,8 @@ class LatticeSpec:
     sigma is the order of the fractional Laplacian; it tags the lattice
     because the parabolic scaling [mu] = mu^(1/sigma) couples the two axes.
     n is a power of two and at least 4: at n = 2 the rfft half is {0,
-    Nyquist} and the 2/3 dealias mask keeps only k = 0.
+    Nyquist} and the 2/3 dealias mask keeps only k = 0.  The window holds
+    a whole number of steps of dt, at least one.
     """
 
     d: int
@@ -86,6 +87,8 @@ class LatticeSpec:
                 f"sigma must lie in (0, d]; got sigma={self.sigma}, d={self.d}"
             )
         check_whole_steps(self.t_max - self.t_min, self.dt, "window length")
+        if self.nt < 2:
+            raise ValidationFault(f"dt = {self.dt:g} leaves no whole step in the window [t_min, t_max]")
 
     # -- geometry ---------------------------------------------------------
 

@@ -47,7 +47,11 @@ def _norm_index(a, m: int, d: int):
 class Monomial:
     """One force term: order i in lambda, arity m, spatial derivative indices
     a (tuple of m multi-indices), base amplitude, and the extra [nu]-exponent
-    used to make irrelevant terms vanish faster."""
+    used to make irrelevant terms vanish faster.  The arity is at most
+    MAX_ARITY: the flow's pairing counts m! / ((m - 2k)! k! 2^k) of such a
+    term overflow a float near m = 300."""
+
+    MAX_ARITY = 64
 
     i: int
     m: int
@@ -56,6 +60,8 @@ class Monomial:
     extra_exponent: float = 0.0
 
     def __post_init__(self):
+        if not 0 <= self.m <= self.MAX_ARITY:
+            raise ValidationFault(f"monomial arity m must lie in 0..{self.MAX_ARITY}, got {self.m}")
         for name in ("base", "extra_exponent"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationFault(f"monomial {name} must be finite, got {getattr(self, name)}")
@@ -66,6 +72,9 @@ class Monomial:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """The force's scaling data on R x T^d, d in 1..4 (a lattice takes
+    1..3; the classification also serves the paper's d = 4 regime)."""
+
     d: int
     sigma: float
     dim_lambda: float
@@ -75,6 +84,8 @@ class ModelSpec:
     noise: object = None
 
     def __post_init__(self):
+        if self.d not in (1, 2, 3, 4):
+            raise ValidationFault(f"model dimension d must be 1..4, got {self.d}")
         if self.symmetry not in SYMMETRIES:
             raise ValidationFault(f"unknown symmetry {self.symmetry!r}")
         for name in ("sigma", "dim_lambda", "lam"):
@@ -159,14 +170,21 @@ class ModelSpec:
 
     def _index_lists(self, m: int, total_deg: int):
         """Sorted lists of m spatial multi-indices, each of degree < sigma,
-        with total degree total_deg (up to slot permutation)."""
+        with total degree total_deg (up to slot permutation), each once:
+        the multisets of nondecreasing slot degrees and, per degree, of
+        that degree's multi-indices.  They come in the order in which the
+        sorted slot assignments of the degree-tuple product first yield
+        them: by the degrees ascending, then by the multi-indices' ranks."""
         max_deg = int(np.ceil(self.sigma)) - 1
-        for degs in itertools.product(range(max_deg + 1), repeat=m):
+        for degs in itertools.combinations_with_replacement(range(max_deg + 1), m):
             if sum(degs) != total_deg:
                 continue
-            slots = [list(self._spatial_indices_of_degree(dg)) for dg in degs]
-            for combo in itertools.product(*slots):
-                yield tuple(sorted(combo))
+            groups = [
+                itertools.combinations_with_replacement(list(self._spatial_indices_of_degree(dg)), degs.count(dg))
+                for dg in sorted(set(degs))
+            ]
+            for combo in itertools.product(*groups):
+                yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
     def enumerate_indices(self):
         """All (i, m, a) with i <= i_flat + i_diamond, m <= m_flat * i and

@@ -1,11 +1,21 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
+import signal
 import struct
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowpde import cli
 from flowpde.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -447,6 +457,15 @@ CLI_FAULTS = {
     # a one-point torus, and at n = 2 a dealias mask that keeps only k = 0
     "lattice-n-1": (lambda p: _model_argv(p, lambda c: c["lattice"].update(n=1)), "power of two and at least 4, got 1"),
     "lattice-n-2": (lambda p: _model_argv(p, lambda c: c["lattice"].update(n=2)), "power of two and at least 4, got 2"),
+    # a window of zero steps: the counterterm 4.8e9 at dt 1e10 and NaN in ct.json at 1e300
+    "lattice-dt-1e10": (
+        lambda p: _model_argv(p, lambda c: c["lattice"].update(n=16, dt=1e10)),
+        "dt = 1e+10 leaves no whole step",
+    ),
+    "lattice-dt-1e300": (
+        lambda p: _model_argv(p, lambda c: c["lattice"].update(n=16, dt=1e300)),
+        "dt = 1e+300 leaves no whole step",
+    ),
     # the plan would read the slice at t = 0.12 and name it t0.123
     "observable-time-off-the-dt-grid": (
         lambda p: _universality_argv(p, "observables", [{"kind": "slice_moment", "p": 2, "time": 0.123}]),
@@ -482,6 +501,12 @@ CLI_FAULTS = {
         lambda p: _model_argv(p, lambda c: c["noise"].update(kind="poisson_shot", rate=-1.0), "noise"),
         "poisson_shot rate",
     ),
+    # an index-sized tuple per monomial, and a pairing count past the float range
+    "model-d-1e300": (lambda p: _model_argv(p, lambda c: c.update(d=1e300)), "model dimension d must be 1..4"),
+    "monomial-arity-1001": (
+        lambda p: _model_argv(p, lambda c: c["monomials"][0].update(m=1001)),
+        "monomial arity m must lie in 0..64, got 1001",
+    ),
     "two_point-lag-longer-than-d": (
         lambda p: _universality_argv(p, "observables", [{"kind": "two_point", "lag": [1, 2], "time": 0.25}]),
         "two_point lag [1, 2]",
@@ -501,3 +526,131 @@ def test_every_kind_of_fault_exits_with_validation_code(tmp_path, capsys, fault)
     assert err.startswith("validation fault:") and err.count("\n") == 1, err
     assert "Traceback" not in err and names in err, err
     assert not (tmp_path / "out").exists()
+
+
+def _leaves(cfg, path=()):
+    """The paths of the scalar fields of a config (a monomial's `a` counts as one)."""
+    if isinstance(cfg, dict):
+        for key, value in cfg.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(cfg, list) and cfg and isinstance(cfg[0], dict):
+        for k, value in enumerate(cfg):
+            yield from _leaves(value, (*path, k))
+    else:
+        yield path
+
+
+def _replaced(path, value):
+    def edit(cfg):
+        *head, last = path
+        for key in head:
+            cfg = cfg[key]
+        cfg[last] = value
+
+    return edit
+
+
+def _sigma_equals_d(d, dim_lambda):
+    """sigma = d, so dim Phi = 0 and rho does not cut the walk over the
+    arity m: the class whose degree-tuple enumeration took minutes."""
+
+    def edit(cfg):
+        cfg.update(d=d, sigma=float(d), dim_lambda=dim_lambda)
+        cfg["monomials"][1]["a"] = [[0] * d]
+
+    return edit
+
+
+DESK_16 = json.loads(Path(MODEL).read_text())
+DESK_16["lattice"]["n"] = 16
+ODD_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e300, "x", True, None, [[1]]]
+DESK_EDITS = [
+    (f"{'.'.join(map(str, path))}={value!r}", _replaced(path, value))
+    for path in _leaves(DESK_16)
+    for value in ODD_VALUES
+    if (path, value) != (("lattice", "t_max"), 1e300)
+] + [(f"sigma=d={d}, dim_lambda={dl}", _sigma_equals_d(d, dl)) for d in (2, 3) for dl in (0.5, 0.3, 0.2)]
+EDIT_DEADLINE_S = 2.0
+
+
+class _PlanValidated(Exception):
+    """Raised in place of run_universality: the plan passed validation."""
+
+
+def _validated(plan):
+    raise _PlanValidated
+
+
+def _finite_numbers(obj):
+    if isinstance(obj, dict):
+        return all(_finite_numbers(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_numbers(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def _desk_plan(cfg):
+    """A plan of two variants with the edited desk model, on its lattice's n and dt."""
+    lattice = cfg["lattice"]
+    return {
+        "variants": [{"label": "a", "model": cfg}, {"label": "b", "model": cfg}],
+        "nu_schedule": [0.2, 0.1],
+        "samples": 4,
+        "n": lattice["n"],
+        "dt": lattice["dt"],
+        "t_max": 0.2,
+        "observables": [{"kind": "slice_moment", "p": 2, "time": 0.2}],
+        "solve": {"scheme": "etd1", "blow_up_radius": 50.0, "max_horizon": 0.2, "t_local": 0.2},
+        "flow_j_levels": 4,
+        "flow_nodes_per_octave": 4,
+    }
+
+
+def _alarm(signum, frame):
+    raise TimeoutError(f"past the {EDIT_DEADLINE_S} s deadline")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(DESK_EDITS), st.booleans())
+def test_one_odd_field_of_the_desk_config_faults_or_runs_finite(edit, renorm):
+    """One field of `phi4_desk.json` at n 16 replaced by NaN, +-Infinity,
+    0, -1, 1e300 or a value of the wrong type (or d and sigma set equal,
+    the dim Phi = 0 enumeration class), run by cli.main on `renorm` or on a
+    plan's validation (run_universality stubbed): the exit code is 0, 1 or
+    2, no traceback, every number that a run ending in 0 writes or prints
+    is finite, and each case ends within EDIT_DEADLINE_S.  Values that make
+    a run allocate in proportion to themselves are not drawn: t_max 1e300
+    (about 5e301 steps) is left out, and no power of two is drawn for
+    lattice.n (1e300 is not one)."""
+    label, change = edit
+    cfg = copy.deepcopy(DESK_16)
+    change(cfg)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        out, stdout, stderr = Path(tmp) / "out", io.StringIO(), io.StringIO()
+        if renorm:
+            argv = ["renorm", "--model", str(_write(Path(tmp), json.dumps(cfg))), "--out", str(out)]
+        else:
+            argv = ["universality", "--plan", str(_write(Path(tmp), json.dumps(_desk_plan(cfg)))), "--out", str(out)]
+            mp.setattr(cli, "run_universality", _validated)
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, EDIT_DEADLINE_S)
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+        except _PlanValidated:
+            rc = EXIT_OK
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        elapsed = time.perf_counter() - start
+        err, said = stderr.getvalue(), stdout.getvalue()
+        assert rc in (0, 1, 2), (label, rc, err)
+        assert "Traceback" not in err, (label, err)
+        assert elapsed < EDIT_DEADLINE_S, (label, elapsed)
+        if rc == EXIT_OK and renorm:
+            assert "nan" not in said.lower() and "inf" not in said.lower(), (label, said)
+            for name in ("ct.json", "manifest.json"):
+                assert _finite_numbers(json.loads((out / name).read_text())), (label, name)
+            rows = _read_csv(out / "flow_curves.csv")  # empty when nothing is relevant (dim_lambda 1e300)
+            assert all(math.isfinite(float(r[k])) for r in rows for k in ("mu", "value")), label

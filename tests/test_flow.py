@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from flowpde import flow
-from flowpde.errors import ValidationFault
+from flowpde.errors import NumericalFault, ValidationFault
 from flowpde.flow import (
     CoefKernel,
     DistinctModes,
@@ -270,6 +270,39 @@ def test_a_cells_wick_sums_alone_equal_its_sums_in_a_stack():
         assert np.array_equal(wick_sums([wick], mus, dot=True)[0], sums)
 
 
+def _bands(mus, dt):
+    """The node bands of wick_sums' rule, as lists of positions in mus: by
+    row count r = ceil(2 mu / dt) + 1, largest first, a band holds the nodes
+    whose r is above 1/4 of its largest."""
+    rows = [int(np.ceil(2.0 * mu / dt)) + 1 for mu in mus]
+    left = sorted(range(len(mus)), key=lambda k: -rows[k])
+    bands = []
+    while left:
+        bands.append([k for k in left if 4 * rows[k] > rows[left[0]]])
+        left = left[len(bands[-1]) :]
+    return bands
+
+
+def test_criterion7_wick_sums_equal_each_nodes_own_sums_in_every_band():
+    """Criterion 7's six-cell, 66-node call cuts its nodes into bands of
+    their own row counts (801 down to 5 rows here).  Each node's C and D
+    equal that node's flow_node, summed on its own rows alone, to 1e-14
+    relative (fixed before measuring: the two differ in the order of the
+    sums only), and the spectral reference at rtol 1e-13 for the first and
+    last node of every band."""
+    wicks = _ensemble_wicks()
+    nodes, _ = _octave_nodes(8, 8)
+    mus = np.append(nodes, (2.0**-8, 1.0))
+    bands = _bands(mus, wicks[0].spec.dt)
+    assert len(bands) == 4 and sorted(sum(bands, [])) == list(range(len(mus)))
+    sums = wick_sums(wicks, mus, dot=True)
+    for wick, cell in zip(wicks, sums):
+        own = np.array([wick.flow_node(mu) for mu in mus])
+        np.testing.assert_allclose(cell, own, rtol=1e-14, atol=0.0)
+        for k in [k for band in bands for k in (band[0], band[-1])]:
+            np.testing.assert_allclose(cell[k], _reference_node(wick, mus[k]), rtol=1e-13, atol=0.0)
+
+
 def test_wick_sums_temporaries_stay_within_nodes_by_rows():
     """No temporary holds (nodes x rows x lags) doubles: criterion 7's six
     cells at 66 nodes and 801 rows, with up to 41 lags, peak at a few
@@ -381,6 +414,26 @@ def test_flow_stack_of_no_cells_builds_no_spectrum(monkeypatch, desk_model, desk
     with pytest.raises(AssertionError, match="was built"):
         flow_stack(desk_spec, [(desk_model, 0.1, RenormScheme.for_model(desk_model))])
     assert flow_stack(desk_spec, []) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1], ids=["C", "D"])
+def test_flow_stack_faults_on_a_non_finite_wick_sum(monkeypatch, desk_model, desk_spec, value, column):
+    """One non-finite C or D at any node of any cell ends the stack in a
+    NumericalFault naming its mu and cell, before a counterterm is formed."""
+    wick_sums = flow.wick_sums
+
+    def spoiled(wicks, mus, dot):
+        sums = wick_sums(wicks, mus, dot)
+        sums[1, 3, column] = value
+        return sums
+
+    monkeypatch.setattr(flow, "wick_sums", spoiled)
+    scheme = RenormScheme.for_model(desk_model)
+    cells = [(desk_model, 0.1, scheme), (desk_model, 0.05, scheme)]
+    nodes, _ = _octave_nodes(4, 4)
+    with pytest.raises(NumericalFault, match=f"not finite at mu = {nodes[3]:g} of cell 1 \\(nu = 0.05\\)"):
+        flow_stack(desk_spec, cells, j_levels=4, nodes_per_octave=4)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -36,6 +37,9 @@ def test_spec_rejects_bad_parameters():
         LatticeSpec(1, 64, 0.1, 1.0, 0.0, 0.5)  # empty window
     with pytest.raises(ValidationFault):
         LatticeSpec(4, 64, 0.1, 0.0, 1.0, 0.5)  # d out of range
+    for dt in (1e10, 1e300):  # a window that rounds to zero steps
+        with pytest.raises(ValidationFault, match=re.escape(f"dt = {dt:g} leaves no whole step")):
+            LatticeSpec(1, 16, dt, -2.0, 1.0, 0.5)
     for bad in ((np.inf, 0.0, 1.0, 0.5), (0.1, -np.inf, 1.0, 0.5), (0.1, 0.0, np.inf, 0.5),
                 (0.1, 0.0, np.nan, 0.5), (0.1, 0.0, 1.0, np.nan), (5e-324, 0.0, 1.0, 0.5)):
         with pytest.raises(ValidationFault, match="finite"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -50,8 +51,18 @@ def test_desk_model_classification(desk_model):
             17,
         ),
         (replace(preset("phi4_desk"), dim_lambda=1e-4), 15000, 5000),
+        (
+            ModelSpec(d=2, sigma=2.0, dim_lambda=0.2, lam=0.3, monomials=(Monomial(1, 3, 0, -1.0),), symmetry="parity_z2"),
+            265,
+            85,
+        ),
     ],
-    ids=["phi4_3d-none-dim_lambda-0.3", "d4-sigma-2.5-cubic-dim_lambda-0.5", "phi4_desk-dim_lambda-1e-4"],
+    ids=[
+        "phi4_3d-none-dim_lambda-0.3",
+        "d4-sigma-2.5-cubic-dim_lambda-0.5",
+        "phi4_desk-dim_lambda-1e-4",
+        "d2-sigma-2-cubic-dim_lambda-0.2",
+    ],
 )
 def test_relevant_enumeration_stops_where_rho_turns_positive(model, relevant, kept):
     """No degree tuple of an (i, m) with rho(i, m, 0) > 0 is walked, so
@@ -61,8 +72,10 @@ def test_relevant_enumeration_stops_where_rho_turns_positive(model, relevant, ke
     The walk over i ends at the first rho(i, 0, 0) > 0 and the walk over m
     at the first rho(i, m, 0) > 0, so the desk model at dim_lambda 1e-4
     (i_flat + i_diamond = 7501, m_flat = 3) does not walk its 84 million
-    pairs (i, m), on which flowpde renorm spent 40 s.  Every index kept has
-    rho <= 0."""
+    pairs (i, m), on which flowpde renorm spent 40 s.  At sigma = d (dim
+    Phi = 0) rho does not grow with m, and the d = 2 model walks m up to
+    33: its lists come from sorted multisets, not the 2^m degree tuples
+    that took over 49 s.  Every index kept has rho <= 0."""
     start = time.perf_counter()
     indices = model.relevant_indices()
     filtered = relevant_filtered(model)
@@ -70,6 +83,35 @@ def test_relevant_enumeration_stops_where_rho_turns_positive(model, relevant, ke
     assert len(indices) == relevant and len(filtered) == kept
     assert all(model.rho(*key) <= 0 for key in indices)
     assert set(filtered) <= set(indices)
+
+
+def _product_index_lists(model, m, total_deg):
+    """The lists of m multi-indices of total degree total_deg in the order
+    in which the product over degree tuples and over each slot's
+    multi-indices first yields them sorted: the walk the multiset
+    enumeration replaced, kept as its reference."""
+    max_deg = int(np.ceil(model.sigma)) - 1
+    seen = {}
+    for degs in itertools.product(range(max_deg + 1), repeat=m):
+        if sum(degs) == total_deg:
+            slots = [list(model._spatial_indices_of_degree(dg)) for dg in degs]
+            for combo in itertools.product(*slots):
+                seen.setdefault(tuple(sorted(combo)), None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("d, sigma, m_max", [(1, 1.0, 8), (2, 1.5, 8), (2, 2.0, 8), (3, 2.0, 7), (3, 3.0, 5)])
+def test_multiset_index_lists_equal_the_degree_tuple_product_in_order(d, sigma, m_max):
+    """Each (m, degree) list holds each multiset once, in the product's
+    first-appearance order (ct.json and scheme keys follow it), on every
+    arity up to m_max, where the product still walks in a moment."""
+    model = ModelSpec(d=d, sigma=sigma, dim_lambda=0.5, lam=0.3, monomials=(Monomial(1, 3, 0, -1.0),))
+    max_deg = int(np.ceil(sigma)) - 1
+    for m in range(m_max + 1):
+        for total in range(max_deg * m + 1):
+            lists = list(model._index_lists(m, total))
+            assert len(set(lists)) == len(lists)
+            assert lists == _product_index_lists(model, m, total), (m, total)
 
 
 def test_relevant_filtered_is_cached_per_classification(desk_model):
